@@ -12,6 +12,7 @@ visits each node exactly once in reverse.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -43,7 +44,7 @@ class TapeNode:
 class Tensor:
     """Dense float64 array (up to 4 dimensions) with optional grad tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "_cols_cache")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -53,7 +54,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.node = None
-        self._cols_cache = None  # im2col reuse for constant tensors
 
     @property
     def shape(self):
@@ -456,66 +456,19 @@ def block_mean(a: Tensor, r: int) -> Tensor:
 # convolution
 
 
-def _im2col(x: np.ndarray, k: int, stride: int):
-    c, h, w = x.shape
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    h_out = (h + 2 * pad - k) // stride + 1
-    w_out = (w + 2 * pad - k) // stride + 1
-    # row-contiguous slice copies; destination is already in (c, k, k, ...) order
-    cols = np.empty((c, k, k, h_out, w_out))
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xp[:, i : i + stride * h_out : stride,
-                               j : j + stride * w_out : stride]
-    return cols.reshape(c * k * k, h_out * w_out), h_out, w_out
-
-
-# above this many unfolded elements the im2col matrix would thrash the
-# allocator (tens of MB freed every iteration); use tap accumulation instead
-_TAPS_THRESHOLD = 2**21
-
-
-def _conv_taps_forward(xp, wtaps, stride, h_out, w_out):
-    k, _, c_out, c_in = wtaps.shape
-    n = h_out * w_out
-    out = np.zeros((c_out, n))
-    buf = np.empty((c_in, h_out, w_out))
-    tmp = np.empty((c_out, n))
-    flat = buf.reshape(c_in, n)
-    for i in range(k):
-        for j in range(k):
-            np.copyto(buf, xp[:, i : i + stride * h_out : stride,
-                              j : j + stride * w_out : stride])
-            np.matmul(wtaps[i, j], flat, out=tmp)
-            out += tmp
-    return out
-
-
-def _conv_taps_grad_w(xp, g_mat, wd_shape, stride, h_out, w_out):
-    c_out, c_in, k, _ = wd_shape
-    n = h_out * w_out
-    gw = np.empty(wd_shape)
-    buf = np.empty((c_in, h_out, w_out))
-    flat = buf.reshape(c_in, n)
-    tmp = np.empty((c_out, c_in))
-    for i in range(k):
-        for j in range(k):
-            np.copyto(buf, xp[:, i : i + stride * h_out : stride,
-                              j : j + stride * w_out : stride])
-            np.matmul(g_mat, flat.T, out=tmp)
-            gw[:, :, i, j] = tmp
-    return gw
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
     """2-D convolution with zero-padded 'same' geometry and an odd kernel.
 
     x is (C_in, H, W), weight is (C_out, C_in, k, k), bias is (C_out,).
-    Output spatial size is ceil(H / stride) x ceil(W / stride).  The unfolded
-    input is cached on constant tensors so repeated passes over the same image
-    (training loops) skip the im2col rebuild; very large dynamic inputs take a
-    tap-accumulation path that avoids materializing the unfolded matrix.
+    Output spatial size is ceil(H / stride) x ceil(W / stride).
+
+    The padded input is split once into stride x stride polyphase planes that
+    share one row pitch and are stored flat.  Under kernel tap (i, j) the
+    inputs of all output pixels then form one contiguous column range of one
+    plane, so the forward pass and both pullbacks run one (C_out, C_in)
+    matmul per tap on a view of the planes.  Outputs are computed at the full
+    row pitch: the extra columns of each row are cropped from the result, and
+    the incoming gradient is zero-filled there before the pullbacks.
     """
     _require_chw("conv2d", x)
     wd = weight.data
@@ -536,58 +489,59 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
             f"conv2d bias shape {bias.data.shape} does not match {c_out} outputs"
         )
     _c, h_in, w_in = x.data.shape
+    s = stride
     pad = kh // 2
-    h_out = (h_in + 2 * pad - kh) // stride + 1
-    w_out = (w_in + 2 * pad - kw) // stride + 1
-    constant_input = not x.requires_grad and x.node is None
-    use_taps = (not constant_input) and c_in * kh * kw * h_out * w_out > _TAPS_THRESHOLD
-
-    cols = xp = None
+    h_out = (h_in + 2 * pad - kh) // s + 1
+    w_out = (w_in + 2 * pad - kw) // s + 1
+    reach = (kh - 1) // s  # largest tap offset, in plane rows or columns
+    # one row and one column more than the taps need: the spare row takes the
+    # reads that run past the last output row, and with both the s * hq by
+    # s * wq grid covers the whole padded input
+    hq, wq = h_out + reach + 1, w_out + reach + 1
+    n = h_out * wq
+    xp = np.zeros((c_in, s * hq, s * wq))
+    xp[:, pad : pad + h_in, pad : pad + w_in] = x.data
+    planes = np.ascontiguousarray(xp.reshape(c_in, hq, s, wq, s).transpose(2, 4, 0, 1, 3))
+    planes = planes.reshape(s * s, c_in, hq * wq)
+    # tap (i, j) reads plane (i % s, j % s) shifted by (i // s, j // s)
+    taps = [
+        (i, j, (i % s) * s + j % s, (i // s) * wq + j // s)
+        for i in range(kh)
+        for j in range(kw)
+    ]
     # (k, k, c_out, c_in) contiguous tap matrices keep matmul on the BLAS path
     wtaps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
-    if use_taps:
-        xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-        out = _conv_taps_forward(xp, wtaps, stride, h_out, w_out)
-    else:
-        cache_key = (kh, stride)
-        if constant_input and x._cols_cache and cache_key in x._cols_cache:
-            cols = x._cols_cache[cache_key]
-        else:
-            cols, _, _ = _im2col(x.data, kh, stride)
-            if constant_input:
-                if x._cols_cache is None:
-                    x._cols_cache = {}
-                x._cols_cache[cache_key] = cols
-        out = wd.reshape(c_out, c_in * kh * kw) @ cols
+    wide = np.zeros((c_out, n))
+    tmp = np.empty((c_out, n))
+    for i, j, p, off in taps:
+        np.matmul(wtaps[i, j], planes[p, :, off : off + n], out=tmp)
+        wide += tmp
+    out = np.ascontiguousarray(wide.reshape(c_out, h_out, wq)[:, :, :w_out])
     if bias is not None:
-        out = out + bias.data[:, None]
-    out = out.reshape(c_out, h_out, w_out)
+        out += bias.data[:, None, None]
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def bw(g, needs):
-        g_mat = g.reshape(c_out, h_out * w_out)
+        g_wide = np.zeros((c_out, h_out, wq))
+        g_wide[:, :, :w_out] = g
+        g_mat = g_wide.reshape(c_out, n)
         gx = gw = gb = None
         if needs[0]:
-            # tap-wise accumulation: k*k small matmuls instead of one
-            # (c_in*k*k, n) product plus a fold; much less memory traffic
-            gxp = np.zeros((c_in, h_in + 2 * pad, w_in + 2 * pad))
-            tmp = np.empty((c_in, h_out * w_out))
-            shaped = tmp.reshape(c_in, h_out, w_out)
-            for i in range(kh):
-                for j in range(kh):
-                    np.matmul(wtaps[i, j].T, g_mat, out=tmp)
-                    gxp[:, i : i + stride * h_out : stride,
-                        j : j + stride * w_out : stride] += shaped
-            gx = gxp[:, pad : pad + h_in, pad : pad + w_in]
+            g_planes = np.zeros_like(planes)
+            tmp_x = np.empty((c_in, n))
+            for i, j, p, off in taps:
+                np.matmul(wtaps[i, j].T, g_mat, out=tmp_x)
+                g_planes[p, :, off : off + n] += tmp_x
+            gxp = g_planes.reshape(s, s, c_in, hq, wq).transpose(2, 3, 0, 4, 1)
+            gx = gxp.reshape(c_in, s * hq, s * wq)[:, pad : pad + h_in, pad : pad + w_in]
         if needs[1]:
-            if cols is not None:
-                gw = (g_mat @ cols.T).reshape(wd.shape)
-            else:
-                gw = _conv_taps_grad_w(xp, g_mat, wd.shape, stride, h_out, w_out)
+            gw = np.empty(wd.shape)
+            for i, j, p, off in taps:
+                gw[:, :, i, j] = g_mat @ planes[p, :, off : off + n].T
         if bias is None:
             return gx, gw
         if needs[2]:
-            gb = g_mat.sum(axis=1)
+            gb = g.reshape(c_out, -1).sum(axis=1)
         return gx, gw, gb
 
     return _track("conv2d", out, inputs, bw)
@@ -710,7 +664,18 @@ def load_checkpoint(path) -> ParameterSet:
             raise FormatError(f"truncated checkpoint at byte {pos}: missing name length")
         (name_len,) = struct.unpack_from("<H", blob, pos)
         pos += 2
-        name = blob[pos : pos + name_len].decode("utf-8")
+        if pos + name_len > len(blob):
+            raise FormatError(
+                f"truncated checkpoint at byte {pos}: name of {name_len} bytes, "
+                f"{len(blob) - pos} left"
+            )
+        try:
+            name = blob[pos : pos + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"parameter name at byte {pos} is not UTF-8: {exc.reason} "
+                f"at byte {pos + exc.start}"
+            ) from exc
         pos += name_len
         if pos + 1 > len(blob):
             raise FormatError(f"truncated checkpoint at byte {pos}: missing rank")
@@ -722,7 +687,7 @@ def load_checkpoint(path) -> ParameterSet:
             raise FormatError(f"truncated checkpoint at byte {pos}: missing dims")
         dims = struct.unpack_from(f"<{rank}I", blob, pos)
         pos += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
+        n = math.prod(dims)  # exact: dims from the file may overflow int64
         nbytes = n * 8
         if pos + nbytes > len(blob):
             raise FormatError(

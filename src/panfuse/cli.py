@@ -22,14 +22,14 @@ from . import gan
 from .autodiff import load_checkpoint, save_checkpoint
 from .errors import ConfigError, NumericalError, PanfuseError
 from .harness import (
-    IDEAL_ROW,
+    ExperimentResult,
     baseline_fuse,
+    results_table_csv,
+    results_table_text,
     synth_scene,
     wald_reduce,
 )
 from .metrics import (
-    FULL_METRICS,
-    REDUCED_METRICS,
     MetricConfig,
     QualityReport,
     evaluate_full,
@@ -367,40 +367,25 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = RunConfig(args)
-    rows = {"reduced": {}, "full": {}}
+    results = []
     for name in sorted(os.listdir(cfg.out)):
         if not (name.startswith("eval_") and name.endswith(".kv")):
             continue
         stem = name[5:-3]
         mode, _, label = stem.partition("_")
-        if mode not in rows or not label:
+        if mode not in ("reduced", "full") or not label:
             continue
         with open(_out_path(cfg, name), "r", encoding="utf-8") as fh:
             report = QualityReport.parse_kv(fh.read())
-        rows[mode][label] = report
-    if not rows["reduced"] and not rows["full"]:
+        results.append(ExperimentResult(label, mode, report, wall_time=0.0))
+    if not results:
         raise ConfigError(f"no eval_*.kv files under {cfg.out!r}; run `eval` first")
-    text_blocks = []
-    for mode, metric_names in (("reduced", REDUCED_METRICS), ("full", FULL_METRICS)):
-        if not rows[mode]:
-            continue
-        lines = ["method," + ",".join(metric_names)]
-        table = [("method", *metric_names)]
-        for label in sorted(rows[mode]):
-            entries = rows[mode][label].entries
-            lines.append(label + "," + ",".join(repr(entries[m]) for m in metric_names))
-            table.append((label, *[f"{entries[m]:.4f}" for m in metric_names]))
-        ideal = IDEAL_ROW[mode]
-        lines.append("Ideal," + ",".join(repr(ideal[m]) for m in metric_names))
-        table.append(("Ideal", *[f"{ideal[m]:.4f}" for m in metric_names]))
+    results.sort(key=lambda res: res.method)
+    modes = [m for m in ("reduced", "full") if any(res.mode == m for res in results)]
+    for mode in modes:
         with open(_out_path(cfg, f"report_{mode}.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
-        block = [f"{mode}-resolution mode"]
-        for row in table:
-            block.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        text_blocks.append("\n".join(block))
-    text = "\n\n".join(text_blocks) + "\n"
+            fh.write(results_table_csv(results, mode))
+    text = results_table_text(results, modes)
     with open(_out_path(cfg, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
     sys.stdout.write(text)

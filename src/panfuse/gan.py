@@ -34,6 +34,7 @@ from .raster import (
     MultispectralImage,
     RasterBand,
     estimate_weights,
+    histogram_match,
     upsample,
 )
 
@@ -260,17 +261,14 @@ def intensity_of(fused, weights: IntensityWeights) -> Tensor:
 
 
 def _spatial_loss_from_intensity(intensity: Tensor, pan: RasterBand) -> Tensor:
-    i_data = intensity.data
-    sd_i = float(i_data.std(ddof=1))
-    if sd_i == 0.0:
+    i_band = RasterBand(intensity.data[0])
+    if float(i_band.data.std(ddof=1)) == 0.0:
         raise DegenerateInputError("intensity of the fused image is constant")
+    if float(pan.data.std(ddof=1)) == 0.0:
+        raise DegenerateInputError("pan band is constant")
     # PAN is moment-matched to the intensity; the matching statistics are
     # detached so gradients flow only through the intensity argument of Q.
-    p = pan.data
-    sd_p = float(p.std(ddof=1))
-    if sd_p == 0.0:
-        raise DegenerateInputError("pan band is constant")
-    matched = (p - float(p.mean())) * (sd_i / sd_p) + float(i_data.mean())
+    matched = histogram_match(pan, i_band).data
     return 1.0 - q_index(intensity, Tensor(matched[None]))
 
 

@@ -232,17 +232,12 @@ def baseline_fuse(
         ms_up = upsample(ms, r, "bicubic")
         pan_low = upsample_band(mtf_degrade(pan, r, nyquist_gain), r, "bicubic")
         detail = pan.data - pan_low.data
-        pl = pan_low.data.ravel()
-        pl_c = pl - pl.mean()
-        var_pl = float(pl_c @ pl_c) / (pl.size - 1)
-        if var_pl == 0.0:
-            raise InvalidInputError("lowpass pan is constant; GLP gains undefined")
-        fused = []
-        for band in ms_up.bands:
-            bc = band.data.ravel() - band.data.mean()
-            gain = (float(bc @ pl_c) / (pl.size - 1)) / var_pl
-            fused.append(RasterBand(np.clip(band.data + gain * detail, 0.0, 1.0)))
-        return FusionProduct(MultispectralImage(tuple(fused), scale_ratio=1), method="glp")
+        gains = estimate_gains(ms_up, pan_low).gains
+        fused = tuple(
+            RasterBand(np.clip(band.data + gain * detail, 0.0, 1.0))
+            for gain, band in zip(gains, ms_up.bands)
+        )
+        return FusionProduct(MultispectralImage(fused, scale_ratio=1), method="glp")
     raise InvalidInputError(f"unknown fusion method {method!r}")
 
 
@@ -346,10 +341,11 @@ def parse_results_table(text: str, mode: str):
     return rows
 
 
-def results_table_text(results) -> str:
-    """Human-readable aligned table covering both modes."""
+def results_table_text(results, modes=("reduced", "full")) -> str:
+    """Human-readable aligned table with one block per mode in ``modes``."""
     blocks = []
-    for mode, metric_names in (("reduced", REDUCED_METRICS), ("full", FULL_METRICS)):
+    for mode in modes:
+        metric_names = REDUCED_METRICS if mode == "reduced" else FULL_METRICS
         rows = [("method", *metric_names)]
         for res in results:
             if res.mode != mode:

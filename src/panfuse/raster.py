@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -505,6 +506,7 @@ def _load_png_gray(blob: bytes, path: str) -> RasterBand:
     pos = 8
     ihdr = None
     idat = bytearray()
+    idat_pos = None
     seen_end = False
     while pos < len(blob):
         if pos + 8 > len(blob):
@@ -519,8 +521,12 @@ def _load_png_gray(blob: bytes, path: str) -> RasterBand:
         if crc != zlib.crc32(ctype + chunk) & 0xFFFFFFFF:
             raise FormatError(f"bad CRC for PNG chunk {ctype!r} at byte {data_end}")
         if ctype == b"IHDR":
+            if length != 13:
+                raise FormatError(f"PNG IHDR at byte {pos} has {length} bytes, expected 13")
             ihdr = struct.unpack(">IIBBBBB", chunk)
         elif ctype == b"IDAT":
+            if not idat:
+                idat_pos = pos
             idat.extend(chunk)
         elif ctype == b"IEND":
             seen_end = True
@@ -539,11 +545,28 @@ def _load_png_gray(blob: bytes, path: str) -> RasterBand:
         raise FormatError("unsupported PNG compression/filter/interlace settings")
     if width == 0 or height == 0:
         raise FormatError("zero PNG dimensions in IHDR")
-    try:
-        raw = zlib.decompress(bytes(idat))
-    except zlib.error as exc:
-        raise FormatError(f"corrupt PNG image data in {path}: {exc}") from exc
+    if idat_pos is None:
+        raise FormatError(f"missing IDAT chunk in {path}")
     bpp = depth // 8
+    # one filter byte per row plus the samples: all that IHDR allows, so a
+    # small file cannot inflate without bound
+    limit = height * (width * bpp + 1)
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(bytes(idat), min(limit + 1, sys.maxsize))
+    except zlib.error as exc:
+        raise FormatError(
+            f"corrupt PNG image data from byte {idat_pos} in {path}: {exc}"
+        ) from exc
+    if len(raw) > limit:
+        raise FormatError(
+            f"PNG image data from byte {idat_pos} inflates past the {limit} bytes "
+            f"that IHDR implies"
+        )
+    if not inflater.eof:
+        raise FormatError(
+            f"corrupt PNG image data from byte {idat_pos} in {path}: truncated zlib stream"
+        )
     samples = _png_unfilter(raw, height, width * bpp, bpp)
     dtype = ">u2" if depth == 16 else np.uint8
     arr = np.frombuffer(bytes(samples), dtype=dtype).reshape(height, width)

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from panfuse import autodiff as ad
@@ -64,6 +68,29 @@ class TestForward:
             expected = oracles.naive_conv2d_zero_pad(x, w, b, stride)
             assert out.data.shape == expected.shape
             np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        c_in=st.integers(1, 4),
+        c_out=st.integers(1, 4),
+        k=st.sampled_from([1, 3, 5]),
+        stride=st.integers(1, 3),
+        h=st.integers(1, 12),
+        w=st.integers(1, 12),
+        with_bias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conv2d_matches_loop_oracle_property(
+        self, c_in, c_out, k, stride, h, w, with_bias, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, size=(c_in, h, w))
+        wt = rng.uniform(-1.0, 1.0, size=(c_out, c_in, k, k))
+        b = rng.uniform(-1.0, 1.0, size=c_out) if with_bias else None
+        out = ad.conv2d(Tensor(x), Tensor(wt), None if b is None else Tensor(b), stride=stride)
+        expected = oracles.naive_conv2d_zero_pad(x, wt, b, stride)
+        assert out.data.shape == expected.shape
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
     def test_block_mean(self):
         x = np.arange(16.0).reshape(1, 4, 4)
@@ -141,11 +168,15 @@ class TestGradients:
         check_gradients(lambda ts: ad.mean(ad.div(ts[0], ts[1])), x, s)
         check_gradients(lambda ts: ad.mean(ad.add(ts[1], ts[0])), x, s)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_conv2d_gradients(self, stride):
+    @pytest.mark.parametrize(
+        "stride, k",
+        [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (3, 5)],
+        ids=["1", "2", "3", "1-k5", "2-k5", "3-k5"],
+    )
+    def test_conv2d_gradients(self, stride, k):
         rng = np.random.default_rng(7)
         x = rng.uniform(size=(2, 5, 5))
-        w = rng.uniform(-0.5, 0.5, size=(3, 2, 3, 3))
+        w = rng.uniform(-0.5, 0.5, size=(3, 2, k, k))
         b = rng.uniform(-0.1, 0.1, size=3)
         check_gradients(
             lambda ts: ad.variance(ad.conv2d(ts[0], ts[1], ts[2], stride=stride)),
@@ -287,4 +318,34 @@ class TestParameterSet:
         path = tmp_path / "trunc.pfck"
         path.write_bytes(blob[:-8])
         with pytest.raises(FormatError, match="truncated"):
+            ad.load_checkpoint(path)
+
+    @staticmethod
+    def _one_entry(name: bytes, name_len=None, dims=(), payload=b""):
+        """Checkpoint bytes holding one parameter, fields as given."""
+        return (
+            ad.CHECKPOINT_MAGIC
+            + struct.pack("<IH", 1, len(name) if name_len is None else name_len)
+            + name
+            + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+            + payload
+        )
+
+    def test_checkpoint_non_utf8_name(self, tmp_path):
+        path = tmp_path / "name.pfck"
+        path.write_bytes(self._one_entry(b"w\xff", payload=b"\x00" * 8))
+        with pytest.raises(FormatError, match=r"byte 10 is not UTF-8.*at byte 11"):
+            ad.load_checkpoint(path)
+
+    def test_checkpoint_name_past_end(self, tmp_path):
+        path = tmp_path / "long.pfck"
+        path.write_bytes(self._one_entry(b"abc", name_len=500)[:13])
+        with pytest.raises(FormatError, match=r"at byte 10: name of 500 bytes, 3 left"):
+            ad.load_checkpoint(path)
+
+    def test_checkpoint_dims_overflow_int64(self, tmp_path):
+        # the product 2**64 wraps to 0 in int64 arithmetic
+        path = tmp_path / "huge.pfck"
+        path.write_bytes(self._one_entry(b"w", dims=(2**16,) * 4))
+        with pytest.raises(FormatError, match=r"payload at byte 28: expected 147573952589676412928"):
             ad.load_checkpoint(path)

@@ -1,3 +1,7 @@
+import re
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -218,6 +222,44 @@ class TestExitCodes:
 
         monkeypatch.setattr("panfuse.gan.train", explode)
         assert run(["train", "--out", str(out)]) == 3
+
+
+def _png(ihdr: bytes, idat: bytes) -> bytes:
+    def chunk(ctype, data):
+        crc = zlib.crc32(ctype + data) & 0xFFFFFFFF
+        return struct.pack(">I", len(data)) + ctype + data + struct.pack(">I", crc)
+
+    body = chunk(b"IHDR", ihdr) + (chunk(b"IDAT", idat) if idat else b"")
+    return b"\x89PNG\r\n\x1a\n" + body + chunk(b"IEND", b"")
+
+
+MALFORMED_INPUTS = {
+    "pfck_non_utf8_name": b"PFCK" + struct.pack("<IH", 1, 2) + b"w\xff" + b"\x00",
+    "pfck_name_past_end": b"PFCK" + struct.pack("<IH", 1, 500) + b"abc",
+    "pfck_dims_overflow": b"PFCK" + struct.pack("<IHsB4I", 1, 1, b"w", 4, *[2**16] * 4),
+    "png_short_ihdr": _png(struct.pack(">IIBBBB", 2, 2, 8, 0, 0, 0), b""),
+    "png_inflate_past_ihdr": _png(
+        struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0), zlib.compress(b"\x00" * 2**20)
+    ),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_exit_2_and_message_names_offset(self, tmp_path, capsys, case):
+        out = tmp_path / "run"
+        run(synth_args(out, size=16, ratio=2, bands=2))
+        capsys.readouterr()
+        kind = case.split("_")[0]
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(MALFORMED_INPUTS[case])
+        if kind == "pfck":
+            argv = ["fuse", "--method", "gan", "--checkpoint", str(bad), "--out", str(out)]
+        else:
+            argv = ["fuse", "--method", "exp", "--pan", str(bad), "--out", str(out)]
+        assert run(argv) == 2  # an escaping exception would fail the call itself
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and re.search(r"byte \d+", err)
 
 
 class TestDeterminism:

@@ -274,6 +274,16 @@ class TestDetailInject:
         assert fused.image.bands[0].data.max() <= 1.0
 
 
+def png_chunk(ctype: bytes, data: bytes) -> bytes:
+    """One PNG chunk: length, type, data, CRC."""
+    return (
+        struct.pack(">I", len(data))
+        + ctype
+        + data
+        + struct.pack(">I", zlib.crc32(ctype + data) & 0xFFFFFFFF)
+    )
+
+
 def make_gray_png(arr: np.ndarray, depth: int) -> bytes:
     """Assemble a minimal grayscale PNG (filter 0 rows) for ingestion tests."""
     h, w = arr.shape
@@ -282,21 +292,12 @@ def make_gray_png(arr: np.ndarray, depth: int) -> bytes:
     else:
         payload_rows = [b"\x00" + arr.astype(">u2")[y].tobytes() for y in range(h)]
     idat = zlib.compress(b"".join(payload_rows))
-
-    def chunk(ctype, data):
-        return (
-            struct.pack(">I", len(data))
-            + ctype
-            + data
-            + struct.pack(">I", zlib.crc32(ctype + data) & 0xFFFFFFFF)
-        )
-
     ihdr = struct.pack(">IIBBBBB", w, h, depth, 0, 0, 0, 0)
     return (
         b"\x89PNG\r\n\x1a\n"
-        + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", idat)
-        + chunk(b"IEND", b"")
+        + png_chunk(b"IHDR", ihdr)
+        + png_chunk(b"IDAT", idat)
+        + png_chunk(b"IEND", b"")
     )
 
 
@@ -367,15 +368,30 @@ class TestIO:
 
     def test_png_rejects_color(self, tmp_path):
         ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)
-
-        def chunk(ctype, data):
-            return (
-                struct.pack(">I", len(data)) + ctype + data
-                + struct.pack(">I", zlib.crc32(ctype + data) & 0xFFFFFFFF)
-            )
-
-        blob = b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IEND", b"")
+        blob = b"\x89PNG\r\n\x1a\n" + png_chunk(b"IHDR", ihdr) + png_chunk(b"IEND", b"")
         path = tmp_path / "rgb.png"
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="grayscale"):
+            load_raster(path)
+
+    def test_png_ihdr_wrong_length(self, tmp_path):
+        ihdr = struct.pack(">IIBBBB", 2, 2, 8, 0, 0, 0)  # 12 bytes, interlace missing
+        blob = b"\x89PNG\r\n\x1a\n" + png_chunk(b"IHDR", ihdr) + png_chunk(b"IEND", b"")
+        path = tmp_path / "short_ihdr.png"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="IHDR at byte 8 has 12 bytes, expected 13"):
+            load_raster(path)
+
+    def test_png_idat_inflating_past_ihdr_size(self, tmp_path):
+        # a 2x2 8-bit image holds 2 * (1 + 2) = 6 filtered bytes; this inflates to 1 MB
+        ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0)
+        blob = (
+            b"\x89PNG\r\n\x1a\n"
+            + png_chunk(b"IHDR", ihdr)
+            + png_chunk(b"IDAT", zlib.compress(b"\x00" * 2**20))
+            + png_chunk(b"IEND", b"")
+        )
+        path = tmp_path / "bomb.png"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="from byte 33 inflates past the 6 bytes"):
             load_raster(path)
