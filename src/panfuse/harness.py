@@ -37,6 +37,7 @@ from .raster import (
     estimate_weights,
     intensity_component,
     mtf_degrade,
+    mtf_degrade_ms,
     upsample,
     upsample_band,
 )
@@ -133,27 +134,24 @@ def synth_scene(
     rng = np.random.default_rng(seed)
     jitter = 0.05
 
-    yy, xx = np.meshgrid(
-        np.linspace(0.0, 1.0, height), np.linspace(0.0, 1.0, width), indexing="ij"
-    )
+    y, x = np.linspace(0.0, 1.0, height), np.linspace(0.0, 1.0, width)
     gt = np.empty((bands, height, width))
     for k in range(bands):
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        gt[k] = 0.5 + 0.2 * (math.cos(angle) * xx + math.sin(angle) * yy)
+        gt[k] = 0.5 + 0.2 * (math.cos(angle) * x + math.sin(angle) * y[:, None])
 
     n_blobs = max(8, (width * height) // 2048)
     centers = rng.uniform(0.05, 0.95, size=(n_blobs, 2))
     sigmas = rng.uniform(0.01, 0.08, size=n_blobs)
     blob_amp = rng.uniform(0.1, 0.3, size=n_blobs)
     blob_factor = 1.0 + rng.uniform(-jitter, jitter, size=(n_blobs, bands))
-    for b in range(n_blobs):
-        bump = np.exp(
-            -(((xx - centers[b, 0]) ** 2 + (yy - centers[b, 1]) ** 2)
-              / (2.0 * sigmas[b] ** 2))
-        )
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        for k in range(bands):
-            gt[k] += sign * blob_amp[b] * blob_factor[b, k] * bump
+    signs = np.where(rng.uniform(size=n_blobs) < 0.5, 1.0, -1.0)
+    # each Gaussian bump is the outer product of its column and row profiles
+    gx = np.exp(-((x[:, None] - centers[:, 0]) ** 2) / (2.0 * sigmas**2))
+    gy = np.exp(-((y[:, None] - centers[:, 1]) ** 2) / (2.0 * sigmas**2))
+    coef = (signs * blob_amp)[:, None] * blob_factor
+    for k in range(bands):
+        gt[k] += (gy * coef[:, k]) @ gx.T
 
     n_rect = max(6, (width * height) // 512)
     for _ in range(n_rect):
@@ -171,10 +169,7 @@ def synth_scene(
     gt = 0.1 + 0.8 * (gt - lo) / (hi - lo)
 
     gt_hrms = MultispectralImage.from_array(gt, scale_ratio=1)
-    ms = MultispectralImage(
-        tuple(mtf_degrade(b, ratio, nyquist_gain) for b in gt_hrms.bands),
-        scale_ratio=ratio,
-    )
+    ms = mtf_degrade_ms(gt_hrms, ratio, nyquist_gain)
     raw_w = rng.uniform(0.5, 1.5, size=bands)
     pan_weights = raw_w / raw_w.sum()
     pan = RasterBand(_blur3(np.tensordot(pan_weights, gt, axes=(0, 0))))

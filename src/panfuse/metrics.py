@@ -3,11 +3,14 @@
 Reduced-resolution (full-reference) metrics: SAM, CC, UIQI, Q4, ERGAS.
 Full-resolution (no-reference) metrics: D_lambda, D_s and their QNR product.
 
-Windowed indices compare images at their native scales: when the two inputs
-of D_lambda / D_s sit at different resolutions, the window and stride on the
-high-resolution side are multiplied by the resolution ratio so that windows
-cover corresponding ground footprints.  Window statistics are invariant under
-pixel replication with this convention.
+The windowed indices (UIQI, Q4, D_lambda, D_s) score every window at once.
+Each band is centred on its image mean; the window sums of it, its square and
+the band products a metric needs come from ``reduceat`` along rows and then
+columns, which sums each window directly whether windows overlap, tile or
+leave gaps.  A window is flat when no pixel in it differs from its neighbour,
+so the degenerate-window conventions are exact.  The high-resolution side of
+D_lambda / D_s multiplies window and stride by the resolution ratio, so window
+statistics are invariant under pixel replication.
 """
 
 from __future__ import annotations
@@ -70,10 +73,14 @@ def _as_band(image) -> RasterBand:
 # spectral angle
 
 
-def _angle_map_degrees(f: np.ndarray, m: np.ndarray) -> np.ndarray:
-    dot = np.sum(f * m, axis=0)
-    sf = np.sum(f * f, axis=0)
-    sm = np.sum(m * m, axis=0)
+def _angle_map_degrees(F, M) -> np.ndarray:
+    fi, mi = _check_pair(F, M)
+    if fi.band_count < 2:
+        raise InvalidInputError("spectral angle needs at least two bands")
+    f, m = [b.data for b in fi.bands], [b.data for b in mi.bands]
+    dot = sum(a * b for a, b in zip(f, m))
+    sf = sum(a * a for a in f)
+    sm = sum(b * b for b in m)
     # single sqrt of the product keeps cos exactly 1 for identical vectors
     norm = np.sqrt(sf * sm)
     valid = norm > 0.0
@@ -99,10 +106,7 @@ def _check_pair(F, M):
 
 def sam_global(F, M) -> float:
     """Mean per-pixel spectral angle between F and M, in degrees."""
-    fi, mi = _check_pair(F, M)
-    if fi.band_count < 2:
-        raise InvalidInputError("spectral angle needs at least two bands")
-    return float(_angle_map_degrees(fi.to_array(), mi.to_array()).mean())
+    return float(_angle_map_degrees(F, M).mean())
 
 
 def sam_map(F, M) -> RasterBand:
@@ -110,10 +114,7 @@ def sam_map(F, M) -> RasterBand:
 
     Rounding is half-up; a constant angle map yields all zeros.
     """
-    fi, mi = _check_pair(F, M)
-    if fi.band_count < 2:
-        raise InvalidInputError("spectral angle needs at least two bands")
-    ang = _angle_map_degrees(fi.to_array(), mi.to_array())
+    ang = _angle_map_degrees(F, M)
     lo, hi = float(ang.min()), float(ang.max())
     if hi == lo:
         return RasterBand(np.zeros_like(ang))
@@ -146,119 +147,127 @@ def cc(F, M) -> float:
 
 
 # ---------------------------------------------------------------------------
-# universal image quality index
+# universal image quality index and quaternion Q4
 
 
-def _q_window(a: np.ndarray, b: np.ndarray) -> float:
-    """Three-factor similarity (correlation x luminance x contrast) on one tile.
+@dataclass(frozen=True)
+class _WindowGrid:
+    """Window origins along each axis; ``len`` is the number of windows."""
 
-    Conventions for degenerate tiles: both constant and equal -> 1, both
-    constant and unequal -> 0, exactly one constant -> 0.  Sample statistics
-    use ddof = 1.
-    """
-    n = a.size
-    mu_a = float(a.mean())
-    mu_b = float(b.mean())
-    da = a - mu_a
-    db = b - mu_b
-    var_a = float(np.sum(da * da)) / (n - 1)
-    var_b = float(np.sum(db * db)) / (n - 1)
-    if var_a == 0.0 and var_b == 0.0:
-        return 1.0 if mu_a == mu_b else 0.0
-    if var_a == 0.0 or var_b == 0.0:
-        return 0.0
-    cov = float(np.sum(da * db)) / (n - 1)
-    corr = cov / math.sqrt(var_a * var_b)
-    mu_sq = mu_a * mu_a + mu_b * mu_b
-    lum = 1.0 if mu_sq == 0.0 else 2.0 * mu_a * mu_b / mu_sq
-    con = 2.0 * math.sqrt(var_a * var_b) / (var_a + var_b)
-    return corr * lum * con
+    ys: np.ndarray
+    xs: np.ndarray
+    window: int
+
+    def __len__(self):
+        return self.ys.size * self.xs.size
 
 
-def _window_origins(h: int, w: int, window: int, stride: int):
+def _window_origins(h: int, w: int, window: int, stride: int) -> _WindowGrid:
     if h < window or w < window:
-        raise InvalidInputError(
-            f"image {h}x{w} is smaller than the {window}-pixel window"
-        )
-    return [(y, x) for y in range(0, h - window + 1, stride)
-            for x in range(0, w - window + 1, stride)]
+        raise InvalidInputError(f"image {h}x{w} is smaller than the {window}-pixel window")
+    return _WindowGrid(*(np.arange(0, n - window + 1, stride) for n in (h, w)), window)
 
 
-def _uiqi_arrays(a: np.ndarray, b: np.ndarray, window: int, stride: int) -> float:
-    if a.shape != b.shape:
-        raise InvalidInputError(f"dimensions differ: {a.shape} vs {b.shape}")
-    origins = _window_origins(a.shape[0], a.shape[1], window, stride)
-    total = 0.0
-    for y, x in origins:
-        total += _q_window(a[y : y + window, x : x + window],
-                           b[y : y + window, x : x + window])
-    return total / len(origins)
+def _window_reduce(a: np.ndarray, grid: _WindowGrid, ufunc=np.add, trim=(0, 0)) -> np.ndarray:
+    """``ufunc`` over every window, less ``trim`` (rows, columns), of a 2-D array: (ny, nx)."""
+    for axis, starts in ((1, grid.xs), (0, grid.ys)):
+        idx = np.stack([starts, starts + grid.window - trim[axis]], axis=1).ravel()
+        a = ufunc.reduceat(a, idx[:-1] if idx[-1] == a.shape[axis] else idx, axis=axis)
+        # odd outputs span the gaps or overlaps between windows
+        a = a[:, ::2] if axis == 1 else a[::2]
+    return a
+
+
+def _flat(x: np.ndarray, grid: _WindowGrid) -> np.ndarray:
+    """Windows of one value: no change along any of their rows nor down their first column."""
+    rows = _window_reduce(x[:, 1:] != x[:, :-1], grid, np.logical_or, (0, 1))
+    return ~(rows | _window_reduce(x[1:] != x[:-1], grid, np.logical_or, (1, grid.window - 1)))
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """Per-window statistics, each (k, ny, nx), of the k bands of an image."""
+
+    grid: _WindowGrid
+    bands: list
+    centre: list  # the image mean of each band
+    dsum: np.ndarray  # window sums of band - centre
+    mean: np.ndarray
+    var: np.ndarray  # ddof = 1
+    flat: np.ndarray  # the window holds one value
+    level: np.ndarray  # the window's first pixel, the value of a flat window
+
+
+def _moments(image, window: int, stride: int) -> _Moments:
+    """Window statistics of a RasterBand or of every band of an MS image."""
+    bands = [b.data for b in getattr(image, "bands", (image,))]
+    grid = _window_origins(*bands[0].shape, window, stride)
+    n = window * window
+
+    def per_window(arrays):
+        return np.stack([_window_reduce(x, grid) for x in arrays])
+    centre = [x.mean() for x in bands]
+    dsum = per_window(x - c for x, c in zip(bands, centre))
+    var = (per_window((x - c) ** 2 for x, c in zip(bands, centre)) - dsum * dsum / n) / (n - 1)
+    return _Moments(grid, bands, centre, dsum, per_window(bands) / n, var,
+                    np.stack([_flat(x, grid) for x in bands]),
+                    np.stack([x[np.ix_(grid.ys, grid.xs)] for x in bands]))
+
+
+def _cov(a: _Moments, b: _Moments, terms) -> np.ndarray:
+    """Per-window covariance (ddof = 1) summed over (sign, band of a, band of b) terms."""
+    n = a.grid.window ** 2
+    products = (s * (a.bands[i] - a.centre[i]) * (b.bands[j] - b.centre[j]) for s, i, j in terms)
+    cross = _window_reduce(sum(products), a.grid)
+    return (cross - sum(s * a.dsum[i] * b.dsum[j] for s, i, j in terms) / n) / (n - 1)
+
+
+def _q_map(mu_a, mu_b, var_a, var_b, cov, flat_a, flat_b, same) -> np.ndarray:
+    """Per-window 2 cov / (var_a + var_b) x luminance; both flat -> same, one flat -> 0."""
+    mu_sq = mu_a * mu_a + mu_b * mu_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lum = np.where(mu_sq == 0.0, 1.0, 2.0 * (mu_a * mu_b) / mu_sq)  # symmetric in a, b
+        q = 2.0 * cov / (var_a + var_b) * lum
+    return np.where(flat_a & flat_b, same, np.where(flat_a | flat_b, 0.0, q))
+
+
+def _uiqi_map(a: _Moments, i: int, b: _Moments, j: int) -> np.ndarray:
+    return _q_map(a.mean[i], b.mean[j], a.var[i], b.var[j], _cov(a, b, [(1, i, j)]),
+                  a.flat[i], b.flat[j], a.level[i] == b.level[j])
+
+
+# (sign, f band, m band) terms of the four parts of (f - mu_f) conj(m - mu_m)
+_HAMILTON = (((1, 0, 0), (1, 1, 1), (1, 2, 2), (1, 3, 3)),
+             ((-1, 0, 1), (1, 1, 0), (-1, 2, 3), (1, 3, 2)),
+             ((-1, 0, 2), (1, 1, 3), (1, 2, 0), (-1, 3, 1)),
+             ((-1, 0, 3), (-1, 1, 2), (1, 2, 1), (1, 3, 0)))
+
+
+def _q4_value(f: _Moments, m: _Moments) -> float:
+    """Window mean of quaternion Q; a window is flat when it is flat in all four bands."""
+    if len(f.bands) != 4:
+        raise InvalidInputError(f"Q4 requires exactly 4 bands, got {len(f.bands)}")
+    modulus = np.linalg.norm([_cov(f, m, terms) for terms in _HAMILTON], axis=0)
+    q = _q_map(*(np.linalg.norm(x.mean, axis=0) for x in (f, m)), f.var.sum(0), m.var.sum(0),
+               modulus, f.flat.all(0), m.flat.all(0), (f.level == m.level).all(0))
+    return float(q.mean())
 
 
 def uiqi(A: RasterBand, B: RasterBand, cfg: MetricConfig | None = None) -> float:
     """Wang-Bovik index averaged over window x window tiles at the given stride."""
     cfg = cfg or MetricConfig()
     a, b = _as_band(A), _as_band(B)
-    return _uiqi_arrays(a.data, b.data, cfg.window, cfg.stride)
-
-
-# ---------------------------------------------------------------------------
-# quaternion Q4
-
-
-def _quat_conj_product_mean(df: np.ndarray, dm: np.ndarray) -> np.ndarray:
-    """Mean of df * conj(dm) over pixels, ddof = 1; components (w, x, y, z).
-
-    df and dm are (4, n) deviation arrays whose rows are the quaternion parts.
-    """
-    a0, a1, a2, a3 = df
-    b0, b1, b2, b3 = dm
-    n = df.shape[1]
-    cw = np.sum(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3)
-    cx = np.sum(-a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2)
-    cy = np.sum(-a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1)
-    cz = np.sum(-a0 * b3 - a1 * b2 + a2 * b1 + a3 * b0)
-    return np.array([cw, cx, cy, cz]) / (n - 1)
-
-
-def _q4_window(fw: np.ndarray, mw: np.ndarray) -> float:
-    n = fw.shape[1] * fw.shape[2]
-    f = fw.reshape(4, n)
-    m = mw.reshape(4, n)
-    mu_f = f.mean(axis=1)
-    mu_m = m.mean(axis=1)
-    df = f - mu_f[:, None]
-    dm = m - mu_m[:, None]
-    var_f = float(np.sum(df * df)) / (n - 1)
-    var_m = float(np.sum(dm * dm)) / (n - 1)
-    if var_f == 0.0 and var_m == 0.0:
-        return 1.0 if np.array_equal(mu_f, mu_m) else 0.0
-    if var_f == 0.0 or var_m == 0.0:
-        return 0.0
-    cov_mod = float(np.linalg.norm(_quat_conj_product_mean(df, dm)))
-    corr = cov_mod / math.sqrt(var_f * var_m)
-    nf = float(np.linalg.norm(mu_f))
-    nm = float(np.linalg.norm(mu_m))
-    mu_sq = nf * nf + nm * nm
-    lum = 1.0 if mu_sq == 0.0 else 2.0 * nf * nm / mu_sq
-    con = 2.0 * math.sqrt(var_f * var_m) / (var_f + var_m)
-    return corr * lum * con
+    if a.data.shape != b.data.shape:
+        raise InvalidInputError(f"dimensions differ: {a.data.shape} vs {b.data.shape}")
+    ma, mb = (_moments(x, cfg.window, cfg.stride) for x in (a, b))
+    return float(_uiqi_map(ma, 0, mb, 0).mean())
 
 
 def q4(F, M, cfg: MetricConfig | None = None) -> float:
     """Quaternion-valued UIQI for exactly four bands, averaged over windows."""
     cfg = cfg or MetricConfig()
-    fi, mi = _check_pair(F, M)
-    if fi.band_count != 4:
-        raise InvalidInputError(f"Q4 requires exactly 4 bands, got {fi.band_count}")
-    f = fi.to_array()
-    m = mi.to_array()
-    origins = _window_origins(fi.height, fi.width, cfg.window, cfg.stride)
-    total = 0.0
-    for y, x in origins:
-        total += _q4_window(f[:, y : y + cfg.window, x : x + cfg.window],
-                            m[:, y : y + cfg.window, x : x + cfg.window])
-    return total / len(origins)
+    f, m = (_moments(x, cfg.window, cfg.stride) for x in _check_pair(F, M))
+    return _q4_value(f, m)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +320,11 @@ def d_lambda(M, F, cfg: MetricConfig | None = None) -> float:
     if k < 2:
         raise InvalidInputError("spectral distortion needs at least two bands")
     r = _scale_factor(mi, fi.height, fi.width)
-    m = mi.to_array()
-    f = fi.to_array()
-    total = 0.0
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            q_m = _uiqi_arrays(m[i], m[j], cfg.window, cfg.stride)
-            q_f = _uiqi_arrays(f[i], f[j], cfg.window * r, cfg.stride * r)
-            total += abs(q_m - q_f) ** cfg.p
-    return (total / (k * (k - 1))) ** (1.0 / cfg.p)
+    m, f = _moments(mi, cfg.window, cfg.stride), _moments(fi, cfg.window * r, cfg.stride * r)
+    # Q is symmetric, so each unordered pair stands for both orders
+    total = sum(abs(_uiqi_map(m, i, m, j).mean() - _uiqi_map(f, i, f, j).mean()) ** cfg.p
+                for i in range(k) for j in range(i + 1, k))
+    return (2.0 * total / (k * (k - 1))) ** (1.0 / cfg.p)
 
 
 def d_s(M, F, P: RasterBand, P_L: RasterBand, cfg: MetricConfig | None = None) -> float:
@@ -336,11 +339,10 @@ def d_s(M, F, P: RasterBand, P_L: RasterBand, cfg: MetricConfig | None = None) -
     if (P_L.height, P_L.width) != (mi.height, mi.width):
         raise InvalidInputError("degraded PAN and MS dimensions differ")
     r = _scale_factor(mi, fi.height, fi.width)
-    total = 0.0
-    for mb, fb in zip(mi.bands, fi.bands):
-        q_lo = _uiqi_arrays(mb.data, P_L.data, cfg.window, cfg.stride)
-        q_hi = _uiqi_arrays(fb.data, P.data, cfg.window * r, cfg.stride * r)
-        total += abs(q_lo - q_hi) ** cfg.q
+    m, low = (_moments(x, cfg.window, cfg.stride) for x in (mi, P_L))
+    f, high = (_moments(x, cfg.window * r, cfg.stride * r) for x in (fi, P))
+    total = sum(abs(_uiqi_map(m, b, low, 0).mean() - _uiqi_map(f, b, high, 0).mean()) ** cfg.q
+                for b in range(mi.band_count))
     return (total / mi.band_count) ** (1.0 / cfg.q)
 
 
@@ -430,17 +432,12 @@ def evaluate_reduced(F, GT, cfg: MetricConfig | None = None) -> QualityReport:
     """Full-reference scoring of a fused image against ground truth."""
     cfg = cfg or MetricConfig()
     fi, gi = _check_pair(F, GT)
-    uiqi_mean = float(
-        np.mean([_uiqi_arrays(fb.data, gb.data, cfg.window, cfg.stride)
-                 for fb, gb in zip(fi.bands, gi.bands)])
-    )
-    entries = {
-        "SAM": sam_global(fi, gi),
-        "CC": cc(fi, gi),
-        "UIQI": uiqi_mean,
-        "Q4": q4(fi, gi, cfg),
-        "ERGAS": ergas(fi, gi, cfg),
-    }
+    # the window statistics are built after SAM and CC, so their memory peaks do not add
+    entries = {"SAM": sam_global(fi, gi), "CC": cc(fi, gi)}
+    f, g = (_moments(x, cfg.window, cfg.stride) for x in (fi, gi))
+    entries["UIQI"] = float(np.mean([_uiqi_map(f, b, g, b).mean() for b in range(fi.band_count)]))
+    entries["Q4"] = _q4_value(f, g)
+    entries["ERGAS"] = ergas(fi, gi, cfg)
     return QualityReport(mode="reduced", entries=entries, config=cfg)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,46 @@ class TestSynthScene:
         assert report.entries["SAM"] == 0.0
         assert report.entries["ERGAS"] == 0.0
         assert abs(report.entries["CC"] - 1.0) < 1e-12
+
+    def test_matches_per_pixel_evaluation(self):
+        """Blobs and rectangles rebuilt pixel by pixel in the generator's draw order."""
+        seed, size, bands = 5, 64, 4
+        rng = np.random.default_rng(seed)
+        coords = [i / (size - 1) for i in range(size)]
+        gt = np.empty((bands, size, size))
+        for k in range(bands):
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            for r, yv in enumerate(coords):
+                for c, xv in enumerate(coords):
+                    gt[k, r, c] = 0.5 + 0.2 * (math.cos(angle) * xv + math.sin(angle) * yv)
+        n_blobs = max(8, size * size // 2048)
+        centers = rng.uniform(0.05, 0.95, size=(n_blobs, 2))
+        sigmas = rng.uniform(0.01, 0.08, size=n_blobs)
+        amps = rng.uniform(0.1, 0.3, size=n_blobs)
+        factors = 1.0 + rng.uniform(-0.05, 0.05, size=(n_blobs, bands))
+        for b in range(n_blobs):
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            for r, yv in enumerate(coords):
+                for c, xv in enumerate(coords):
+                    d2 = (xv - centers[b, 0]) ** 2 + (yv - centers[b, 1]) ** 2
+                    bump = math.exp(-d2 / (2.0 * sigmas[b] ** 2))
+                    for k in range(bands):
+                        gt[k, r, c] += sign * amps[b] * factors[b, k] * bump
+        for _ in range(max(6, size * size // 512)):
+            rh = int(rng.integers(2, max(3, size // 8)))
+            rw = int(rng.integers(2, max(3, size // 8)))
+            y0 = int(rng.integers(0, size - rh))
+            x0 = int(rng.integers(0, size - rw))
+            delta = rng.uniform(0.08, 0.25)
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            rect = 1.0 + rng.uniform(-0.05, 0.05, size=bands)
+            for k in range(bands):
+                gt[k, y0 : y0 + rh, x0 : x0 + rw] += sign * delta * rect[k]
+        gt = 0.1 + 0.8 * (gt - gt.min()) / (gt.max() - gt.min())
+        scene = synth_scene(seed, size, size, bands, 4)
+        np.testing.assert_allclose(scene.gt_hrms.to_array(), gt, rtol=1e-12, atol=0)
+        raw_w = rng.uniform(0.5, 1.5, size=bands)
+        np.testing.assert_array_equal(scene.pan_weights, raw_w / raw_w.sum())
 
     def test_indivisible_size_rejected(self):
         with pytest.raises(InvalidInputError):

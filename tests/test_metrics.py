@@ -178,6 +178,108 @@ class TestQ4:
             q4(m, m, MetricConfig(window=4, stride=4))
 
 
+def blocky(rng, shape, levels, block):
+    """Uniform values when ``levels`` is 0; otherwise multiples of 1/levels, constant
+    over block x block squares, so that many windows are flat."""
+    if not levels:
+        return rng.uniform(size=shape)
+    h, w = shape[-2:]
+    coarse = rng.integers(0, levels + 1, size=(*shape[:-2], -(-h // block), -(-w // block)))
+    return np.repeat(np.repeat(coarse / levels, block, -2), block, -1)[..., :h, :w]
+
+
+@st.composite
+def windowed_inputs(draw, max_side=8):
+    """(seed, h, w, window, stride, levels, block): overlapping, tiling and gapped strides."""
+    h, w = draw(st.integers(2, max_side)), draw(st.integers(2, max_side))
+    window = draw(st.integers(2, min(h, w)))
+    stride = draw(st.integers(1, window + 3))
+    levels = draw(st.sampled_from([0, 1, 2, 4]))
+    block = draw(st.integers(1, 4))
+    return draw(st.integers(0, 2**32 - 1)), h, w, window, stride, levels, block
+
+
+def tile_kinds(a, b, window, stride):
+    """Which degenerate tile kinds occur: both flat and equal, both flat and unequal,
+    exactly one flat."""
+    kinds = set()
+    for y, x in oracles.window_origins(a.shape[0], a.shape[1], window, stride):
+        ta, tb = a[y : y + window, x : x + window], b[y : y + window, x : x + window]
+        fa, fb = np.ptp(ta) == 0, np.ptp(tb) == 0
+        if fa and fb:
+            kinds.add("equal" if ta[0, 0] == tb[0, 0] else "unequal")
+        elif fa or fb:
+            kinds.add("one")
+    return kinds
+
+
+class TestWindowedOracles:
+    """The vectorised window statistics against the brute-force tile loops."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=windowed_inputs())
+    def test_uiqi(self, case):
+        seed, h, w, window, stride, levels, block = case
+        rng = np.random.default_rng(seed)
+        a, b = blocky(rng, (h, w), levels, block), blocky(rng, (h, w), levels, block)
+        fast = uiqi(RasterBand(a), RasterBand(b), MetricConfig(window=window, stride=stride))
+        assert abs(fast - oracles.naive_uiqi(a, b, window, stride)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=windowed_inputs())
+    def test_q4(self, case):
+        seed, h, w, window, stride, levels, block = case
+        rng = np.random.default_rng(seed)
+        f, m = blocky(rng, (4, h, w), levels, block), blocky(rng, (4, h, w), levels, block)
+        fast = q4(ms_of(f), ms_of(m), MetricConfig(window=window, stride=stride))
+        assert abs(fast - oracles.naive_q4(f, m, window, stride)) < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=windowed_inputs(max_side=6), k=st.integers(2, 4), r=st.integers(1, 2),
+           p=st.integers(1, 2))
+    def test_d_lambda(self, case, k, r, p):
+        seed, h, w, window, stride, levels, block = case
+        rng = np.random.default_rng(seed)
+        m = blocky(rng, (k, h, w), levels, block)
+        f = blocky(rng, (k, h * r, w * r), levels, block * r)
+        cfg = MetricConfig(window=window, stride=stride, p=p)
+        fast = d_lambda(ms_of(m, r), ms_of(f), cfg)
+        assert abs(fast - oracles.naive_d_lambda(m, f, window, stride, p, r)) < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=windowed_inputs(max_side=6), k=st.integers(1, 4), r=st.integers(1, 2),
+           q=st.integers(1, 2))
+    def test_d_s(self, case, k, r, q):
+        seed, h, w, window, stride, levels, block = case
+        rng = np.random.default_rng(seed)
+        m, pan_low = blocky(rng, (k, h, w), levels, block), blocky(rng, (h, w), levels, block)
+        f = blocky(rng, (k, h * r, w * r), levels, block * r)
+        pan = blocky(rng, (h * r, w * r), levels, block * r)
+        cfg = MetricConfig(window=window, stride=stride, q=q)
+        fast = d_s(ms_of(m, r), ms_of(f), RasterBand(pan), RasterBand(pan_low), cfg)
+        oracle = oracles.naive_d_s(m, f, pan, pan_low, window, stride, q, r)
+        assert abs(fast - oracle) < 1e-10
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 5])
+    def test_every_degenerate_tile_kind(self, stride):
+        # 16x16 quadrants, flat in all four bands unless random: both flat and equal,
+        # both flat and unequal, exactly one flat, neither flat
+        rng = np.random.default_rng(31)
+        a = np.empty((4, 16, 16))
+        b = np.empty((4, 16, 16))
+        level = np.array([0.25, 0.5, 0.75, 1.0])[:, None, None]
+        a[:, :8, :8] = b[:, :8, :8] = level
+        a[:, :8, 8:], b[:, :8, 8:] = level, 1.0 - level
+        a[:, 8:, :8], b[:, 8:, :8] = level, rng.uniform(size=(4, 8, 8))
+        a[:, 8:, 8:], b[:, 8:, 8:] = rng.uniform(size=(2, 4, 8, 8))
+        cfg = MetricConfig(window=3, stride=stride)
+        assert tile_kinds(a[0], b[0], 3, stride) == {"equal", "unequal", "one"}
+        fast = uiqi(RasterBand(a[0]), RasterBand(b[0]), cfg)
+        assert abs(fast - oracles.naive_uiqi(a[0], b[0], 3, stride)) < 1e-10
+        fast = q4(ms_of(a), ms_of(b), cfg)
+        assert abs(fast - oracles.naive_q4(a, b, 3, stride)) < 1e-10
+
+
 class TestErgas:
     def test_identical_images(self):
         m = rand_ms(14)
