@@ -5,9 +5,8 @@ general broadcasting (scalars only), double precision throughout so results
 are deterministic and easy to verify against finite differences.
 
 Each operation that touches a gradient-tracked tensor records a
-:class:`TapeNode` on its output; :func:`backward` linearizes the reachable
-nodes into a :class:`Tape` (a topologically ordered operation record) and
-visits each node exactly once in reverse.
+:class:`TapeNode` on its output; :func:`backward` orders the reachable
+tensors topologically and visits each node exactly once in reverse.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import math
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     FormatError,
@@ -116,31 +116,25 @@ def _relevant(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
-class Tape:
-    """Topologically ordered record of the tensors reachable from a root."""
-
-    def __init__(self, ordered):
-        self.ordered = ordered
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        order = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            t, expanded = stack.pop()
-            if expanded:
-                order.append(t)
-                continue
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            stack.append((t, True))
-            if t.node is not None:
-                for parent in t.node.inputs:
-                    if id(parent) not in seen and _relevant(parent):
-                        stack.append((parent, False))
-        return cls(order)  # inputs precede every op that consumes them
+def _topological_order(root: Tensor):
+    """Tensors reachable from ``root``; inputs precede every op that consumes them."""
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            order.append(t)
+            continue
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        stack.append((t, True))
+        if t.node is not None:
+            for parent in t.node.inputs:
+                if id(parent) not in seen and _relevant(parent):
+                    stack.append((parent, False))
+    return order
 
 
 def backward(loss: Tensor) -> None:
@@ -150,9 +144,8 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise InvalidInputError(f"backward needs a scalar loss, got shape {loss.shape}")
-    tape = Tape.trace(loss)
     pending = {id(loss): np.ones_like(loss.data)}
-    for t in reversed(tape.ordered):
+    for t in reversed(_topological_order(loss)):
         g = pending.pop(id(t), None)
         if g is None:
             continue
@@ -455,6 +448,93 @@ def block_mean(a: Tensor, r: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
+# float64 elements in one block of unfolded taps (512 KiB, to stay in L2):
+# a block holds as many whole output rows as fit, and at least one
+_UNFOLD_BLOCK = 1 << 16
+
+
+def _zero_pad(a, top, left, height, width):
+    """(C, h, w) ``a`` at (top, left) on a zero (C, height, width) canvas.
+
+    A plain copy: ``np.pad`` costs three times as much on small images.
+    """
+    out = np.zeros((a.shape[0], height, width))
+    out[:, top : top + a.shape[1], left : left + a.shape[2]] = a
+    return out
+
+
+def _unfold_rows(win):
+    """Yield ``(r0, r1, cols)`` over blocks of output rows of a correlation.
+
+    ``win`` is a read-only (C, h_out, w_out, kh, kw) view: the input window
+    of every output pixel.  ``cols`` is the (C * kh * kw, (r1 - r0) * w_out)
+    matrix of the taps of rows r0..r1-1, ordered like
+    ``weight.reshape(C_out, C * kh * kw)``, copied into one buffer that every
+    block reuses.
+    """
+    c, h_out, w_out, kh, kw = win.shape
+    win = win.transpose(0, 3, 4, 1, 2)
+    depth = c * kh * kw
+    rows = max(1, min(h_out, _UNFOLD_BLOCK // (depth * w_out)))
+    buf = np.empty(depth * rows * w_out)
+    for r0 in range(0, h_out, rows):
+        r1 = min(r0 + rows, h_out)
+        cols = buf[: depth * (r1 - r0) * w_out].reshape(c, kh, kw, r1 - r0, w_out)
+        np.copyto(cols, win[:, :, :, r0:r1])
+        yield r0, r1, cols.reshape(depth, (r1 - r0) * w_out)
+
+
+def _phases(n, k, stride):
+    """The stride phases along one axis of the pullback to the input.
+
+    Input index a (padded a + pad) receives from output o through tap
+    i = a + pad - o * stride, so the inputs of phase (a + pad) % stride == p
+    see only the taps p, p + stride, ... < k; a phase p >= k sees none and
+    gets no gradient.  For each phase p < k this gives: its first input
+    index, its input count, its tap count, the g index its first input
+    lines up with, and its first tap in the flipped kernel.
+    """
+    pad = k // 2
+    out = []
+    for p in range(min(stride, k)):
+        a = (p - pad) % stride
+        taps = len(range(p, k, stride))
+        flipped = k - 1 - p - stride * (taps - 1)
+        out.append((a, len(range(a, n, stride)), taps, (a + pad) // stride, flipped))
+    return out
+
+
+def _conv_grad_x(g, wd, stride, h_in, w_in):
+    """Pullback of a 'same' convolution to its input, as gathers.
+
+    On each stride phase (see :func:`_phases`) the pullback is a stride-1
+    correlation of the zero-padded g with that phase's taps of the kernel,
+    flipped and transposed to (C_in, C_out, ...).  At stride 1 there is one
+    phase and the whole kernel.
+    """
+    c_out, c_in, k, _ = wd.shape
+    _c, h_out, w_out = g.shape
+    t = -(-k // stride)  # most taps any phase takes along one axis
+    phases_y, phases_x = _phases(h_in, k, stride), _phases(w_in, k, stride)
+    hq = max([h_out] + [q + n for _a, n, _t, q, _j in phases_y])
+    wq = max([w_out] + [q + n for _a, n, _t, q, _j in phases_x])
+    # one t x t window view serves every phase: a phase with fewer taps
+    # reads the last ones of each window
+    gp = _zero_pad(g, t - 1, t - 1, t - 1 + hq, t - 1 + wq)
+    win = sliding_window_view(gp, (t, t), axis=(1, 2))
+    flipped = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    gx = np.zeros((c_in, h_in, w_in))
+    for ay, ny, ty, qy, jy in phases_y:
+        for ax, nx, tx, qx, jx in phases_x:
+            if ny == 0 or nx == 0:
+                continue
+            wmat = flipped[:, :, jy::stride, jx::stride].reshape(c_in, c_out * ty * tx)
+            phase = win[:, qy : qy + ny, qx : qx + nx, t - ty :, t - tx :]
+            dst = gx[:, ay::stride, ax::stride]
+            for r0, r1, cols in _unfold_rows(phase):
+                dst[:, r0:r1] = (wmat @ cols).reshape(c_in, r1 - r0, nx)
+    return gx
+
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
     """2-D convolution with zero-padded 'same' geometry and an odd kernel.
@@ -462,25 +542,30 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     x is (C_in, H, W), weight is (C_out, C_in, k, k), bias is (C_out,).
     Output spatial size is ceil(H / stride) x ceil(W / stride).
 
-    The padded input is split once into stride x stride polyphase planes that
-    share one row pitch and are stored flat.  Under kernel tap (i, j) the
-    inputs of all output pixels then form one contiguous column range of one
-    plane, so the forward pass and both pullbacks run one (C_out, C_in)
-    matmul per tap on a view of the planes.  Outputs are computed at the full
-    row pitch: the extra columns of each row are cropped from the result, and
-    the incoming gradient is zero-filled there before the pullbacks.
+    One blocked unfold-then-GEMM kernel serves the forward pass and both
+    pullbacks.  For a block of output rows it copies all k * k taps of every
+    input channel into one (k * k * C_in, rows * W_out) buffer and makes one
+    matmul against the weights reshaped to (C_out, k * k * C_in).  The
+    forward pass writes that product straight into the output; ``grad_w``
+    sums ``g_block @ cols.T`` over the same blocks (as its transpose, which
+    BLAS runs faster); ``grad_x`` is the transposed convolution, gathered the
+    same way from the zero-padded gradient with the flipped kernel, once per
+    stride phase.  A block holds a bounded number of taps, so the whole
+    unfolded matrix is never built.
     """
     _require_chw("conv2d", x)
     wd = weight.data
     if wd.ndim != 4:
         raise ShapeError(f"conv2d weight must be 4-D, got shape {wd.shape}")
-    c_out, c_in, kh, kw = wd.shape
-    if kh != kw or kh % 2 == 0:
-        raise InvalidInputError(f"conv2d kernel must be square and odd, got {kh}x{kw}")
+    c_out, c_in, k, kw = wd.shape
+    if k != kw or k % 2 == 0:
+        raise InvalidInputError(f"conv2d kernel must be square and odd, got {k}x{kw}")
     if c_in != x.data.shape[0]:
         raise ShapeError(
             f"conv2d: input has {x.data.shape[0]} channels, weight expects {c_in}"
         )
+    if 0 in x.data.shape[1:]:
+        raise ShapeError(f"conv2d needs a non-empty image, got shape {x.data.shape}")
     stride = int(stride)
     if stride < 1:
         raise InvalidInputError(f"conv2d stride must be >= 1, got {stride}")
@@ -488,56 +573,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         raise ShapeError(
             f"conv2d bias shape {bias.data.shape} does not match {c_out} outputs"
         )
-    _c, h_in, w_in = x.data.shape
-    s = stride
-    pad = kh // 2
-    h_out = (h_in + 2 * pad - kh) // s + 1
-    w_out = (w_in + 2 * pad - kw) // s + 1
-    reach = (kh - 1) // s  # largest tap offset, in plane rows or columns
-    # one row and one column more than the taps need: the spare row takes the
-    # reads that run past the last output row, and with both the s * hq by
-    # s * wq grid covers the whole padded input
-    hq, wq = h_out + reach + 1, w_out + reach + 1
-    n = h_out * wq
-    xp = np.zeros((c_in, s * hq, s * wq))
-    xp[:, pad : pad + h_in, pad : pad + w_in] = x.data
-    planes = np.ascontiguousarray(xp.reshape(c_in, hq, s, wq, s).transpose(2, 4, 0, 1, 3))
-    planes = planes.reshape(s * s, c_in, hq * wq)
-    # tap (i, j) reads plane (i % s, j % s) shifted by (i // s, j // s)
-    taps = [
-        (i, j, (i % s) * s + j % s, (i // s) * wq + j // s)
-        for i in range(kh)
-        for j in range(kw)
-    ]
-    # (k, k, c_out, c_in) contiguous tap matrices keep matmul on the BLAS path
-    wtaps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
-    wide = np.zeros((c_out, n))
-    tmp = np.empty((c_out, n))
-    for i, j, p, off in taps:
-        np.matmul(wtaps[i, j], planes[p, :, off : off + n], out=tmp)
-        wide += tmp
-    out = np.ascontiguousarray(wide.reshape(c_out, h_out, wq)[:, :, :w_out])
+    xd = x.data
+    _c, h_in, w_in = xd.shape
+    pad = k // 2
+    h_out = (h_in - 1) // stride + 1
+    w_out = (w_in - 1) // stride + 1
+    wmat = wd.reshape(c_out, c_in * k * k)
+    out = np.empty((c_out, h_out, w_out))
+    out_mat = out.reshape(c_out, h_out * w_out)
+
+    def x_windows():
+        xp = _zero_pad(xd, pad, pad, h_in + 2 * pad, w_in + 2 * pad)
+        return sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+
+    for r0, r1, cols in _unfold_rows(x_windows()):
+        np.matmul(wmat, cols, out=out_mat[:, r0 * w_out : r1 * w_out])
     if bias is not None:
         out += bias.data[:, None, None]
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def bw(g, needs):
-        g_wide = np.zeros((c_out, h_out, wq))
-        g_wide[:, :, :w_out] = g
-        g_mat = g_wide.reshape(c_out, n)
         gx = gw = gb = None
         if needs[0]:
-            g_planes = np.zeros_like(planes)
-            tmp_x = np.empty((c_in, n))
-            for i, j, p, off in taps:
-                np.matmul(wtaps[i, j].T, g_mat, out=tmp_x)
-                g_planes[p, :, off : off + n] += tmp_x
-            gxp = g_planes.reshape(s, s, c_in, hq, wq).transpose(2, 3, 0, 4, 1)
-            gx = gxp.reshape(c_in, s * hq, s * wq)[:, pad : pad + h_in, pad : pad + w_in]
+            gx = _conv_grad_x(g, wd, stride, h_in, w_in)
         if needs[1]:
-            gw = np.empty(wd.shape)
-            for i, j, p, off in taps:
-                gw[:, :, i, j] = g_mat @ planes[p, :, off : off + n].T
+            g_mat = g.reshape(c_out, h_out * w_out)
+            gw_t = np.zeros((c_in * k * k, c_out))
+            # padded again rather than kept: the tape then holds no copy of x
+            for r0, r1, cols in _unfold_rows(x_windows()):
+                gw_t += cols @ g_mat[:, r0 * w_out : r1 * w_out].T
+            gw = gw_t.T.reshape(wd.shape)
         if bias is None:
             return gx, gw
         if needs[2]:

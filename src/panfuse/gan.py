@@ -416,11 +416,11 @@ def _train_iteration(
         L1=l1.item(),
         L2=l2.item(),
         adv_G_spec=adv_spec.item(),
-            adv_G_spat=adv_spat.item(),
-            D_spec_loss=d_spec_loss.item(),
-            D_spat_loss=d_spat_loss.item(),
-            total_G=total.item(),
-        )
+        adv_G_spat=adv_spat.item(),
+        D_spec_loss=d_spec_loss.item(),
+        D_spat_loss=d_spat_loss.item(),
+        total_G=total.item(),
+    )
 
 
 def checkpoint_hash(params: ParameterSet) -> str:

@@ -227,6 +227,35 @@ def naive_conv2d_zero_pad(x, weight, bias, stride):
     return out
 
 
+def naive_conv2d_zero_pad_pullbacks(x, weight, g, stride):
+    """Gradients of sum(g * naive_conv2d_zero_pad(x, weight, b, stride)).
+
+    Returns (grad_x, grad_w, grad_b): every output sample adds g times each
+    of its products to the input pixel and the weight that formed it.
+    """
+    c_in, h, w = x.shape
+    c_out, _, k, _ = weight.shape
+    pad = k // 2
+    _, h_out, w_out = g.shape
+    gx = np.zeros_like(x, dtype=float)
+    gw = np.zeros_like(weight, dtype=float)
+    gb = np.zeros(c_out)
+    for co in range(c_out):
+        for oy in range(h_out):
+            for ox in range(w_out):
+                go = g[co, oy, ox]
+                gb[co] += go
+                for ci in range(c_in):
+                    for dy in range(k):
+                        for dx in range(k):
+                            yy = oy * stride + dy - pad
+                            xx = ox * stride + dx - pad
+                            if 0 <= yy < h and 0 <= xx < w:
+                                gx[ci, yy, xx] += go * weight[co, ci, dy, dx]
+                                gw[co, ci, dy, dx] += go * x[ci, yy, xx]
+    return gx, gw, gb
+
+
 def naive_covariance(a, b):
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()

@@ -1,8 +1,9 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -33,6 +34,65 @@ def check_gradients(fn, *arrays, tol=1e-4):
     for a, n in zip(auto, numeric):
         assert a is not None
         assert oracles.max_relative_error(a, n) < tol
+
+
+# the conv2d case space of the oracle tests: every kernel size the networks
+# use and more, strides 1-3, and images smaller and larger than the kernel
+CONV_CASES = dict(
+    c_in=st.integers(1, 4),
+    c_out=st.integers(1, 4),
+    k=st.sampled_from([1, 3, 5]),
+    stride=st.integers(1, 3),
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    with_bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def check_conv2d_forward(c_in, c_out, k, stride, h, w, with_bias, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(c_in, h, w))
+    wt = rng.uniform(-1.0, 1.0, size=(c_out, c_in, k, k))
+    b = rng.uniform(-1.0, 1.0, size=c_out) if with_bias else None
+    out = ad.conv2d(Tensor(x), Tensor(wt), None if b is None else Tensor(b), stride=stride)
+    expected = oracles.naive_conv2d_zero_pad(x, wt, b, stride)
+    assert out.data.shape == expected.shape
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+
+def check_conv2d_pullbacks(c_in, c_out, k, stride, h, w, with_bias, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.uniform(-1.0, 1.0, size=(c_in, h, w)), requires_grad=True)
+    wt = Tensor(rng.uniform(-1.0, 1.0, size=(c_out, c_in, k, k)), requires_grad=True)
+    b = Tensor(rng.uniform(-1.0, 1.0, size=c_out), requires_grad=True) if with_bias else None
+    out = ad.conv2d(x, wt, b, stride=stride)
+    g = rng.uniform(-1.0, 1.0, size=out.shape)
+    grads = out.node.backward_fn(g, (True,) * len(out.node.inputs))
+    expected = oracles.naive_conv2d_zero_pad_pullbacks(x.data, wt.data, g, stride)
+    for got, want in zip(grads, expected):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def check_conv2d_finite_differences(stride, k):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(size=(2, 5, 5))
+    w = rng.uniform(-0.5, 0.5, size=(3, 2, k, k))
+    b = rng.uniform(-0.1, 0.1, size=3)
+    check_gradients(
+        lambda ts: ad.variance(ad.conv2d(ts[0], ts[1], ts[2], stride=stride)),
+        x,
+        w,
+        b,
+    )
+
+
+CONV_FD_CASES = pytest.mark.parametrize(
+    "stride, k",
+    [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (3, 5)],
+    ids=["1", "2", "3", "1-k5", "2-k5", "3-k5"],
+)
 
 
 class TestForward:
@@ -70,27 +130,23 @@ class TestForward:
             np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        c_in=st.integers(1, 4),
-        c_out=st.integers(1, 4),
-        k=st.sampled_from([1, 3, 5]),
-        stride=st.integers(1, 3),
-        h=st.integers(1, 12),
-        w=st.integers(1, 12),
-        with_bias=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_conv2d_matches_loop_oracle_property(
-        self, c_in, c_out, k, stride, h, w, with_bias, seed
-    ):
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-1.0, 1.0, size=(c_in, h, w))
-        wt = rng.uniform(-1.0, 1.0, size=(c_out, c_in, k, k))
-        b = rng.uniform(-1.0, 1.0, size=c_out) if with_bias else None
-        out = ad.conv2d(Tensor(x), Tensor(wt), None if b is None else Tensor(b), stride=stride)
-        expected = oracles.naive_conv2d_zero_pad(x, wt, b, stride)
-        assert out.data.shape == expected.shape
-        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+    @given(**CONV_CASES)
+    def test_conv2d_matches_loop_oracle_property(self, **case):
+        check_conv2d_forward(**case)
+
+    @pytest.mark.parametrize("shape", [(1, 0, 0), (1, 3, 0), (1, 0, 3)])
+    def test_conv2d_rejects_empty_image(self, shape):
+        with pytest.raises(ShapeError, match="non-empty"):
+            ad.conv2d(Tensor(np.zeros(shape)), Tensor(np.ones((2, 1, 3, 3))))
+
+    def test_leaky_relu_matches_where_bitwise(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 17, 19))
+        x.flat[:4] = [0.0, -0.0, 1e-300, -1e-300]
+        for slope in (0.2, 0.01):
+            expected = x * np.where(x > 0.0, 1.0, slope)
+            got = ad.leaky_relu(Tensor(x), slope).data
+            assert got.tobytes() == expected.tobytes()
 
     def test_block_mean(self):
         x = np.arange(16.0).reshape(1, 4, 4)
@@ -168,22 +224,14 @@ class TestGradients:
         check_gradients(lambda ts: ad.mean(ad.div(ts[0], ts[1])), x, s)
         check_gradients(lambda ts: ad.mean(ad.add(ts[1], ts[0])), x, s)
 
-    @pytest.mark.parametrize(
-        "stride, k",
-        [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (3, 5)],
-        ids=["1", "2", "3", "1-k5", "2-k5", "3-k5"],
-    )
+    @CONV_FD_CASES
     def test_conv2d_gradients(self, stride, k):
-        rng = np.random.default_rng(7)
-        x = rng.uniform(size=(2, 5, 5))
-        w = rng.uniform(-0.5, 0.5, size=(3, 2, k, k))
-        b = rng.uniform(-0.1, 0.1, size=3)
-        check_gradients(
-            lambda ts: ad.variance(ad.conv2d(ts[0], ts[1], ts[2], stride=stride)),
-            x,
-            w,
-            b,
-        )
+        check_conv2d_finite_differences(stride, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**CONV_CASES)
+    def test_conv2d_pullbacks_match_loop_oracle(self, **case):
+        check_conv2d_pullbacks(**case)
 
     def test_simple_square_gradient(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
@@ -231,6 +279,56 @@ class TestGradients:
         x3 = Tensor(base.copy(), requires_grad=True)
         ad.backward(g(x3))
         np.testing.assert_allclose(x1.grad, a_w * x2.grad + b_w * x3.grad, atol=1e-10)
+
+
+@pytest.fixture(params=[1, 60], ids=["one-row", "partial-last"])
+def small_unfold_blocks(request, monkeypatch):
+    """Shrink conv2d's unfold block so that the small test shapes span many
+    blocks.  A budget of 1 element gives one output row per block; 60 gives
+    a few rows on narrow images, so that the last block is often partial."""
+    monkeypatch.setattr(ad, "_UNFOLD_BLOCK", request.param)
+
+
+# the block budget holds for every example, so the function-scoped fixture is safe
+SMALL_BLOCK_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@pytest.mark.usefixtures("small_unfold_blocks")
+class TestConvBlocks:
+    @SMALL_BLOCK_SETTINGS
+    @given(**CONV_CASES)
+    def test_forward_matches_loop_oracle(self, **case):
+        check_conv2d_forward(**case)
+
+    @SMALL_BLOCK_SETTINGS
+    @given(**CONV_CASES)
+    def test_pullbacks_match_loop_oracle(self, **case):
+        check_conv2d_pullbacks(**case)
+
+    @CONV_FD_CASES
+    def test_gradients(self, stride, k):
+        check_conv2d_finite_differences(stride, k)
+
+
+def test_conv2d_never_unfolds_the_whole_image():
+    # a 16 -> 16 3x3 conv at 128^2: one full unfold is (9 * 16, 128^2) float64
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.uniform(size=(16, 128, 128)), requires_grad=True)
+    w = Tensor(rng.uniform(size=(16, 16, 3, 3)), requires_grad=True)
+    b = Tensor(rng.uniform(size=16), requires_grad=True)
+    g = rng.uniform(size=(16, 128, 128))
+    full_unfold = 9 * 16 * 128 * 128 * 8
+    tracemalloc.start()
+    try:
+        out = ad.conv2d(x, w, b)
+        grads = out.node.backward_fn(g, (True, True, True))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [gr.shape for gr in grads] == [x.shape, w.shape, b.shape]
+    assert peak < full_unfold / 2, f"peak {peak} bytes, full unfold {full_unfold}"
 
 
 class TestAdam:
