@@ -652,10 +652,6 @@ class ParameterSet:
     def items(self):
         return [(name, self._params[name]) for name in self.names()]
 
-    def zero_grads(self) -> None:
-        for _, p in self.items():
-            p.grad = None
-
     def set_trainable(self, flag: bool) -> None:
         for _, p in self.items():
             p.requires_grad = bool(flag)

@@ -10,11 +10,10 @@ with byte-identical files.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
-import shutil
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -38,25 +37,15 @@ from .metrics import (
 from .raster import (
     MultispectralImage,
     RasterBand,
+    kv_format,
+    kv_parse,
+    kv_value,
     load_raster,
     mtf_degrade,
     save_raster,
 )
 
-_INT_KEYS = ("window", "stride", "p", "q", "ratio", "iterations", "seed", "size", "bands")
-_FLOAT_KEYS = (
-    "alpha",
-    "beta",
-    "lr_g",
-    "lr_d",
-    "lambda_spec",
-    "lambda_spat",
-    "lambda_adv_spec",
-    "lambda_adv_spat",
-    "nyquist_gain",
-)
-_STR_KEYS = ("out", "ms", "pan", "gt", "fused", "checkpoint", "method", "mode", "label")
-
+# a config value takes the type of its default; keys that default to None are strings
 CONFIG_DEFAULTS = {
     "window": 32,
     "stride": 32,
@@ -86,33 +75,17 @@ CONFIG_DEFAULTS = {
     "mode": None,
     "label": None,
 }
+_CONFIG_TYPES = {key: str if v is None else type(v) for key, v in CONFIG_DEFAULTS.items()}
 
 
 def parse_kv_file(path) -> dict:
-    """Parse one `key = value` per line; `#` starts a comment; unknown keys rejected."""
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not key:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
-            if key not in CONFIG_DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                if key in _INT_KEYS:
-                    values[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(value)
-                else:
-                    values[key] = value
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for key {key!r}: {value!r}") from exc
-    return values
+    """Read a config file of known keys, each converted to the type of its default."""
+    source = str(path)
+    values = kv_parse(Path(path).read_bytes(), source)
+    for key in values:
+        if key not in CONFIG_DEFAULTS:
+            raise ConfigError(f"{source}: unknown config key {key!r}")
+    return {key: kv_value(values, key, _CONFIG_TYPES[key], source) for key in values}
 
 
 class RunConfig:
@@ -148,7 +121,7 @@ class RunConfig:
             ratio=Fraction(1, self.ratio),
         )
 
-    def training_config(self) -> gan.TrainingConfig:
+    def training_config(self, ratio: int) -> gan.TrainingConfig:
         return gan.TrainingConfig(
             iterations=self.iterations,
             lr_g=self.lr_g,
@@ -158,17 +131,15 @@ class RunConfig:
             lambda_adv_spec=self.lambda_adv_spec,
             lambda_adv_spat=self.lambda_adv_spat,
             seed=self.seed,
-            ratio=self.ratio,
+            ratio=ratio,
         )
 
     def echo(self) -> str:
-        lines = []
-        for key in sorted(self.values):
-            value = self.values[key]
-            if value is None:
-                continue
-            lines.append(f"config.{key} = {value}")
-        return "\n".join(lines) + "\n"
+        return kv_format(
+            (f"config.{key}", self.values[key])
+            for key in sorted(self.values)
+            if self.values[key] is not None
+        )
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -188,28 +159,30 @@ def _resolve_input(cfg: RunConfig, key: str, candidates) -> str:
     )
 
 
-def _load_meta(cfg: RunConfig) -> dict:
-    path = _out_path(cfg, "scene.meta")
-    meta = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
-    return meta
-
-
 def _resolve_ratio(cfg: RunConfig, args) -> int:
     # explicit flag wins; otherwise the scene metadata; otherwise config default
     if getattr(args, "ratio", None) is not None:
         return int(args.ratio)
-    meta = _load_meta(cfg)
-    if "ratio" in meta:
-        return int(meta["ratio"])
+    path = _out_path(cfg, "scene.meta")
+    if os.path.exists(path):
+        meta = kv_parse(Path(path).read_bytes(), path)
+        if "ratio" in meta:
+            return kv_value(meta, "ratio", int, path)
     return cfg.ratio
+
+
+def _load_ms_pan(cfg: RunConfig, ratio: int, suffixes=("",)):
+    """Load the MS/PAN pair: --ms/--pan, or else the first of ms<suffix>.pfr /
+    pan<suffix>.pfr under --out, trying ``suffixes`` in order."""
+    ms_path = _resolve_input(cfg, "ms", tuple(f"ms{s}.pfr" for s in suffixes))
+    pan_path = _resolve_input(cfg, "pan", tuple(f"pan{s}.pfr" for s in suffixes))
+    ms = load_raster(ms_path, scale_ratio=ratio)
+    pan = load_raster(pan_path)
+    if not isinstance(ms, MultispectralImage) or not isinstance(pan, RasterBand):
+        raise ConfigError(
+            f"expected a multiband ms file ({ms_path}) and a single-band pan file ({pan_path})"
+        )
+    return ms, pan
 
 
 def cmd_synth(args) -> int:
@@ -226,13 +199,13 @@ def cmd_synth(args) -> int:
     save_raster(scene.gt_hrms, _out_path(cfg, "gt.pfr"))
     save_raster(scene.ms, _out_path(cfg, "ms.pfr"))
     save_raster(scene.pan, _out_path(cfg, "pan.pfr"))
-    weights = ",".join(repr(w) for w in scene.pan_weights)
-    with open(_out_path(cfg, "scene.meta"), "w", encoding="utf-8") as fh:
-        fh.write(
-            f"seed = {scene.seed}\nratio = {scene.ratio}\nbands = {scene.gt_hrms.band_count}\n"
-            f"width = {scene.gt_hrms.width}\nheight = {scene.gt_hrms.height}\n"
-            f"nyquist_gain = {scene.nyquist_gain}\npan_weights = {weights}\n"
-        )
+    gt = scene.gt_hrms
+    meta = kv_format([
+        ("seed", scene.seed), ("ratio", scene.ratio), ("bands", gt.band_count),
+        ("width", gt.width), ("height", gt.height), ("nyquist_gain", scene.nyquist_gain),
+        ("pan_weights", ",".join(repr(w) for w in scene.pan_weights)),
+    ])
+    Path(_out_path(cfg, "scene.meta")).write_text(meta, encoding="utf-8")
     print(f"wrote scene (seed={scene.seed}) to {cfg.out}")
     return 0
 
@@ -240,29 +213,14 @@ def cmd_synth(args) -> int:
 def cmd_degrade(args) -> int:
     cfg = RunConfig(args)
     ratio = _resolve_ratio(cfg, args)
-    ms_path = _resolve_input(cfg, "ms", ("ms.pfr",))
-    pan_path = _resolve_input(cfg, "pan", ("pan.pfr",))
-    ms = load_raster(ms_path, scale_ratio=ratio)
-    pan = load_raster(pan_path)
-    if not isinstance(ms, MultispectralImage) or not isinstance(pan, RasterBand):
-        raise ConfigError("degrade expects a multiband ms file and a single-band pan file")
-    ms_lo, pan_lo, _reference = wald_reduce(ms, pan, ratio, cfg.nyquist_gain)
+    ms, pan = _load_ms_pan(cfg, ratio)
+    ms_lo, pan_lo, reference = wald_reduce(ms, pan, ratio, cfg.nyquist_gain)
     os.makedirs(cfg.out, exist_ok=True)
     save_raster(ms_lo, _out_path(cfg, "ms_lo.pfr"))
     save_raster(pan_lo, _out_path(cfg, "pan_lo.pfr"))
-    shutil.copyfile(ms_path, _out_path(cfg, "reference.pfr"))
+    save_raster(reference, _out_path(cfg, "reference.pfr"))  # float32 round trip: same bytes
     print(f"wrote ms_lo/pan_lo/reference to {cfg.out}")
     return 0
-
-
-def _fusion_inputs(cfg: RunConfig, ratio: int):
-    ms_path = _resolve_input(cfg, "ms", ("ms_lo.pfr", "ms.pfr"))
-    pan_path = _resolve_input(cfg, "pan", ("pan_lo.pfr", "pan.pfr"))
-    ms = load_raster(ms_path, scale_ratio=ratio)
-    pan = load_raster(pan_path)
-    if not isinstance(ms, MultispectralImage) or not isinstance(pan, RasterBand):
-        raise ConfigError("fusion expects a multiband ms file and a single-band pan file")
-    return ms, pan
 
 
 def cmd_fuse(args) -> int:
@@ -271,7 +229,7 @@ def cmd_fuse(args) -> int:
     if not method:
         raise ConfigError("missing required key 'method' (--method exp|cs|glp|gan)")
     ratio = _resolve_ratio(cfg, args)
-    ms, pan = _fusion_inputs(cfg, ratio)
+    ms, pan = _load_ms_pan(cfg, ratio, ("_lo", ""))
     if method == "gan":
         if not cfg.checkpoint:
             raise ConfigError("method 'gan' requires --checkpoint PATH")
@@ -289,21 +247,12 @@ def cmd_fuse(args) -> int:
 def cmd_train(args) -> int:
     cfg = RunConfig(args)
     ratio = _resolve_ratio(cfg, args)
-    ms_path = _resolve_input(cfg, "ms", ("ms.pfr",))
-    pan_path = _resolve_input(cfg, "pan", ("pan.pfr",))
-    ms = load_raster(ms_path, scale_ratio=ratio)
-    pan = load_raster(pan_path)
-    if not isinstance(ms, MultispectralImage) or not isinstance(pan, RasterBand):
-        raise ConfigError("train expects a multiband ms file and a single-band pan file")
-    tcfg = cfg.training_config()
-    if ratio != tcfg.ratio:
-        tcfg = dataclasses.replace(tcfg, ratio=ratio)
-    params, log = gan.train(ms, pan, tcfg)
+    ms, pan = _load_ms_pan(cfg, ratio)
+    params, log = gan.train(ms, pan, cfg.training_config(ratio))
     os.makedirs(cfg.out, exist_ok=True)
     ckpt = cfg.checkpoint or _out_path(cfg, "checkpoint.pfck")
     save_checkpoint(params, ckpt)
-    with open(_out_path(cfg, "train_log.csv"), "w", encoding="utf-8") as fh:
-        fh.write(log.to_csv())
+    Path(_out_path(cfg, "train_log.csv")).write_text(log.to_csv(), encoding="utf-8")
     final = log.rows[-1]
     print(f"wrote {ckpt} (final total_G = {final[-1]:.6g})")
     return 0
@@ -351,16 +300,13 @@ def cmd_eval(args) -> int:
             raise ConfigError("ground truth must be multiband")
         report = evaluate_reduced(fused, gt, mcfg)
     else:
-        ms, pan = _fusion_inputs(cfg, ratio)
+        ms, pan = _load_ms_pan(cfg, ratio, ("_lo", ""))
         pan_low = mtf_degrade(pan, ratio, cfg.nyquist_gain)
         report = evaluate_full(fused, ms, pan, pan_low, mcfg)
+    kv_text = report.to_kv() + cfg.echo()
     os.makedirs(cfg.out, exist_ok=True)
-    csv_path = _out_path(cfg, f"eval_{mode}_{label}.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
-    with open(_out_path(cfg, f"eval_{mode}_{label}.kv"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_kv())
-        fh.write(cfg.echo())
+    Path(_out_path(cfg, f"eval_{mode}_{label}.csv")).write_text(report.to_csv(), encoding="utf-8")
+    Path(_out_path(cfg, f"eval_{mode}_{label}.kv")).write_text(kv_text, encoding="utf-8")
     sys.stdout.write(report.to_csv())
     return 0
 
@@ -375,19 +321,19 @@ def cmd_report(args) -> int:
         mode, _, label = stem.partition("_")
         if mode not in ("reduced", "full") or not label:
             continue
-        with open(_out_path(cfg, name), "r", encoding="utf-8") as fh:
-            report = QualityReport.parse_kv(fh.read())
+        path = _out_path(cfg, name)
+        report = QualityReport.parse_kv(Path(path).read_bytes(), path)
         results.append(ExperimentResult(label, mode, report, wall_time=0.0))
     if not results:
         raise ConfigError(f"no eval_*.kv files under {cfg.out!r}; run `eval` first")
     results.sort(key=lambda res: res.method)
     modes = [m for m in ("reduced", "full") if any(res.mode == m for res in results)]
     for mode in modes:
-        with open(_out_path(cfg, f"report_{mode}.csv"), "w", encoding="utf-8") as fh:
-            fh.write(results_table_csv(results, mode))
+        Path(_out_path(cfg, f"report_{mode}.csv")).write_text(
+            results_table_csv(results, mode), encoding="utf-8"
+        )
     text = results_table_text(results, modes)
-    with open(_out_path(cfg, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    Path(_out_path(cfg, "report.txt")).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 
@@ -458,10 +404,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"panfuse: numerical error: {exc}", file=sys.stderr)
         return 3
-    except PanfuseError as exc:
-        print(f"panfuse: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PanfuseError, OSError) as exc:
         print(f"panfuse: {exc}", file=sys.stderr)
         return 2
 

@@ -33,8 +33,10 @@ from .raster import (
     IntensityWeights,
     MultispectralImage,
     RasterBand,
+    check_pan_scale,
     estimate_weights,
     histogram_match,
+    parse_csv_table,
     upsample,
 )
 
@@ -185,14 +187,7 @@ class TrainingLog:
 
     @staticmethod
     def parse_csv(text: str) -> "TrainingLog":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or tuple(lines[0].split(",")) != LOG_COLUMNS:
-            raise InvalidInputError("unrecognized training-log header")
-        log = TrainingLog()
-        for ln in lines[1:]:
-            cells = ln.split(",")
-            log.rows.append(tuple(float(c) for c in cells))
-        return log
+        return TrainingLog(parse_csv_table(text, LOG_COLUMNS, "training-log"))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +217,7 @@ def q_index(a: Tensor, b: Tensor) -> Tensor:
 def _as_tensor(fused) -> Tensor:
     if isinstance(fused, Tensor):
         return fused
-    if isinstance(fused, FusionProduct):
-        return Tensor(fused.to_array())
-    if isinstance(fused, MultispectralImage):
+    if isinstance(fused, (FusionProduct, MultispectralImage)):
         return Tensor(fused.to_array())
     raise InvalidInputError(f"cannot interpret {type(fused).__name__} as a fused image")
 
@@ -297,13 +290,19 @@ def discriminator_loss(real_score: Tensor, fake_score: Tensor) -> Tensor:
 
 def generator_adversarial_loss(
     score_spec: Tensor, score_spat: Tensor, cfg: TrainingConfig
-) -> Tensor:
-    """Weighted non-saturating generator terms: -lambda * log D(fake), per critic."""
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Weighted non-saturating generator terms: -lambda * log D(fake), per critic.
+
+    Returns the weighted sum and the two unweighted terms -log D(fake).
+    """
     _check_score(score_spec, "spectral fake")
     _check_score(score_spat, "spatial fake")
-    return ad.scalar_mul(ad.neg(ad.log(score_spec)), cfg.lambda_adv_spec) + ad.scalar_mul(
-        ad.neg(ad.log(score_spat)), cfg.lambda_adv_spat
+    adv_spec = ad.neg(ad.log(score_spec))
+    adv_spat = ad.neg(ad.log(score_spat))
+    weighted = ad.scalar_mul(adv_spec, cfg.lambda_adv_spec) + ad.scalar_mul(
+        adv_spat, cfg.lambda_adv_spat
     )
+    return weighted, adv_spec, adv_spat
 
 
 def generator_total_loss(l1: Tensor, l2: Tensor, adv: Tensor, cfg: TrainingConfig) -> Tensor:
@@ -312,6 +311,44 @@ def generator_total_loss(l1: Tensor, l2: Tensor, adv: Tensor, cfg: TrainingConfi
 
 # ---------------------------------------------------------------------------
 # training and inference
+
+
+@dataclass(frozen=True)
+class _TrainingState:
+    """What every training iteration reads: the config, the three networks
+    with their parameters, and the inputs, with their constant tensors."""
+
+    cfg: TrainingConfig
+    gen: GeneratorSpec
+    disc_spec: DiscriminatorSpec
+    disc_spat: DiscriminatorSpec
+    g_params: ParameterSet
+    ds_params: ParameterSet
+    dt_params: ParameterSet
+    ms: MultispectralImage
+    pan: RasterBand
+    weights: IntensityWeights
+    ms_up_t: Tensor
+    pan_t: Tensor
+    ms_real: Tensor
+    gen_input: Tensor
+
+    @classmethod
+    def start(cls, ms: MultispectralImage, pan: RasterBand, cfg: TrainingConfig):
+        k = ms.band_count
+        gen, disc_spec, disc_spat = GeneratorSpec(k), DiscriminatorSpec(k), DiscriminatorSpec(1)
+        rng = np.random.default_rng(cfg.seed)
+        ms_up = upsample(ms, cfg.ratio, "bicubic")
+        ms_up_t, pan_t = Tensor(ms_up.to_array()), Tensor(pan.data[None])
+        return cls(
+            cfg, gen, disc_spec, disc_spat,
+            # the parameters are drawn from ``rng`` in this order
+            gen.init_params(rng),
+            disc_spec.init_params(rng, "dspec"),
+            disc_spat.init_params(rng, "dspat"),
+            ms, pan, estimate_weights(ms_up, pan), ms_up_t, pan_t, Tensor(ms.to_array()),
+            ad.concat_channels(ms_up_t, pan_t),  # the generator input, constant across iterations
+        )
 
 
 def train(
@@ -325,91 +362,63 @@ def train(
     loss.  Everything is derived from ``cfg.seed``, so runs are reproducible
     bit for bit.
     """
-    r = cfg.ratio
-    if (pan.height, pan.width) != (ms.height * r, ms.width * r):
-        raise InvalidInputError(
-            f"pan {pan.height}x{pan.width} is not ms {ms.height}x{ms.width} times {r}"
-        )
-    k = ms.band_count
-    rng = np.random.default_rng(cfg.seed)
-    gen = GeneratorSpec(bands=k)
-    disc_spec = DiscriminatorSpec(in_channels=k)
-    disc_spat = DiscriminatorSpec(in_channels=1)
-    g_params = gen.init_params(rng)
-    ds_params = disc_spec.init_params(rng, "dspec")
-    dt_params = disc_spat.init_params(rng, "dspat")
-
-    ms_up = upsample(ms, r, "bicubic")
-    weights = estimate_weights(ms_up, pan)
-    ms_up_t = Tensor(ms_up.to_array())
-    pan_t = Tensor(pan.data[None])
-    ms_real = Tensor(ms.to_array())
-    gen_input = ad.concat_channels(ms_up_t, pan_t)  # constant across iterations
-
+    check_pan_scale(ms, pan, cfg.ratio)
+    state = _TrainingState.start(ms, pan, cfg)
     log = TrainingLog()
     for it in range(1, cfg.iterations + 1):
         try:
-            _train_iteration(
-                it, cfg, gen, disc_spec, disc_spat,
-                g_params, ds_params, dt_params,
-                gen_input, ms_up_t, pan_t, ms_real, ms, weights, pan, log,
-            )
+            _train_iteration(it, state, log)
         except TrainingDivergenceError:
             raise
         except NumericalError as exc:
             raise TrainingDivergenceError(str(exc), iteration=it) from exc
-    return g_params, log
+    return state.g_params, log
 
 
-def _train_iteration(
-    it, cfg, gen, disc_spec, disc_spat,
-    g_params, ds_params, dt_params,
-    gen_input, ms_up_t, pan_t, ms_real, ms, weights, pan, log,
-):
+def _train_iteration(it: int, s: _TrainingState, log: TrainingLog) -> None:
+    cfg = s.cfg
     r = cfg.ratio
-    fused = gen.forward_from(g_params, gen_input, ms_up_t)
+    fused = s.gen.forward_from(s.g_params, s.gen_input, s.ms_up_t)
     fused_const = fused.detach()
 
     # spectral critic: original MS vs degraded generator output
     fake_ms = ad.block_mean(fused_const, r)
     d_spec_loss = discriminator_loss(
-        disc_spec.forward(ds_params, ms_real, "dspec"),
-        disc_spec.forward(ds_params, fake_ms, "dspec"),
+        s.disc_spec.forward(s.ds_params, s.ms_real, "dspec"),
+        s.disc_spec.forward(s.ds_params, fake_ms, "dspec"),
     )
     ad.backward(d_spec_loss)
-    ad.adam_step(ds_params, cfg.lr_d)
+    ad.adam_step(s.ds_params, cfg.lr_d)
 
     # spatial critic: original PAN vs intensity of the generator output
-    fake_intensity = intensity_of(fused_const, weights)
+    fake_intensity = intensity_of(fused_const, s.weights)
     d_spat_loss = discriminator_loss(
-        disc_spat.forward(dt_params, pan_t, "dspat"),
-        disc_spat.forward(dt_params, fake_intensity, "dspat"),
+        s.disc_spat.forward(s.dt_params, s.pan_t, "dspat"),
+        s.disc_spat.forward(s.dt_params, fake_intensity, "dspat"),
     )
     ad.backward(d_spat_loss)
-    ad.adam_step(dt_params, cfg.lr_d)
+    ad.adam_step(s.dt_params, cfg.lr_d)
 
     # generator: consistency losses plus adversarial terms with frozen critics
-    l1 = spectral_loss(fused, ms, r)
-    intensity = intensity_of(fused, weights)
-    l2 = _spatial_loss_from_intensity(intensity, pan)
-    ds_params.set_trainable(False)
-    dt_params.set_trainable(False)
+    l1 = spectral_loss(fused, s.ms, r)
+    intensity = intensity_of(fused, s.weights)
+    l2 = _spatial_loss_from_intensity(intensity, s.pan)
+    s.ds_params.set_trainable(False)
+    s.dt_params.set_trainable(False)
     try:
-        score_spec = disc_spec.forward(ds_params, ad.block_mean(fused, r), "dspec")
-        score_spat = disc_spat.forward(dt_params, intensity, "dspat")
-        adv_spec = ad.neg(ad.log(score_spec))
-        adv_spat = ad.neg(ad.log(score_spat))
-        adv = ad.scalar_mul(adv_spec, cfg.lambda_adv_spec) + ad.scalar_mul(
-            adv_spat, cfg.lambda_adv_spat
+        adv, adv_spec, adv_spat = generator_adversarial_loss(
+            s.disc_spec.forward(s.ds_params, ad.block_mean(fused, r), "dspec"),
+            s.disc_spat.forward(s.dt_params, intensity, "dspat"),
+            cfg,
         )
         total = generator_total_loss(l1, l2, adv, cfg)
         if not math.isfinite(total.item()):
             raise TrainingDivergenceError("generator loss is non-finite", iteration=it)
         ad.backward(total)
     finally:
-        ds_params.set_trainable(True)
-        dt_params.set_trainable(True)
-    ad.adam_step(g_params, cfg.lr_g)
+        s.ds_params.set_trainable(True)
+        s.dt_params.set_trainable(True)
+    ad.adam_step(s.g_params, cfg.lr_g)
 
     log.append(
         iteration=it,
@@ -439,10 +448,7 @@ def fuse(params: ParameterSet, ms: MultispectralImage, pan: RasterBand, r: int) 
         raise InvalidInputError(
             f"checkpoint expects {c_in - 1} bands, input has {k}"
         )
-    if (pan.height, pan.width) != (ms.height * r, ms.width * r):
-        raise InvalidInputError(
-            f"pan {pan.height}x{pan.width} is not ms {ms.height}x{ms.width} times {r}"
-        )
+    check_pan_scale(ms, pan, r)
     frozen = {name: Tensor(p.data) for name, p in params.items()}
     gen = GeneratorSpec(bands=k, hidden_channels=params["gen.conv1.weight"].data.shape[0])
     ms_up = upsample(ms, r, "bicubic")

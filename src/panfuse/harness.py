@@ -32,12 +32,14 @@ from .raster import (
     FusionProduct,
     MultispectralImage,
     RasterBand,
+    check_pan_scale,
     detail_inject,
     estimate_gains,
     estimate_weights,
     intensity_component,
     mtf_degrade,
     mtf_degrade_ms,
+    parse_csv_table,
     upsample,
     upsample_band,
 )
@@ -63,13 +65,15 @@ def worker_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _blur3(a: np.ndarray) -> np.ndarray:
+def _synth_pan(weights: np.ndarray, gt: np.ndarray) -> RasterBand:
+    """PAN from (K, H, W) ground truth: the weighted band sum under a 3x3 binomial blur."""
+    a = np.tensordot(weights, gt, axes=(0, 0))
     ap = np.pad(a, 1, mode="symmetric")
     out = np.zeros_like(a)
     for i in range(3):
         for j in range(3):
             out += _PAN_BLUR[i, j] * ap[i : i + a.shape[0], j : j + a.shape[1]]
-    return out
+    return RasterBand(out)
 
 
 @dataclass(frozen=True)
@@ -85,21 +89,11 @@ class SyntheticScene:
     nyquist_gain: float = 0.30
 
     def __post_init__(self):
-        if (self.pan.height, self.pan.width) != (
-            self.ms.height * self.ratio,
-            self.ms.width * self.ratio,
-        ):
-            raise InvalidInputError(
-                f"pan {self.pan.height}x{self.pan.width} is not "
-                f"ms {self.ms.height}x{self.ms.width} times {self.ratio}"
-            )
+        check_pan_scale(self.ms, self.pan, self.ratio)
 
     def reconstruct_pan(self) -> RasterBand:
         """Rebuild PAN from the ground truth and the stored weights."""
-        acc = np.zeros((self.gt_hrms.height, self.gt_hrms.width))
-        for w, band in zip(self.pan_weights, self.gt_hrms.bands):
-            acc += w * band.data
-        return RasterBand(_blur3(acc))
+        return _synth_pan(self.pan_weights, self.gt_hrms.to_array())
 
 
 def synth_scene(
@@ -172,11 +166,10 @@ def synth_scene(
     ms = mtf_degrade_ms(gt_hrms, ratio, nyquist_gain)
     raw_w = rng.uniform(0.5, 1.5, size=bands)
     pan_weights = raw_w / raw_w.sum()
-    pan = RasterBand(_blur3(np.tensordot(pan_weights, gt, axes=(0, 0))))
     return SyntheticScene(
         gt_hrms=gt_hrms,
         ms=ms,
-        pan=pan,
+        pan=_synth_pan(pan_weights, gt),
         pan_weights=pan_weights,
         seed=int(seed),
         ratio=ratio,
@@ -325,15 +318,8 @@ def results_table_csv(results, mode: str) -> str:
 def parse_results_table(text: str, mode: str):
     """Parse a comparison table back into {method: {metric: value}}."""
     metric_names = REDUCED_METRICS if mode == "reduced" else FULL_METRICS
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    if header != ["method", *metric_names]:
-        raise InvalidInputError(f"unrecognized {mode} table header: {lines[0]!r}")
-    rows = {}
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows[cells[0]] = dict(zip(metric_names, (float(c) for c in cells[1:])))
-    return rows
+    rows = parse_csv_table(text, ("method", *metric_names), f"{mode} table", text_columns=1)
+    return {row[0]: dict(zip(metric_names, row[1:])) for row in rows}
 
 
 def results_table_text(results, modes=("reduced", "full")) -> str:

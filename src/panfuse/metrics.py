@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .raster import FusionProduct, MultispectralImage, RasterBand
+from .raster import FusionProduct, MultispectralImage, RasterBand, kv_format, kv_parse, kv_value
 
 REDUCED_METRICS = ("SAM", "CC", "UIQI", "Q4", "ERGAS")
 FULL_METRICS = ("D_lambda", "D_s", "QNR")
@@ -390,42 +390,28 @@ class QualityReport:
         return f"{head}\n{row}\n"
 
     def to_kv(self) -> str:
-        lines = [
-            f"mode = {self.mode}",
-            f"window = {self.config.window}",
-            f"stride = {self.config.stride}",
-            f"p = {self.config.p}",
-            f"q = {self.config.q}",
-            f"alpha = {self.config.alpha!r}",
-            f"beta = {self.config.beta!r}",
-            f"ratio = {self.config.ratio}",
-        ]
-        for name in self.metric_names():
-            lines.append(f"{name} = {self.entries[name]!r}")
-        return "\n".join(lines) + "\n"
+        c = self.config
+        return kv_format([
+            ("mode", self.mode), ("window", c.window), ("stride", c.stride), ("p", c.p),
+            ("q", c.q), ("alpha", c.alpha), ("beta", c.beta), ("ratio", c.ratio),
+            *((name, self.entries[name]) for name in self.metric_names()),
+        ])
 
     @staticmethod
-    def parse_kv(text: str) -> "QualityReport":
-        fields = {}
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-        mode = fields.pop("mode")
+    def parse_kv(text, source: str = "report") -> "QualityReport":
+        """Read :meth:`to_kv` output (text or bytes); other keys are ignored."""
+        fields = kv_parse(text, source)
+
+        def get(key, convert):
+            return kv_value(fields, key, convert, source)
+
         cfg = MetricConfig(
-            window=int(fields.pop("window")),
-            stride=int(fields.pop("stride")),
-            p=int(fields.pop("p")),
-            q=int(fields.pop("q")),
-            alpha=float(fields.pop("alpha")),
-            beta=float(fields.pop("beta")),
-            ratio=Fraction(fields.pop("ratio")),
+            **{key: get(key, int) for key in ("window", "stride", "p", "q")},
+            alpha=get("alpha", float), beta=get("beta", float), ratio=get("ratio", Fraction),
         )
         known = REDUCED_METRICS + FULL_METRICS
-        entries = {k: float(v) for k, v in fields.items() if k in known}
-        return QualityReport(mode=mode, entries=entries, config=cfg)
+        entries = {k: get(k, float) for k in fields if k in known}
+        return QualityReport(mode=get("mode", str), entries=entries, config=cfg)
 
 
 def evaluate_reduced(F, GT, cfg: MetricConfig | None = None) -> QualityReport:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateInputError,
     FormatError,
     InvalidInputError,
@@ -152,6 +153,14 @@ class FusionProduct:
 
     def to_array(self) -> np.ndarray:
         return self.image.to_array()
+
+
+def check_pan_scale(ms: MultispectralImage, pan: RasterBand, r: int) -> None:
+    """Reject a PAN band whose size is not the MS size times the ratio ``r``."""
+    if (pan.height, pan.width) != (ms.height * r, ms.width * r):
+        raise InvalidInputError(
+            f"pan {pan.height}x{pan.width} is not ms {ms.height}x{ms.width} times {r}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +397,78 @@ def detail_inject(
 
 
 # ---------------------------------------------------------------------------
-# container IO (.pfr) and grayscale PNG ingestion
+# container IO: `key = value` and CSV text, .pfr rasters, grayscale PNG ingestion
+
+
+def kv_parse(data, source: str) -> dict:
+    """`key = value` lines (UTF-8 bytes or text) as a dict of stripped strings.
+
+    ``#`` starts a comment and a repeated key keeps its last value.  A line
+    without ``=`` or a key raises ConfigError naming ``source`` and the line.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{source}: not UTF-8 text at byte {exc.start}") from exc
+    values = {}
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        key, sep, value = raw.split("#", 1)[0].partition("=")
+        key = key.strip()
+        if not sep and not key:
+            continue
+        if not sep or not key:
+            raise ConfigError(f"{source}:{lineno}: expected `key = value`, got {raw!r}")
+        values[key] = value.strip()
+    return values
+
+
+def kv_value(values: dict, key: str, convert, source: str):
+    """``convert(values[key])``; a missing key or a bad value raises ConfigError naming it."""
+    if key not in values:
+        raise ConfigError(f"{source}: missing key {key!r}")
+    try:
+        return convert(values[key])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{source}: bad value for key {key!r}: {values[key]!r}") from exc
+
+
+def _kv_safe(text: str) -> bool:
+    return "#" not in text and text == text.strip() and len(text.splitlines()) <= 1
+
+
+def kv_format(pairs) -> str:
+    """``(key, value)`` pairs as `key = value` lines, values through ``str``;
+    a pair that :func:`kv_parse` would not read back unchanged raises ConfigError."""
+    lines = []
+    for key, value in pairs:
+        text = str(value)
+        if not key or "=" in key or not _kv_safe(key) or not _kv_safe(text):
+            raise ConfigError(f"cannot write key {key!r} with value {text!r} as `key = value`")
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
+
+
+def parse_csv_table(text: str, header: tuple, what: str, text_columns: int = 0) -> list:
+    """Rows under ``header`` as tuples: ``text_columns`` strings, then floats.
+
+    A wrong header, cell count or number raises InvalidInputError naming the line.
+    """
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or tuple(lines[0][1].split(",")) != tuple(header):
+        raise InvalidInputError(f"unrecognized {what} header: {lines[0][1] if lines else ''!r}")
+    rows = []
+    for lineno, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise InvalidInputError(
+                f"{what} line {lineno}: expected {len(header)} cells, got {len(cells)}"
+            )
+        try:
+            rows.append((*cells[:text_columns], *(float(c) for c in cells[text_columns:])))
+        except ValueError as exc:
+            raise InvalidInputError(f"{what} line {lineno}: non-numeric cell in {ln!r}") from exc
+    return rows
 
 
 def save_raster(image, path) -> None:

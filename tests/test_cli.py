@@ -5,10 +5,13 @@ import zlib
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from panfuse.cli import main, parse_kv_file
 from panfuse.errors import ConfigError
 from panfuse.metrics import QualityReport
-from panfuse.raster import load_raster
+from panfuse.raster import kv_format, kv_parse, load_raster
 
 
 def run(args) -> int:
@@ -29,9 +32,9 @@ def synth_args(out, size=64, ratio=4, seed=7, bands=4):
 class TestConfigFile:
     def test_parse_and_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("window = 8   # tile size\nstride = 8\nlr_g = 0.002\n\n")
+        path.write_text("window = 8   # tile size\nstride = 8\nlr_g = 0.002\n\nseed = 5\n")
         values = parse_kv_file(path)
-        assert values == {"window": 8, "stride": 8, "lr_g": 0.002}
+        assert values == {"window": 8, "stride": 8, "lr_g": 0.002, "seed": 5}
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -44,6 +47,34 @@ class TestConfigFile:
         path.write_text("window = soon\n")
         with pytest.raises(ConfigError, match="window"):
             parse_kv_file(path)
+
+
+    def test_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("window = 8\n\nstride 8\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:3:"):
+            parse_kv_file(path)
+
+
+# a key or value kv_parse reads back unchanged: no `#`, no line break, no
+# surrounding whitespace; keys are non-empty and hold no `=`
+_KV_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12).filter(
+    lambda t: "#" not in t and t == t.strip() and len(t.splitlines()) <= 1
+)
+
+
+class TestKeyValueFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(_KV_TEXT.filter(lambda k: k and "=" not in k), _KV_TEXT, max_size=8))
+    def test_written_pairs_read_back(self, pairs):
+        text = kv_format(pairs.items())
+        assert list(kv_parse(text, "t").items()) == list(pairs.items())
+        assert kv_parse(text.encode("utf-8"), "t") == pairs
+
+    @pytest.mark.parametrize("key,value", [("a=b", 1), ("", 1), ("a", "x # y"), ("a", "x\ny"), ("a", " x")])
+    def test_writer_rejects_what_would_not_read_back(self, key, value):
+        with pytest.raises(ConfigError):
+            kv_format([(key, value)])
 
 
 class TestPipeline:
@@ -222,6 +253,54 @@ class TestExitCodes:
 
         monkeypatch.setattr("panfuse.gan.train", explode)
         assert run(["train", "--out", str(out)]) == 3
+
+
+_REDUCED_KV = QualityReport(
+    "reduced", {"SAM": 0.0, "CC": 1.0, "UIQI": 1.0, "Q4": 1.0, "ERGAS": 0.0}
+).to_kv()
+
+
+def _edit_meta(out, old, new):
+    meta = out / "scene.meta"
+    meta.write_bytes(meta.read_bytes().replace(old, new))
+
+
+class TestMalformedText:
+    """Malformed `key = value` files exit 2 with a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "kv", [_REDUCED_KV.replace("mode = reduced\n", ""),
+               _REDUCED_KV.replace("window = 32\n", "window = x\n")],
+        ids=["no_mode", "window_x"],
+    )
+    def test_report_over_bad_eval_kv(self, tmp_path, capsys, kv):
+        (tmp_path / "eval_reduced_exp.kv").write_text(kv)
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and "eval_reduced_exp.kv" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "old,new", [(b"ratio = 2", b"ratio = four"), (b"seed = 7", b"seed = \xff")],
+        ids=["ratio_four", "non_utf8"],
+    )
+    def test_fuse_with_bad_scene_meta(self, tmp_path, capsys, old, new):
+        out = tmp_path / "run"
+        run(synth_args(out, size=16, ratio=2, bands=2))
+        _edit_meta(out, old, new)
+        capsys.readouterr()
+        assert run(["fuse", "--method", "exp", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and "scene.meta" in err
+        assert "Traceback" not in err
+
+    def test_synth_with_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\n# caf\xe9\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and "bad.cfg" in err and "UTF-8" in err
+        assert not (tmp_path / "o").exists()
 
 
 def _png(ihdr: bytes, idat: bytes) -> bytes:

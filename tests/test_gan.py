@@ -24,6 +24,7 @@ from panfuse.gan import (
     spatial_loss,
     spectral_loss,
 )
+from panfuse.harness import synth_scene
 from panfuse.metrics import MetricConfig, uiqi
 from panfuse.raster import (
     IntensityWeights,
@@ -136,7 +137,7 @@ class TestAdversarialLosses:
     def test_confident_fake_drives_generator_term_to_zero(self):
         cfg = TrainingConfig(lambda_adv_spec=1.0, lambda_adv_spat=1.0)
         almost_one = Tensor(np.array(1.0 - 1e-12))
-        loss = generator_adversarial_loss(almost_one, almost_one, cfg)
+        loss, _, _ = generator_adversarial_loss(almost_one, almost_one, cfg)
         assert abs(loss.item()) < 1e-9
 
     def test_score_range_validated(self):
@@ -151,7 +152,7 @@ class TestAdversarialLosses:
         )
         l1 = Tensor(np.array(0.123))
         l2 = Tensor(np.array(0.456))
-        adv = generator_adversarial_loss(
+        adv, _, _ = generator_adversarial_loss(
             Tensor(np.array(0.5)), Tensor(np.array(0.5)), cfg
         )
         total = generator_total_loss(l1, l2, adv, cfg)
@@ -235,6 +236,16 @@ class TestTrainingLoop:
         parsed = TrainingLog.parse_csv(log.to_csv())
         assert parsed.rows == log.rows
 
+    def test_log_rejects_non_numeric_cell(self):
+        text = ",".join(gan.LOG_COLUMNS) + "\n1,0.1,0.2,0.3,0.4,0.5,x,0.7\n"
+        with pytest.raises(InvalidInputError, match="line 2"):
+            TrainingLog.parse_csv(text)
+
+    def test_log_rejects_short_row(self):
+        text = ",".join(gan.LOG_COLUMNS) + "\n1,0.1,0.2,0.3,0.4,0.5,0.6,0.7\n\n2,0.1,0.2\n"
+        with pytest.raises(InvalidInputError, match="line 4"):
+            TrainingLog.parse_csv(text)
+
     def test_divergence_error_names_iteration(self, small_scene, monkeypatch):
         scene = small_scene
         poisoned = Tensor(np.full((4, scene.pan.height, scene.pan.width), np.nan))
@@ -261,6 +272,21 @@ class TestTrainingLoop:
                 + cfg.lambda_adv_spat * advt
             )
             assert abs(total - expected) < 1e-12
+
+    def test_total_is_the_optimised_loss_bitwise(self):
+        # the log columns must add up to the loss training optimises, in its order
+        scene = synth_scene(seed=9, width=32, height=32, bands=3, ratio=2)
+        cfg = TrainingConfig(
+            iterations=3, seed=6, ratio=2, lambda_spec=0.7, lambda_spat=1.3,
+            lambda_adv_spec=0.05, lambda_adv_spat=0.02,
+        )
+        _, log = gan.train(scene.ms, scene.pan, cfg)
+        assert len(log.rows) == 3
+        for _, l1, l2, advs, advt, _, _, total in log.rows:
+            expected = (cfg.lambda_spec * l1 + cfg.lambda_spat * l2) + (
+                cfg.lambda_adv_spec * advs + cfg.lambda_adv_spat * advt
+            )
+            assert total == expected
 
 
 class TestFuse:

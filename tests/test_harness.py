@@ -44,7 +44,7 @@ class TestSynthScene:
     def test_pan_reconstructable_from_weights(self):
         scene = synth_scene(13, 64, 64, 4, 4)
         rebuilt = scene.reconstruct_pan()
-        assert np.max(np.abs(rebuilt.data - scene.pan.data)) < 1e-10
+        np.testing.assert_array_equal(rebuilt.data, scene.pan.data)
 
     def test_identity_fusion_is_ideal(self, small_scene):
         report = evaluate_reduced(small_scene.gt_hrms, small_scene.gt_hrms)
@@ -227,6 +227,15 @@ class TestRunExperiment:
                 parsed["QNR"] - (1 - parsed["D_lambda"]) * (1 - parsed["D_s"])
             ) < 1e-12
         assert rows["Ideal"] == {"D_lambda": 0.0, "D_s": 0.0, "QNR": 1.0}
+
+    def test_table_reader_rejects_empty_text(self):
+        with pytest.raises(InvalidInputError, match="header"):
+            parse_results_table("", "full")
+
+    def test_table_reader_names_non_numeric_line(self):
+        text = "method,D_lambda,D_s,QNR\ncs,0.1,0.2,0.72\nexp,0.1,oops,0.5\n"
+        with pytest.raises(InvalidInputError, match="line 3"):
+            parse_results_table(text, "full")
 
     def test_rows_sorted_with_ideal_last(self, small_scene):
         results = run_experiment(
