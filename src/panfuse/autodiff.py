@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
-Sized for the tiny convolutional networks in :mod:`panfuse.gan`: no GPU, no
-general broadcasting (scalars only), double precision throughout so results
-are deterministic and easy to verify against finite differences.
+Sized for the tiny convolutional networks in :mod:`panfuse.gan`, whose hidden
+layers are fused conv-bias-leaky-ReLU ops (:func:`conv2d` with a ``slope``):
+no GPU, no general broadcasting (scalars only), double precision throughout
+so results are deterministic and easy to verify against finite differences.
 
 Each operation that touches a gradient-tracked tensor records a
 :class:`TapeNode` on its output; :func:`backward` orders the reachable
@@ -263,11 +264,6 @@ def log(a: Tensor) -> Tensor:
     return _track("log", np.log(ad), (a,), lambda g, needs: (g / ad,))
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _track("tanh", out, (a,), lambda g, needs: (g * (1.0 - out * out),))
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     out = np.empty_like(x)
@@ -414,20 +410,6 @@ def channel_weighted_sum(a: Tensor, weights, bias: float = 0.0) -> Tensor:
     return _track("channel_weighted_sum", out, (a,), bw)
 
 
-def upsample_nearest(a: Tensor, r: int) -> Tensor:
-    _require_chw("upsample_nearest", a)
-    r = int(r)
-    if r < 1:
-        raise InvalidInputError(f"upsample factor must be >= 1, got {r}")
-    out = np.repeat(np.repeat(a.data, r, axis=1), r, axis=2)
-    c, h, w = a.data.shape
-
-    def bw(g, needs):
-        return (g.reshape(c, h, r, w, r).sum(axis=(2, 4)),)
-
-    return _track("upsample_nearest", out, (a,), bw)
-
-
 def block_mean(a: Tensor, r: int) -> Tensor:
     """Average non-overlapping r x r blocks along the spatial axes."""
     _require_chw("block_mean", a)
@@ -536,11 +518,22 @@ def _conv_grad_x(g, wd, stride, h_in, w_in):
     return gx
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
+def conv2d(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor | None = None,
+    stride: int = 1,
+    slope: float | None = None,
+) -> Tensor:
     """2-D convolution with zero-padded 'same' geometry and an odd kernel.
 
     x is (C_in, H, W), weight is (C_out, C_in, k, k), bias is (C_out,).
     Output spatial size is ceil(H / stride) x ceil(W / stride).
+
+    With a ``slope`` it is the fused conv-bias-leaky-ReLU layer: one tape node,
+    bitwise equal to ``leaky_relu(conv2d(x, weight, bias), slope)``, whose
+    pullback takes the activation mask from the sign of the output (exact for
+    ``slope >= 0``), so the tape keeps no pre-activation and no scale array.
 
     One blocked unfold-then-GEMM kernel serves the forward pass and both
     pullbacks.  For a block of output rows it copies all k * k taps of every
@@ -573,6 +566,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         raise ShapeError(
             f"conv2d bias shape {bias.data.shape} does not match {c_out} outputs"
         )
+    if slope is not None and not (math.isfinite(slope) and slope >= 0.0):
+        raise InvalidInputError(f"conv2d slope must be finite and >= 0, got {slope}")
     xd = x.data
     _c, h_in, w_in = xd.shape
     pad = k // 2
@@ -590,10 +585,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         np.matmul(wmat, cols, out=out_mat[:, r0 * w_out : r1 * w_out])
     if bias is not None:
         out += bias.data[:, None, None]
+    if slope is not None:
+        # on the whole output, not per block; bitwise out * np.where(out > 0, 1, slope)
+        np.multiply(out, slope, out=out, where=~(out > 0.0))
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def bw(g, needs):
         gx = gw = gb = None
+        if slope is not None:
+            masked = g * slope
+            np.copyto(masked, g, where=out > 0.0)
+            g = masked
         if needs[0]:
             gx = _conv_grad_x(g, wd, stride, h_in, w_in)
         if needs[1]:

@@ -110,7 +110,7 @@ class RunConfig:
         except KeyError as exc:
             raise AttributeError(key) from exc
 
-    def metric_config(self) -> MetricConfig:
+    def metric_config(self, ratio: int) -> MetricConfig:
         return MetricConfig(
             window=self.window,
             stride=self.stride,
@@ -118,7 +118,7 @@ class RunConfig:
             q=self.q,
             alpha=self.alpha,
             beta=self.beta,
-            ratio=Fraction(1, self.ratio),
+            ratio=Fraction(1, ratio),
         )
 
     def training_config(self, ratio: int) -> gan.TrainingConfig:
@@ -134,11 +134,12 @@ class RunConfig:
             ratio=ratio,
         )
 
-    def echo(self) -> str:
+    def echo(self, ratio: int) -> str:
+        values = dict(self.values, ratio=ratio)
         return kv_format(
-            (f"config.{key}", self.values[key])
-            for key in sorted(self.values)
-            if self.values[key] is not None
+            (f"config.{key}", values[key])
+            for key in sorted(values)
+            if values[key] is not None
         )
 
 
@@ -287,7 +288,7 @@ def cmd_eval(args) -> int:
     if mode not in ("reduced", "full"):
         raise ConfigError("missing or bad key 'mode' (--mode reduced|full)")
     ratio = _resolve_ratio(cfg, args)
-    mcfg = cfg.metric_config()
+    mcfg = cfg.metric_config(ratio)
     fused_path = _find_fused(cfg)
     label = _eval_label(cfg, fused_path)
     fused = load_raster(fused_path)
@@ -303,7 +304,7 @@ def cmd_eval(args) -> int:
         ms, pan = _load_ms_pan(cfg, ratio, ("_lo", ""))
         pan_low = mtf_degrade(pan, ratio, cfg.nyquist_gain)
         report = evaluate_full(fused, ms, pan, pan_low, mcfg)
-    kv_text = report.to_kv() + cfg.echo()
+    kv_text = report.to_kv() + cfg.echo(ratio=ratio)
     os.makedirs(cfg.out, exist_ok=True)
     Path(_out_path(cfg, f"eval_{mode}_{label}.csv")).write_text(report.to_csv(), encoding="utf-8")
     Path(_out_path(cfg, f"eval_{mode}_{label}.kv")).write_text(kv_text, encoding="utf-8")

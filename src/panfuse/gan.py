@@ -80,13 +80,12 @@ class GeneratorSpec:
     ) -> Tensor:
         """Forward pass on a prebuilt (K+1, H, W) input; lets training loops
         reuse one constant input tensor across iterations."""
-        h = ad.leaky_relu(
-            ad.conv2d(stacked, params[f"{prefix}.conv1.weight"], params[f"{prefix}.conv1.bias"]),
-            self.slope,
+        h = ad.conv2d(
+            stacked, params[f"{prefix}.conv1.weight"], params[f"{prefix}.conv1.bias"],
+            slope=self.slope,
         )
-        h = ad.leaky_relu(
-            ad.conv2d(h, params[f"{prefix}.conv2.weight"], params[f"{prefix}.conv2.bias"]),
-            self.slope,
+        h = ad.conv2d(
+            h, params[f"{prefix}.conv2.weight"], params[f"{prefix}.conv2.bias"], slope=self.slope
         )
         residual = ad.conv2d(h, params[f"{prefix}.head.weight"], params[f"{prefix}.head.bias"])
         return ad.clamp_smooth(ad.add(ms_up, residual))
@@ -115,14 +114,12 @@ class DiscriminatorSpec:
     def forward(self, params, x: Tensor, prefix: str) -> Tensor:
         h = x
         for i in range(1, len(self.channels) + 1):
-            h = ad.leaky_relu(
-                ad.conv2d(
-                    h,
-                    params[f"{prefix}.conv{i}.weight"],
-                    params[f"{prefix}.conv{i}.bias"],
-                    stride=self.stride,
-                ),
-                self.slope,
+            h = ad.conv2d(
+                h,
+                params[f"{prefix}.conv{i}.weight"],
+                params[f"{prefix}.conv{i}.bias"],
+                stride=self.stride,
+                slope=self.slope,
             )
         return ad.sigmoid(ad.mean(h))
 

@@ -50,38 +50,49 @@ CONV_CASES = dict(
 )
 
 
-def check_conv2d_forward(c_in, c_out, k, stride, h, w, with_bias, seed):
+def leaky_scale(pre, slope):
+    """The leaky ReLU derivative at the oracle's pre-activations; 1 without a slope."""
+    return 1.0 if slope is None else np.where(pre > 0.0, 1.0, slope)
+
+
+def check_conv2d_forward(c_in, c_out, k, stride, h, w, with_bias, seed, slope=None):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(c_in, h, w))
     wt = rng.uniform(-1.0, 1.0, size=(c_out, c_in, k, k))
     b = rng.uniform(-1.0, 1.0, size=c_out) if with_bias else None
-    out = ad.conv2d(Tensor(x), Tensor(wt), None if b is None else Tensor(b), stride=stride)
-    expected = oracles.naive_conv2d_zero_pad(x, wt, b, stride)
+    out = ad.conv2d(
+        Tensor(x), Tensor(wt), None if b is None else Tensor(b), stride=stride, slope=slope
+    )
+    pre = oracles.naive_conv2d_zero_pad(x, wt, b, stride)
+    expected = pre * leaky_scale(pre, slope)
     assert out.data.shape == expected.shape
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
 
-def check_conv2d_pullbacks(c_in, c_out, k, stride, h, w, with_bias, seed):
+def check_conv2d_pullbacks(c_in, c_out, k, stride, h, w, with_bias, seed, slope=None):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.uniform(-1.0, 1.0, size=(c_in, h, w)), requires_grad=True)
     wt = Tensor(rng.uniform(-1.0, 1.0, size=(c_out, c_in, k, k)), requires_grad=True)
     b = Tensor(rng.uniform(-1.0, 1.0, size=c_out), requires_grad=True) if with_bias else None
-    out = ad.conv2d(x, wt, b, stride=stride)
+    out = ad.conv2d(x, wt, b, stride=stride, slope=slope)
     g = rng.uniform(-1.0, 1.0, size=out.shape)
     grads = out.node.backward_fn(g, (True,) * len(out.node.inputs))
-    expected = oracles.naive_conv2d_zero_pad_pullbacks(x.data, wt.data, g, stride)
+    pre = oracles.naive_conv2d_zero_pad(x.data, wt.data, None if b is None else b.data, stride)
+    expected = oracles.naive_conv2d_zero_pad_pullbacks(
+        x.data, wt.data, g * leaky_scale(pre, slope), stride
+    )
     for got, want in zip(grads, expected):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def check_conv2d_finite_differences(stride, k):
+def check_conv2d_finite_differences(stride, k, slope=None):
     rng = np.random.default_rng(7)
     x = rng.uniform(size=(2, 5, 5))
     w = rng.uniform(-0.5, 0.5, size=(3, 2, k, k))
     b = rng.uniform(-0.1, 0.1, size=3)
     check_gradients(
-        lambda ts: ad.variance(ad.conv2d(ts[0], ts[1], ts[2], stride=stride)),
+        lambda ts: ad.variance(ad.conv2d(ts[0], ts[1], ts[2], stride=stride, slope=slope)),
         x,
         w,
         b,
@@ -93,6 +104,11 @@ CONV_FD_CASES = pytest.mark.parametrize(
     [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (3, 5)],
     ids=["1", "2", "3", "1-k5", "2-k5", "3-k5"],
 )
+
+# the fused conv-bias-leaky-ReLU layer: the networks' slope, a small one and
+# plain ReLU, which zeroes the gradient of every non-positive output
+FUSED_SLOPES = [0.2, 0.01, 0.0]
+FUSED_CASES = dict(CONV_CASES, slope=st.sampled_from(FUSED_SLOPES))
 
 
 class TestForward:
@@ -148,18 +164,47 @@ class TestForward:
             got = ad.leaky_relu(Tensor(x), slope).data
             assert got.tobytes() == expected.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(**FUSED_CASES)
+    def test_fused_conv2d_matches_loop_oracle(self, **case):
+        check_conv2d_forward(**case)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("slope", FUSED_SLOPES)
+    def test_fused_conv2d_matches_composed_ops_bitwise(self, slope, k):
+        # with a 1x1 identity kernel and no bias the pre-activation is the
+        # input, so 0.0 and +-1e-300 reach the activation (the GEMM sums -0.0
+        # to 0.0); slope 0 turns every negative pre-activation into -0.0
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(3, 17, 19))
+        x.flat[:4] = [0.0, -0.0, 1e-300, -1e-300]
+        if k == 1:
+            arrays = (x, np.eye(3)[:, :, None, None])
+        else:
+            arrays = (x, rng.normal(size=(3, 3, k, k)), rng.normal(size=3))
+        g = rng.normal(size=x.shape)
+
+        def run(fused):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            if fused:
+                out = ad.conv2d(*ts, slope=slope)
+            else:
+                out = ad.leaky_relu(ad.conv2d(*ts), slope)
+            ad.backward(ad.mean(ad.mul(out, Tensor(g))))
+            return [out.data] + [t.grad for t in ts]
+
+        for got, want in zip(run(True), run(False)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slope", [-0.2, float("nan"), float("inf")])
+    def test_fused_conv2d_rejects_bad_slope(self, slope):
+        with pytest.raises(InvalidInputError, match=f"got {slope}"):
+            ad.conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))), slope=slope)
+
     def test_block_mean(self):
         x = np.arange(16.0).reshape(1, 4, 4)
         out = ad.block_mean(Tensor(x), 2)
         np.testing.assert_allclose(out.data[0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_upsample_nearest(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = ad.upsample_nearest(Tensor(x), 2)
-        np.testing.assert_array_equal(
-            out.data[0],
-            [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]],
-        )
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3, 3\)"):
@@ -187,14 +232,12 @@ PRIMITIVE_CASES = {
     "scalar_mul": lambda ts: ad.mean(ad.scalar_mul(ts[0], 1.7)),
     "neg": lambda ts: ad.mean(ad.neg(ts[0])),
     "log": lambda ts: ad.mean(ad.log(ts[0])),
-    "tanh": lambda ts: ad.mean(ad.tanh(ts[0])),
     "sigmoid": lambda ts: ad.mean(ad.sigmoid(ts[0])),
     "leaky_relu": lambda ts: ad.mean(ad.leaky_relu(ts[0], 0.2)),
     "clamp_smooth": lambda ts: ad.mean(ad.clamp_smooth(ts[0])),
     "mean": lambda ts: ad.mean(ts[0]),
     "variance": lambda ts: ad.variance(ts[0]),
     "covariance": lambda ts: ad.covariance(ts[0], ts[1]),
-    "upsample_nearest": lambda ts: ad.variance(ad.upsample_nearest(ts[0], 2)),
     "block_mean": lambda ts: ad.variance(ad.block_mean(ts[0], 2)),
     "concat_channels": lambda ts: ad.variance(ad.concat_channels(ts[0], ts[1])),
     "channel_slice": lambda ts: ad.mean(ad.channel_slice(ts[0], 1)),
@@ -231,6 +274,16 @@ class TestGradients:
     @settings(max_examples=100, deadline=None)
     @given(**CONV_CASES)
     def test_conv2d_pullbacks_match_loop_oracle(self, **case):
+        check_conv2d_pullbacks(**case)
+
+    @CONV_FD_CASES
+    @pytest.mark.parametrize("slope", FUSED_SLOPES)
+    def test_fused_conv2d_gradients(self, stride, k, slope):
+        check_conv2d_finite_differences(stride, k, slope)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**FUSED_CASES)
+    def test_fused_conv2d_pullbacks_match_loop_oracle(self, **case):
         check_conv2d_pullbacks(**case)
 
     def test_simple_square_gradient(self):
@@ -310,6 +363,20 @@ class TestConvBlocks:
     @CONV_FD_CASES
     def test_gradients(self, stride, k):
         check_conv2d_finite_differences(stride, k)
+
+    @SMALL_BLOCK_SETTINGS
+    @given(**FUSED_CASES)
+    def test_fused_forward_matches_loop_oracle(self, **case):
+        check_conv2d_forward(**case)
+
+    @SMALL_BLOCK_SETTINGS
+    @given(**FUSED_CASES)
+    def test_fused_pullbacks_match_loop_oracle(self, **case):
+        check_conv2d_pullbacks(**case)
+
+    @CONV_FD_CASES
+    def test_fused_gradients(self, stride, k):
+        check_conv2d_finite_differences(stride, k, slope=0.2)
 
 
 def test_conv2d_never_unfolds_the_whole_image():

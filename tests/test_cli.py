@@ -127,6 +127,16 @@ class TestPipeline:
         assert report.entries["ERGAS"] == 0.0
         assert abs(report.entries["CC"] - 1.0) < 1e-12
 
+    def test_eval_takes_the_scene_ratio(self, tmp_path):
+        # no --ratio: eval must score and echo the ratio of scene.meta
+        out = tmp_path / "run"
+        assert run(synth_args(out, size=32, ratio=2)) == 0
+        assert run(["fuse", "--method", "exp", "--out", str(out)]) == 0
+        assert run(["eval", "--mode", "reduced", "--out", str(out)]) == 0
+        pairs = kv_parse((out / "eval_reduced_exp.kv").read_bytes(), "eval_reduced_exp.kv")
+        assert pairs["ratio"] == "1/2"
+        assert pairs["config.ratio"] == "2"
+
     def test_full_mode_eval(self, tmp_path):
         out = tmp_path / "run"
         run(synth_args(out))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,24 @@ class TestNetworks:
         pan = Tensor(rng.uniform(size=(1, 8, 8)))
         out = spec.forward(params, ms_up, pan)
         np.testing.assert_array_equal(out.data, ad.clamp_smooth(ms_up).data)
+
+    def test_tape_holds_one_array_per_hidden_layer(self):
+        # a 16-channel 128^2 activation is 2 MB; each fused hidden layer keeps
+        # only its output on the tape, where a conv then a leaky ReLU kept three
+        rng = np.random.default_rng(12)
+        spec = GeneratorSpec(bands=4)
+        params = spec.init_params(rng)
+        ms_up = Tensor(rng.uniform(0.2, 0.8, size=(4, 128, 128)))
+        stacked = ad.concat_channels(ms_up, Tensor(rng.uniform(size=(1, 128, 128))))
+        activation = 16 * 128 * 128 * 8
+        tracemalloc.start()
+        try:
+            out = spec.forward_from(params, stacked, ms_up)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.node is not None
+        assert held <= 4 * activation, f"tape holds {held / 2**20:.1f} MB"
 
 
 class TestTrainingLoop:
