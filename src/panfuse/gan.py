@@ -33,6 +33,7 @@ from .raster import (
     IntensityWeights,
     MultispectralImage,
     RasterBand,
+    _bicubic_up,
     check_pan_scale,
     estimate_weights,
     histogram_match,
@@ -433,24 +434,75 @@ def checkpoint_hash(params: ParameterSet) -> str:
     return hashlib.sha256(ad.checkpoint_bytes(params)).hexdigest()[:16]
 
 
+# PAN pixels along each side of one tile of :func:`fuse`, halo not counted:
+# its activations, not the scene's, bound the memory of inference
+_FUSE_TILE = 256
+
+
+def _generator_halo(params: ParameterSet, bands: int) -> int:
+    """Check that ``params`` holds a generator for ``bands`` bands; return
+    its receptive-field radius, the sum of ``k // 2`` over its three layers.
+
+    The six ``gen.*`` parameters must be present, each weight a square odd
+    kernel whose input channels are the previous layer's outputs (the first
+    takes the bands and PAN, the head gives the bands), each bias one value
+    per output channel.
+    """
+    c_in, halo = bands + 1, 0
+    for layer in ("conv1", "conv2", "head"):
+        w_name, b_name = f"gen.{layer}.weight", f"gen.{layer}.bias"
+        for name in (w_name, b_name):
+            if name not in params:
+                raise InvalidInputError(f"checkpoint has no generator parameter {name!r}")
+        w, b = params[w_name].data.shape, params[b_name].data.shape
+        c_out = bands if layer == "head" else "C"
+        if (
+            len(w) != 4 or 0 in w or w[1] != c_in or w[2] != w[3] or w[2] % 2 == 0
+            or (layer == "head" and w[0] != bands)
+        ):
+            raise InvalidInputError(
+                f"checkpoint parameter {w_name!r} has shape {w}, expected "
+                f"({c_out}, {c_in}, k, k) with an odd k for {bands} input bands"
+            )
+        if b != w[:1]:
+            raise InvalidInputError(
+                f"checkpoint parameter {b_name!r} has shape {b}, expected ({w[0]},)"
+            )
+        c_in, halo = w[0], halo + w[2] // 2
+    return halo
+
+
 def fuse(params: ParameterSet, ms: MultispectralImage, pan: RasterBand, r: int) -> FusionProduct:
-    """Single deterministic forward pass with a frozen checkpoint."""
+    """Single deterministic forward pass with a frozen checkpoint.
+
+    The generator runs on square tiles of the PAN grid, each read with a halo
+    of its receptive-field radius and cut at the image border, so every kept
+    pixel equals the whole-image pass: inside, the halo holds every pixel it
+    reads; at the border, conv2d pads with the same zeros.  Each tile's
+    bicubic input is upsampled from the MS directly.
+    """
     r = int(r)
     k = ms.band_count
-    if "gen.conv1.weight" not in params or "gen.head.weight" not in params:
-        raise InvalidInputError("checkpoint does not contain generator parameters")
-    c_in = params["gen.conv1.weight"].data.shape[1]
-    c_out = params["gen.head.weight"].data.shape[0]
-    if c_in != k + 1 or c_out != k:
-        raise InvalidInputError(
-            f"checkpoint expects {c_in - 1} bands, input has {k}"
-        )
+    halo = _generator_halo(params, k)
     check_pan_scale(ms, pan, r)
     frozen = {name: Tensor(p.data) for name, p in params.items()}
     gen = GeneratorSpec(bands=k, hidden_channels=params["gen.conv1.weight"].data.shape[0])
-    ms_up = upsample(ms, r, "bicubic")
-    out = gen.forward(frozen, Tensor(ms_up.to_array()), Tensor(pan.data[None]))
-    image = MultispectralImage.from_array(out.data, scale_ratio=1)
+    h, w = pan.height, pan.width
+    out = np.empty((k, h, w))
+    for top in range(0, h, _FUSE_TILE):
+        for left in range(0, w, _FUSE_TILE):
+            rows = slice(max(top - halo, 0), min(top + _FUSE_TILE + halo, h))
+            cols = slice(max(left - halo, 0), min(left + _FUSE_TILE + halo, w))
+            ms_up = np.stack([_bicubic_up(b.data, r, rows, cols) for b in ms.bands])
+            try:
+                tile = gen.forward(frozen, Tensor(ms_up), Tensor(pan.data[None, rows, cols]))
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} in the tile at ({top}, {left})") from exc
+            bottom, right = min(top + _FUSE_TILE, h), min(left + _FUSE_TILE, w)
+            out[:, top:bottom, left:right] = tile.data[
+                :, top - rows.start : bottom - rows.start, left - cols.start : right - cols.start
+            ]
+    image = MultispectralImage.from_array(out, scale_ratio=1)
     return FusionProduct(
         image, method="gan", provenance={"checkpoint_hash": checkpoint_hash(params)}
     )

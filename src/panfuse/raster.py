@@ -191,11 +191,21 @@ def _bicubic_axis_taps(n_in: int, r: int):
     return idx, w
 
 
-def _bicubic_up(a: np.ndarray, r: int) -> np.ndarray:
-    idx, w = _bicubic_axis_taps(a.shape[0], r)
+def _bicubic_up(
+    a: np.ndarray, r: int, rows: slice = slice(None), cols: slice = slice(None)
+) -> np.ndarray:
+    """Bicubic upsample of the 2-D ``a`` by ``r``, or its ``rows`` x ``cols``
+    window of the output grid.
+
+    A window slices the tap tables of the whole output and reads only the
+    source pixels they name, so it is bitwise the same crop of the whole result.
+    """
+    idx, w = (t[:, rows] for t in _bicubic_axis_taps(a.shape[0], r))
+    cidx, cw = (t[:, cols] for t in _bicubic_axis_taps(a.shape[1], r))
+    lo = cidx.min()
+    a = a[:, lo : cidx.max() + 1]
     a = sum(a[idx[k]] * w[k][:, None] for k in range(4))
-    idx, w = _bicubic_axis_taps(a.shape[1], r)
-    return sum(a[:, idx[k]] * w[k][None, :] for k in range(4))
+    return sum(a[:, cidx[k] - lo] * cw[k][None, :] for k in range(4))
 
 
 def upsample_band(band: RasterBand, r: int, mode: str = "bicubic") -> RasterBand:

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panfuse.autodiff import ParameterSet, save_checkpoint
 from panfuse.cli import main, parse_kv_file
 from panfuse.errors import ConfigError
+from panfuse.gan import GeneratorSpec
 from panfuse.metrics import QualityReport
 from panfuse.raster import kv_format, kv_parse, load_raster
 
@@ -264,6 +266,46 @@ class TestExitCodes:
         monkeypatch.setattr("panfuse.gan.train", explode)
         assert run(["train", "--out", str(out)]) == 3
 
+
+    # checkpoints for a 2-band scene with one generator parameter left out
+    # (None) or replaced
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            pytest.param("gen.conv2.bias", None, id="no-conv2-bias"),
+            pytest.param("gen.head.weight", None, id="no-head-weight"),
+            pytest.param("gen.conv2.bias", np.zeros(15), id="conv2-bias-length"),
+            pytest.param("gen.conv2.weight", np.zeros((16, 8, 3, 3)), id="conv2-in-channels"),
+            pytest.param("gen.conv1.weight", np.zeros((16, 3, 2, 2)), id="conv1-even-kernel"),
+            pytest.param("gen.head.weight", np.zeros((3, 16, 3, 3)), id="head-band-count"),
+        ],
+    )
+    def test_bad_generator_checkpoint_exits_2(self, tmp_path, capsys, name, value):
+        out = tmp_path / "run"
+        run(synth_args(out, size=16, ratio=2, bands=2))
+        params = ParameterSet()
+        for key, p in GeneratorSpec(bands=2).init_params(np.random.default_rng(0)).items():
+            if key != name:
+                params.add(key, p.data)
+            elif value is not None:
+                params.add(key, value)
+        save_checkpoint(params, tmp_path / "bad.pfck")
+        capsys.readouterr()
+        argv = ["fuse", "--method", "gan", "--checkpoint", str(tmp_path / "bad.pfck")]
+        assert run(argv + ["--out", str(out)]) == 2  # an escaping exception fails the call
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and repr(name) in err
+
+    def test_non_finite_checkpoint_exits_3_and_names_the_tile(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run(synth_args(out, size=16, ratio=2, bands=2))
+        params = GeneratorSpec(bands=2).init_params(np.random.default_rng(0))
+        params["gen.conv1.bias"].data[0] = np.nan
+        save_checkpoint(params, tmp_path / "nan.pfck")
+        capsys.readouterr()
+        argv = ["fuse", "--method", "gan", "--checkpoint", str(tmp_path / "nan.pfck")]
+        assert run(argv + ["--out", str(out)]) == 3
+        assert "tile at (0, 0)" in capsys.readouterr().err
 
 _REDUCED_KV = QualityReport(
     "reduced", {"SAM": 0.0, "CC": 1.0, "UIQI": 1.0, "Q4": 1.0, "ERGAS": 0.0}

@@ -11,6 +11,7 @@ from panfuse.autodiff import Tensor
 from panfuse.errors import (
     DegenerateInputError,
     InvalidInputError,
+    NumericalError,
     TrainingDivergenceError,
 )
 from panfuse.gan import (
@@ -339,4 +340,83 @@ class TestFuse:
         scene = small_scene
         params = GeneratorSpec(bands=3).init_params(np.random.default_rng(15))
         with pytest.raises(InvalidInputError):
+            gan.fuse(params, scene.ms, scene.pan, scene.ratio)
+
+
+def random_head_checkpoint(bands, seed, kernel_size=3):
+    """A generator whose head and biases are random, not zero: with the zero
+    head of ``init_params`` the output ignores the hidden layers, and a halo
+    too small for them would go unseen."""
+    spec = GeneratorSpec(bands=bands, kernel_size=kernel_size)
+    rng = np.random.default_rng(seed)
+    params = spec.init_params(rng)
+    for name in ("gen.conv1.bias", "gen.conv2.bias", "gen.head.weight", "gen.head.bias"):
+        params[name].data = rng.normal(0.0, 0.1, params[name].data.shape)
+    return spec, params
+
+
+class TestFuseTiles:
+    # (PAN width, height, ratio, kernel size, tile); the halo of the 3x3
+    # network is 3 pixels, that of the 5x5 one 6
+    @pytest.mark.parametrize(
+        "width, height, ratio, kernel, tile",
+        [
+            pytest.param(256, 256, 4, 3, 64, id="divisor"),
+            pytest.param(256, 256, 4, 3, 40, id="non-divisor-40"),
+            pytest.param(256, 256, 4, 3, 100, id="non-divisor-100"),
+            pytest.param(24, 24, 4, 3, 2, id="tile-below-halo"),
+            pytest.param(96, 96, 4, 5, 40, id="kernel-5"),
+            pytest.param(128, 128, 2, 3, 40, id="ratio-2"),
+            pytest.param(160, 96, 4, 3, 40, id="non-square"),
+        ],
+    )
+    def test_tiles_match_the_whole_image_pass(
+        self, monkeypatch, width, height, ratio, kernel, tile
+    ):
+        scene = synth_scene(seed=21, width=width, height=height, bands=4, ratio=ratio)
+        spec, params = random_head_checkpoint(4, 22, kernel)
+        monkeypatch.setattr(gan, "_FUSE_TILE", tile)
+        got = gan.fuse(params, scene.ms, scene.pan, ratio).to_array()
+        frozen = {name: Tensor(p.data) for name, p in params.items()}
+        ms_up = upsample(scene.ms, ratio, "bicubic").to_array()
+        want = spec.forward(frozen, Tensor(ms_up), Tensor(scene.pan.data[None])).data
+        # the head moves the output well away from the bicubic input
+        assert np.abs(want - ms_up).max() > 0.05
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("size", [256, 1024])
+    def test_memory_is_set_by_the_tile(self, monkeypatch, size):
+        # 64^2 tiles: a 16-channel activation of one tile and its halo is
+        # 0.6 MB; the whole-image pass holds 128 MB per activation at 1024^2
+        scene = synth_scene(seed=23, width=size, height=size, bands=4, ratio=4)
+        _spec, params = random_head_checkpoint(4, 24)
+        monkeypatch.setattr(gan, "_FUSE_TILE", 64)
+        tracemalloc.start()
+        try:
+            product = gan.fuse(params, scene.ms, scene.pan, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result = sum(b.data.nbytes for b in product.image.bands)
+        assert peak - result < 8 * 2**20, f"{(peak - result) / 2**20:.1f} MB beyond the result"
+
+    def test_numerical_error_names_the_tile(self, small_scene, monkeypatch):
+        # PAN is zero but for a patch inside the tile at (32, 32) and outside
+        # the halos of the others; a huge PAN weight overflows only there
+        scene = small_scene
+        pan = np.zeros((scene.pan.height, scene.pan.width))
+        pan[40:44, 40:44] = 1.0
+        _spec, params = random_head_checkpoint(4, 25)
+        params["gen.conv1.weight"].data[:, 4] = 1e308
+        monkeypatch.setattr(gan, "_FUSE_TILE", 32)
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match=r"tile at \(32, 32\)"
+        ):
+            gan.fuse(params, scene.ms, RasterBand(pan), scene.ratio)
+
+    def test_nan_bias_names_the_first_tile(self, small_scene):
+        scene = small_scene
+        _spec, params = random_head_checkpoint(4, 26)
+        params["gen.conv2.bias"].data[3] = np.nan
+        with pytest.raises(NumericalError, match=r"'conv2d' in the tile at \(0, 0\)"):
             gan.fuse(params, scene.ms, scene.pan, scene.ratio)

@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_conv2d_reflect, naive_covariance
@@ -17,6 +17,7 @@ from panfuse.raster import (
     InjectionGains,
     MultispectralImage,
     RasterBand,
+    _bicubic_up,
     detail_inject,
     estimate_gains,
     estimate_weights,
@@ -96,6 +97,32 @@ class TestUpsample:
         down = up.reshape(5, r, 3, r).mean(axis=(1, 3))
         np.testing.assert_allclose(down, a, rtol=0, atol=1e-15)
 
+    # the examples: the whole grid, the top-right pixel, the bottom-left
+    # pixel, and a window on the top and right edges
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 9), st.integers(1, 9), st.integers(2, 5),
+        st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(5, 7, 4, (0.0, 1.0), (0.0, 1.0), 0)
+    @example(5, 7, 4, (0.0, 0.0), (1.0, 1.0), 1)
+    @example(1, 1, 2, (1.0, 1.0), (0.0, 0.0), 2)
+    @example(6, 3, 3, (0.0, 0.4), (0.6, 1.0), 3)
+    def test_bicubic_window_is_the_crop_bitwise(self, h, w, r, rows_at, cols_at, seed):
+        a = np.random.default_rng(seed).uniform(0.0, 1.0, size=(h, w))
+
+        def window(at, n):
+            # a non-empty [start, stop) of n output pixels from two fractions
+            start = min(int(min(at) * n), n - 1)
+            return slice(start, max(start + 1, int(max(at) * n)))
+
+        rows, cols = window(rows_at, h * r), window(cols_at, w * r)
+        whole = upsample(MultispectralImage((band(a),)), r, "bicubic").bands[0].data
+        got = _bicubic_up(a, r, rows, cols)
+        assert got.shape == whole[rows, cols].shape
+        assert got.tobytes() == np.ascontiguousarray(whole[rows, cols]).tobytes()
 
 class TestMtfDegrade:
     def test_constant_preserved(self):
