@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .metrics import (
     evaluate_reduced,
 )
 from .raster import (
+    NYQUIST_GAIN,
     MultispectralImage,
     RasterBand,
     kv_format,
@@ -45,35 +47,17 @@ from .raster import (
     save_raster,
 )
 
-# a config value takes the type of its default; keys that default to None are strings
+# The run settings: the fields of MetricConfig (less the pixel-size ratio, which eval
+# derives from the scene) and TrainingConfig, then the CLI's own keys.  A value takes
+# the type of its default; keys that default to None are strings.
 CONFIG_DEFAULTS = {
-    "window": 32,
-    "stride": 32,
-    "p": 1,
-    "q": 1,
-    "alpha": 1.0,
-    "beta": 1.0,
-    "ratio": 4,
-    "iterations": 500,
-    "lr_g": 5e-3,
-    "lr_d": 1e-3,
-    "lambda_spec": 1.0,
-    "lambda_spat": 1.0,
-    "lambda_adv_spec": 0.01,
-    "lambda_adv_spat": 0.01,
-    "seed": 0,
-    "nyquist_gain": 0.30,
+    **{f.name: f.default for f in fields(MetricConfig) if f.name != "ratio"},
+    **{f.name: f.default for f in fields(gan.TrainingConfig)},
+    "nyquist_gain": NYQUIST_GAIN,
     "size": 256,
     "bands": 4,
     "out": ".",
-    "ms": None,
-    "pan": None,
-    "gt": None,
-    "fused": None,
-    "checkpoint": None,
-    "method": None,
-    "mode": None,
-    "label": None,
+    **dict.fromkeys(("ms", "pan", "gt", "fused", "checkpoint", "method", "mode", "label")),
 }
 _CONFIG_TYPES = {key: str if v is None else type(v) for key, v in CONFIG_DEFAULTS.items()}
 
@@ -110,29 +94,16 @@ class RunConfig:
         except KeyError as exc:
             raise AttributeError(key) from exc
 
+    def _build(self, config_class, ratio):
+        """``config_class`` from these values, with the scene's ``ratio``."""
+        values = {f.name: self.values[f.name] for f in fields(config_class) if f.name != "ratio"}
+        return config_class(**values, ratio=ratio)
+
     def metric_config(self, ratio: int) -> MetricConfig:
-        return MetricConfig(
-            window=self.window,
-            stride=self.stride,
-            p=self.p,
-            q=self.q,
-            alpha=self.alpha,
-            beta=self.beta,
-            ratio=Fraction(1, ratio),
-        )
+        return self._build(MetricConfig, Fraction(1, ratio))
 
     def training_config(self, ratio: int) -> gan.TrainingConfig:
-        return gan.TrainingConfig(
-            iterations=self.iterations,
-            lr_g=self.lr_g,
-            lr_d=self.lr_d,
-            lambda_spec=self.lambda_spec,
-            lambda_spat=self.lambda_spat,
-            lambda_adv_spec=self.lambda_adv_spec,
-            lambda_adv_spat=self.lambda_adv_spat,
-            seed=self.seed,
-            ratio=ratio,
-        )
+        return self._build(gan.TrainingConfig, ratio)
 
     def echo(self, ratio: int) -> str:
         values = dict(self.values, ratio=ratio)

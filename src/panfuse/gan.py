@@ -61,34 +61,30 @@ class GeneratorSpec:
     kernel_size: int = 3
     slope: float = 0.2
 
-    def init_params(self, rng: np.random.Generator, prefix: str = "gen") -> ParameterSet:
+    def init_params(self, rng: np.random.Generator) -> ParameterSet:
         k = self.kernel_size
         hid = self.hidden_channels
         params = ParameterSet()
-        params.add(f"{prefix}.conv1.weight", _he_uniform(rng, hid, self.bands + 1, k))
-        params.add(f"{prefix}.conv1.bias", np.zeros(hid))
-        params.add(f"{prefix}.conv2.weight", _he_uniform(rng, hid, hid, k))
-        params.add(f"{prefix}.conv2.bias", np.zeros(hid))
-        params.add(f"{prefix}.head.weight", np.zeros((self.bands, hid, k, k)))
-        params.add(f"{prefix}.head.bias", np.zeros(self.bands))
+        params.add("gen.conv1.weight", _he_uniform(rng, hid, self.bands + 1, k))
+        params.add("gen.conv1.bias", np.zeros(hid))
+        params.add("gen.conv2.weight", _he_uniform(rng, hid, hid, k))
+        params.add("gen.conv2.bias", np.zeros(hid))
+        params.add("gen.head.weight", np.zeros((self.bands, hid, k, k)))
+        params.add("gen.head.bias", np.zeros(self.bands))
         return params
 
-    def forward(self, params, ms_up: Tensor, pan: Tensor, prefix: str = "gen") -> Tensor:
-        return self.forward_from(params, ad.concat_channels(ms_up, pan), ms_up, prefix)
+    def forward(self, params, ms_up: Tensor, pan: Tensor) -> Tensor:
+        return self.forward_from(params, ad.concat_channels(ms_up, pan), ms_up)
 
-    def forward_from(
-        self, params, stacked: Tensor, ms_up: Tensor, prefix: str = "gen"
-    ) -> Tensor:
+    def forward_from(self, params, stacked: Tensor, ms_up: Tensor) -> Tensor:
         """Forward pass on a prebuilt (K+1, H, W) input; lets training loops
         reuse one constant input tensor across iterations."""
-        h = ad.conv2d(
-            stacked, params[f"{prefix}.conv1.weight"], params[f"{prefix}.conv1.bias"],
-            slope=self.slope,
-        )
-        h = ad.conv2d(
-            h, params[f"{prefix}.conv2.weight"], params[f"{prefix}.conv2.bias"], slope=self.slope
-        )
-        residual = ad.conv2d(h, params[f"{prefix}.head.weight"], params[f"{prefix}.head.bias"])
+        h = stacked
+        for layer in ("conv1", "conv2"):
+            h = ad.conv2d(
+                h, params[f"gen.{layer}.weight"], params[f"gen.{layer}.bias"], slope=self.slope
+            )
+        residual = ad.conv2d(h, params["gen.head.weight"], params["gen.head.bias"])
         return ad.clamp_smooth(ad.add(ms_up, residual))
 
 
@@ -488,12 +484,13 @@ def fuse(params: ParameterSet, ms: MultispectralImage, pan: RasterBand, r: int) 
     frozen = {name: Tensor(p.data) for name, p in params.items()}
     gen = GeneratorSpec(bands=k, hidden_channels=params["gen.conv1.weight"].data.shape[0])
     h, w = pan.height, pan.width
+    ms_arr = ms.to_array()
     out = np.empty((k, h, w))
     for top in range(0, h, _FUSE_TILE):
         for left in range(0, w, _FUSE_TILE):
             rows = slice(max(top - halo, 0), min(top + _FUSE_TILE + halo, h))
             cols = slice(max(left - halo, 0), min(left + _FUSE_TILE + halo, w))
-            ms_up = np.stack([_bicubic_up(b.data, r, rows, cols) for b in ms.bands])
+            ms_up = _bicubic_up(ms_arr, r, rows, cols)
             try:
                 tile = gen.forward(frozen, Tensor(ms_up), Tensor(pan.data[None, rows, cols]))
             except NumericalError as exc:

@@ -29,9 +29,11 @@ from .metrics import (
     evaluate_reduced,
 )
 from .raster import (
+    NYQUIST_GAIN,
     FusionProduct,
     MultispectralImage,
     RasterBand,
+    _inject,
     check_pan_scale,
     detail_inject,
     estimate_gains,
@@ -86,7 +88,7 @@ class SyntheticScene:
     pan_weights: np.ndarray
     seed: int
     ratio: int
-    nyquist_gain: float = 0.30
+    nyquist_gain: float = NYQUIST_GAIN
 
     def __post_init__(self):
         check_pan_scale(self.ms, self.pan, self.ratio)
@@ -102,7 +104,7 @@ def synth_scene(
     height: int,
     bands: int = 4,
     ratio: int = 4,
-    nyquist_gain: float = 0.30,
+    nyquist_gain: float = NYQUIST_GAIN,
 ) -> SyntheticScene:
     """Deterministic scene at PAN scale ``width x height`` with ``bands`` bands.
 
@@ -117,6 +119,8 @@ def synth_scene(
     width = int(width)
     height = int(height)
     ratio = int(ratio)
+    if width < 3 or height < 3:
+        raise InvalidInputError(f"scene size {width}x{height} is below the 3x3 minimum")
     if ratio < 1:
         raise InvalidInputError(f"ratio must be >= 1, got {ratio}")
     if width % ratio or height % ratio:
@@ -178,7 +182,7 @@ def synth_scene(
 
 
 def wald_reduce(
-    ms: MultispectralImage, pan: RasterBand, r: int, nyquist_gain: float = 0.30
+    ms: MultispectralImage, pan: RasterBand, r: int, nyquist_gain: float = NYQUIST_GAIN
 ):
     """Degrade both inputs by r so the original MS becomes the reference.
 
@@ -204,7 +208,7 @@ def baseline_fuse(
     ms: MultispectralImage,
     pan: RasterBand,
     r: int,
-    nyquist_gain: float = 0.30,
+    nyquist_gain: float = NYQUIST_GAIN,
 ) -> FusionProduct:
     """Reference fusers: plain upsampling, global CS injection, GLP-style injection."""
     r = int(r)
@@ -214,18 +218,12 @@ def baseline_fuse(
         ms_up = upsample(ms, r, "bicubic")
         weights = estimate_weights(ms_up, pan)
         gains = estimate_gains(ms_up, intensity_component(ms_up, weights))
-        product = detail_inject(ms_up, pan, gains, weights)
-        return FusionProduct(product.image, method="cs", provenance=dict(product.provenance))
+        return detail_inject(ms_up, pan, gains, weights)
     if method == "glp":
         ms_up = upsample(ms, r, "bicubic")
         pan_low = upsample_band(mtf_degrade(pan, r, nyquist_gain), r, "bicubic")
-        detail = pan.data - pan_low.data
-        gains = estimate_gains(ms_up, pan_low).gains
-        fused = tuple(
-            RasterBand(np.clip(band.data + gain * detail, 0.0, 1.0))
-            for gain, band in zip(gains, ms_up.bands)
-        )
-        return FusionProduct(MultispectralImage(fused, scale_ratio=1), method="glp")
+        gains = estimate_gains(ms_up, pan_low)
+        return FusionProduct(_inject(ms_up, pan.data - pan_low.data, gains), method="glp")
     raise InvalidInputError(f"unknown fusion method {method!r}")
 
 
@@ -244,36 +242,22 @@ def run_experiment(
     scene: SyntheticScene,
     methods,
     cfg: MetricConfig | None = None,
-    extra_fusers: dict | None = None,
-    out_dir=None,
 ) -> list:
-    """Fuse and score every method in both protocol modes.
-
-    ``extra_fusers`` maps method names to callables (ms, pan, r) -> FusionProduct,
-    overriding or extending the built-in baselines.  Failures are recorded per
-    row and the run continues.  When ``out_dir`` is given, one CSV per mode and
-    an aligned text table are written there, rows sorted by method name with
-    the Ideal row appended.
+    """Fuse and score every baseline method in ``methods`` in both protocol
+    modes, rows sorted by (method, mode).  Failures are recorded per row and
+    the run continues.
     """
     cfg = cfg or MetricConfig()
-    fusers = {name: None for name in BASELINE_METHODS}
-    fusers.update(extra_fusers or {})
     names = sorted(set(methods))
     for name in names:
-        if name not in fusers:
+        if name not in BASELINE_METHODS:
             raise InvalidInputError(f"unknown fusion method {name!r}")
     pan_low = mtf_degrade(scene.pan, scene.ratio, scene.nyquist_gain)
 
     def run_one(name: str) -> list:
         start = time.perf_counter()
         try:
-            custom = fusers.get(name)
-            if custom is not None:
-                product = custom(scene.ms, scene.pan, scene.ratio)
-            else:
-                product = baseline_fuse(
-                    name, scene.ms, scene.pan, scene.ratio, scene.nyquist_gain
-                )
+            product = baseline_fuse(name, scene.ms, scene.pan, scene.ratio, scene.nyquist_gain)
             reduced = evaluate_reduced(product, scene.gt_hrms, cfg)
             full = evaluate_full(product, scene.ms, scene.pan, pan_low, cfg)
         except PanfuseError as exc:
@@ -296,8 +280,6 @@ def run_experiment(
         chunks = [run_one(name) for name in names]
     results = [res for chunk in chunks for res in chunk]
     results.sort(key=lambda res: (res.method, res.mode))
-    if out_dir is not None:
-        emit_result_files(results, out_dir)
     return results
 
 
@@ -322,7 +304,7 @@ def parse_results_table(text: str, mode: str):
     return {row[0]: dict(zip(metric_names, row[1:])) for row in rows}
 
 
-def results_table_text(results, modes=("reduced", "full")) -> str:
+def results_table_text(results, modes) -> str:
     """Human-readable aligned table with one block per mode in ``modes``."""
     blocks = []
     for mode in modes:
@@ -345,13 +327,3 @@ def results_table_text(results, modes=("reduced", "full")) -> str:
             lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
-
-
-def emit_result_files(results, out_dir) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for mode in ("reduced", "full"):
-        path = os.path.join(out_dir, f"results_{mode}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(results_table_csv(results, mode))
-    with open(os.path.join(out_dir, "results.txt"), "w", encoding="utf-8") as fh:
-        fh.write(results_table_text(results))

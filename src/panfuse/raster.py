@@ -25,6 +25,8 @@ from .errors import (
 
 PFR_MAGIC = b"PFR1"
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+# MTF gain at the decimated grid's Nyquist frequency: the sensor model of every degradation
+NYQUIST_GAIN = 0.30
 
 
 def _freeze(data) -> np.ndarray:
@@ -194,18 +196,18 @@ def _bicubic_axis_taps(n_in: int, r: int):
 def _bicubic_up(
     a: np.ndarray, r: int, rows: slice = slice(None), cols: slice = slice(None)
 ) -> np.ndarray:
-    """Bicubic upsample of the 2-D ``a`` by ``r``, or its ``rows`` x ``cols``
-    window of the output grid.
+    """Bicubic upsample of the ``(..., H, W)`` stack ``a`` by ``r``, or its
+    ``rows`` x ``cols`` window of the output grid.
 
     A window slices the tap tables of the whole output and reads only the
     source pixels they name, so it is bitwise the same crop of the whole result.
     """
-    idx, w = (t[:, rows] for t in _bicubic_axis_taps(a.shape[0], r))
-    cidx, cw = (t[:, cols] for t in _bicubic_axis_taps(a.shape[1], r))
+    idx, w = (t[:, rows] for t in _bicubic_axis_taps(a.shape[-2], r))
+    cidx, cw = (t[:, cols] for t in _bicubic_axis_taps(a.shape[-1], r))
     lo = cidx.min()
-    a = a[:, lo : cidx.max() + 1]
-    a = sum(a[idx[k]] * w[k][:, None] for k in range(4))
-    return sum(a[:, cidx[k] - lo] * cw[k][None, :] for k in range(4))
+    a = a[..., lo : cidx.max() + 1]
+    a = sum(a[..., idx[k], :] * w[k][:, None] for k in range(4))
+    return sum(a[..., cidx[k] - lo] * cw[k] for k in range(4))
 
 
 def upsample_band(band: RasterBand, r: int, mode: str = "bicubic") -> RasterBand:
@@ -266,7 +268,7 @@ def _separable_blur(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out2
 
 
-def mtf_degrade(band: RasterBand, r: int, nyquist_gain: float = 0.30) -> RasterBand:
+def mtf_degrade(band: RasterBand, r: int, nyquist_gain: float = NYQUIST_GAIN) -> RasterBand:
     """Sensor-style lowpass plus decimation.
 
     Applies a separable Gaussian blur with sigma = sqrt(-2 ln g) * r / (2 pi)
@@ -292,7 +294,7 @@ def mtf_degrade(band: RasterBand, r: int, nyquist_gain: float = 0.30) -> RasterB
 
 
 def mtf_degrade_ms(
-    ms: MultispectralImage, r: int, nyquist_gain: float = 0.30
+    ms: MultispectralImage, r: int, nyquist_gain: float = NYQUIST_GAIN
 ) -> MultispectralImage:
     """Apply :func:`mtf_degrade` band by band, keeping the MS scale ratio."""
     bands = tuple(mtf_degrade(b, r, nyquist_gain) for b in ms.bands)
@@ -399,11 +401,16 @@ def detail_inject(
             f"{gains.gains.size} gains for {ms_up.band_count} bands"
         )
     detail = pan.data - intensity_component(ms_up, weights).data
+    return FusionProduct(_inject(ms_up, detail, gains), method="cs")
+
+
+def _inject(ms_up: MultispectralImage, detail: np.ndarray, gains: InjectionGains):
+    """The bands band_k + g_k * detail of ``ms_up``, clamped to [0, 1]."""
     fused = tuple(
         RasterBand(np.clip(band.data + g * detail, 0.0, 1.0))
         for g, band in zip(gains.gains, ms_up.bands)
     )
-    return FusionProduct(MultispectralImage(fused, scale_ratio=1), method="cs")
+    return MultispectralImage(fused, scale_ratio=1)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,31 @@ class TestPipeline:
         assert pairs["ratio"] == "1/2"
         assert pairs["config.ratio"] == "2"
 
+    def test_eval_echoes_every_config_key(self, tmp_path):
+        # every setting at its default; the keys that default to None are set, so
+        # that all 27 keys are echoed
+        out = tmp_path / "run"
+        run(synth_args(out))
+        run(["fuse", "--method", "exp", "--out", str(out)])
+        given = {
+            "checkpoint": out / "c.pfck", "fused": out / "fused_exp.pfr", "gt": out / "gt.pfr",
+            "label": "pinned", "method": "exp", "ms": out / "ms.pfr", "pan": out / "pan.pfr",
+        }
+        cfg = tmp_path / "paths.cfg"
+        cfg.write_text(kv_format(given.items()))
+        assert run(["eval", "--mode", "reduced", "--config", str(cfg), "--out", str(out)]) == 0
+        echo = dict(
+            given, alpha=1.0, bands=4, beta=1.0, iterations=500, lambda_adv_spat=0.01,
+            lambda_adv_spec=0.01, lambda_spat=1.0, lambda_spec=1.0, lr_d=0.001, lr_g=0.005,
+            mode="reduced", nyquist_gain=0.3, out=out, p=1, q=1, ratio=4, seed=0, size=256,
+            stride=32, window=32,
+        )
+        assert len(echo) == 27
+        text = (out / "eval_reduced_pinned.kv").read_text()
+        assert [ln for ln in text.splitlines() if ln.startswith("config.")] == [
+            f"config.{key} = {echo[key]}" for key in sorted(echo)
+        ]
+
     def test_full_mode_eval(self, tmp_path):
         out = tmp_path / "run"
         run(synth_args(out))
@@ -248,6 +273,15 @@ class TestExitCodes:
 
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["degrade", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("size,ratio", [(0, 4), (2, 2), (-4, 4)])
+    def test_synth_below_3x3_exits_2(self, tmp_path, capsys, size, ratio):
+        out = tmp_path / "o"
+        assert run(synth_args(out, size=size, ratio=ratio)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and f"{size}x{size}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:

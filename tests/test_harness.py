@@ -3,23 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from panfuse import harness
 from panfuse.errors import InvalidInputError
 from panfuse.harness import (
     baseline_fuse,
     parse_results_table,
     results_table_csv,
+    results_table_text,
     run_experiment,
     synth_scene,
     wald_reduce,
     worker_threads,
 )
-from panfuse.metrics import MetricConfig, evaluate_reduced
+from panfuse.metrics import MetricConfig, evaluate_full, evaluate_reduced
 from panfuse.raster import (
     FusionProduct,
     MultispectralImage,
     RasterBand,
     intensity_component,
     estimate_weights,
+    mtf_degrade,
     upsample,
 )
 
@@ -171,52 +174,37 @@ class TestRunExperiment:
 
     def test_identity_method_ideal_reduced(self, small_scene):
         scene = small_scene
-
-        def perfect(ms, pan, r):
-            return FusionProduct(scene.gt_hrms, method="ideal")
-
-        results = run_experiment(
-            scene,
-            ["ideal"],
-            MetricConfig(window=8, stride=8),
-            extra_fusers={"ideal": perfect},
-        )
-        by_mode = {r.mode: r for r in results}
-        reduced = by_mode["reduced"].report.entries
+        cfg = MetricConfig(window=8, stride=8)
+        perfect = FusionProduct(scene.gt_hrms, method="ideal")
+        reduced = evaluate_reduced(perfect, scene.gt_hrms, cfg).entries
         assert reduced["SAM"] == 0.0
         assert reduced["ERGAS"] == 0.0
         assert abs(reduced["CC"] - 1.0) < 1e-9
         # full-resolution distortions of a perfect fusion are near zero, not
         # exactly zero: the MS input is a blurred decimation, not a block mean
-        full = by_mode["full"].report.entries
+        pan_low = mtf_degrade(scene.pan, scene.ratio, scene.nyquist_gain)
+        full = evaluate_full(perfect, scene.ms, scene.pan, pan_low, cfg).entries
         assert full["D_lambda"] < 0.05
         assert full["D_s"] < 0.05
         assert full["QNR"] > 0.9
 
-    def test_failure_recorded_and_run_continues(self, small_scene):
-        def broken(ms, pan, r):
-            raise InvalidInputError("deliberately broken")
+    def test_failure_recorded_and_run_continues(self, small_scene, monkeypatch):
+        def broken_cs(method, *args):
+            if method == "cs":
+                raise InvalidInputError("deliberately broken")
+            return baseline_fuse(method, *args)
 
-        results = run_experiment(
-            small_scene,
-            ["broken", "exp"],
-            MetricConfig(window=8, stride=8),
-            extra_fusers={"broken": broken},
-        )
+        monkeypatch.setattr(harness, "baseline_fuse", broken_cs)
+        results = run_experiment(small_scene, ["cs", "exp"], MetricConfig(window=8, stride=8))
         ok = [r for r in results if r.method == "exp"]
-        bad = [r for r in results if r.method == "broken"]
+        bad = [r for r in results if r.method == "cs"]
+        assert len(ok) == len(bad) == 2
         assert all(r.report is not None for r in ok)
         assert all(r.report is None and "broken" in r.error for r in bad)
 
-    def test_table_round_trip_and_qnr_consistency(self, small_scene, tmp_path):
-        results = run_experiment(
-            small_scene,
-            ["exp", "cs"],
-            MetricConfig(window=8, stride=8),
-            out_dir=tmp_path,
-        )
-        text = (tmp_path / "results_full.csv").read_text()
-        rows = parse_results_table(text, "full")
+    def test_table_round_trip_and_qnr_consistency(self, small_scene):
+        results = run_experiment(small_scene, ["exp", "cs"], MetricConfig(window=8, stride=8))
+        rows = parse_results_table(results_table_csv(results, "full"), "full")
         for res in results:
             if res.mode != "full":
                 continue
@@ -246,14 +234,16 @@ class TestRunExperiment:
         csv_text = results_table_csv(results, "reduced")
         assert csv_text.strip().splitlines()[-1].startswith("Ideal,")
 
-    def test_experiment_reruns_identical(self, small_scene, tmp_path):
+    def test_experiment_reruns_identical(self, small_scene):
         cfg = MetricConfig(window=8, stride=8)
-        run_experiment(small_scene, ["exp", "cs"], cfg, out_dir=tmp_path / "a")
-        run_experiment(small_scene, ["exp", "cs"], cfg, out_dir=tmp_path / "b")
-        for name in ("results_reduced.csv", "results_full.csv", "results.txt"):
-            assert (tmp_path / "a" / name).read_bytes() == (
-                tmp_path / "b" / name
-            ).read_bytes()
+
+        def tables():
+            results = run_experiment(small_scene, ["exp", "cs"], cfg)
+            return [results_table_csv(results, mode) for mode in ("reduced", "full")] + [
+                results_table_text(results, ("reduced", "full"))
+            ]
+
+        assert tables() == tables()
 
     def test_unknown_method_rejected(self, small_scene):
         with pytest.raises(InvalidInputError):

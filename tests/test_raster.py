@@ -111,7 +111,7 @@ class TestUpsample:
     @example(1, 1, 2, (1.0, 1.0), (0.0, 0.0), 2)
     @example(6, 3, 3, (0.0, 0.4), (0.6, 1.0), 3)
     def test_bicubic_window_is_the_crop_bitwise(self, h, w, r, rows_at, cols_at, seed):
-        a = np.random.default_rng(seed).uniform(0.0, 1.0, size=(h, w))
+        a = np.random.default_rng(seed).uniform(0.0, 1.0, size=(3, h, w))
 
         def window(at, n):
             # a non-empty [start, stop) of n output pixels from two fractions
@@ -119,10 +119,12 @@ class TestUpsample:
             return slice(start, max(start + 1, int(max(at) * n)))
 
         rows, cols = window(rows_at, h * r), window(cols_at, w * r)
-        whole = upsample(MultispectralImage((band(a),)), r, "bicubic").bands[0].data
-        got = _bicubic_up(a, r, rows, cols)
-        assert got.shape == whole[rows, cols].shape
-        assert got.tobytes() == np.ascontiguousarray(whole[rows, cols]).tobytes()
+        whole = upsample(MultispectralImage.from_array(a), r, "bicubic").to_array()
+        # one band, and the stack of all three bands in one call
+        for got, want in ((_bicubic_up(a[0], r, rows, cols), whole[0, rows, cols]),
+                          (_bicubic_up(a, r, rows, cols), whole[:, rows, cols])):
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 class TestMtfDegrade:
     def test_constant_preserved(self):
