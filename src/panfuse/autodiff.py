@@ -593,8 +593,8 @@ def conv2d(
     def bw(g, needs):
         gx = gw = gb = None
         if slope is not None:
-            masked = g * slope
-            np.copyto(masked, g, where=out > 0.0)
+            masked = np.where(out > 0.0, 1.0, slope)
+            masked *= g
             g = masked
         if needs[0]:
             gx = _conv_grad_x(g, wd, stride, h_in, w_in)

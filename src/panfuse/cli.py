@@ -139,16 +139,19 @@ def _resolve_ratio(cfg: RunConfig, args) -> int:
     if os.path.exists(path):
         meta = kv_parse(Path(path).read_bytes(), path)
         if "ratio" in meta:
-            return kv_value(meta, "ratio", int, path)
+            ratio = kv_value(meta, "ratio", int, path)
+            if ratio < 1:
+                raise ConfigError(f"{path}: key 'ratio' must be >= 1, got {ratio}")
+            return ratio
     return cfg.ratio
 
 
-def _load_ms_pan(cfg: RunConfig, ratio: int, suffixes=("",)):
+def _load_ms_pan(cfg: RunConfig, suffixes=("",)):
     """Load the MS/PAN pair: --ms/--pan, or else the first of ms<suffix>.pfr /
     pan<suffix>.pfr under --out, trying ``suffixes`` in order."""
     ms_path = _resolve_input(cfg, "ms", tuple(f"ms{s}.pfr" for s in suffixes))
     pan_path = _resolve_input(cfg, "pan", tuple(f"pan{s}.pfr" for s in suffixes))
-    ms = load_raster(ms_path, scale_ratio=ratio)
+    ms = load_raster(ms_path)
     pan = load_raster(pan_path)
     if not isinstance(ms, MultispectralImage) or not isinstance(pan, RasterBand):
         raise ConfigError(
@@ -185,7 +188,7 @@ def cmd_synth(args) -> int:
 def cmd_degrade(args) -> int:
     cfg = RunConfig(args)
     ratio = _resolve_ratio(cfg, args)
-    ms, pan = _load_ms_pan(cfg, ratio)
+    ms, pan = _load_ms_pan(cfg)
     ms_lo, pan_lo, reference = wald_reduce(ms, pan, ratio, cfg.nyquist_gain)
     os.makedirs(cfg.out, exist_ok=True)
     save_raster(ms_lo, _out_path(cfg, "ms_lo.pfr"))
@@ -201,7 +204,7 @@ def cmd_fuse(args) -> int:
     if not method:
         raise ConfigError("missing required key 'method' (--method exp|cs|glp|gan)")
     ratio = _resolve_ratio(cfg, args)
-    ms, pan = _load_ms_pan(cfg, ratio, ("_lo", ""))
+    ms, pan = _load_ms_pan(cfg, ("_lo", ""))
     if method == "gan":
         if not cfg.checkpoint:
             raise ConfigError("method 'gan' requires --checkpoint PATH")
@@ -219,7 +222,7 @@ def cmd_fuse(args) -> int:
 def cmd_train(args) -> int:
     cfg = RunConfig(args)
     ratio = _resolve_ratio(cfg, args)
-    ms, pan = _load_ms_pan(cfg, ratio)
+    ms, pan = _load_ms_pan(cfg)
     params, log = gan.train(ms, pan, cfg.training_config(ratio))
     os.makedirs(cfg.out, exist_ok=True)
     ckpt = cfg.checkpoint or _out_path(cfg, "checkpoint.pfck")
@@ -272,7 +275,7 @@ def cmd_eval(args) -> int:
             raise ConfigError("ground truth must be multiband")
         report = evaluate_reduced(fused, gt, mcfg)
     else:
-        ms, pan = _load_ms_pan(cfg, ratio, ("_lo", ""))
+        ms, pan = _load_ms_pan(cfg, ("_lo", ""))
         pan_low = mtf_degrade(pan, ratio, cfg.nyquist_gain)
         report = evaluate_full(fused, ms, pan, pan_low, mcfg)
     kv_text = report.to_kv() + cfg.echo(ratio=ratio)

@@ -29,7 +29,6 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .raster import (
-    FusionProduct,
     IntensityWeights,
     MultispectralImage,
     RasterBand,
@@ -138,9 +137,11 @@ class TrainingConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise InvalidInputError("iterations must be >= 1")
-        for name in ("lambda_spec", "lambda_spat", "lambda_adv_spec", "lambda_adv_spat"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be >= 0")
+        for name in ("lr_g", "lr_d", "lambda_spec", "lambda_spat", "lambda_adv_spec",
+                     "lambda_adv_spat"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
         if self.lr_g <= 0 or self.lr_d <= 0:
             raise InvalidInputError("learning rates must be positive")
         if self.ratio < 1:
@@ -211,8 +212,8 @@ def q_index(a: Tensor, b: Tensor) -> Tensor:
 def _as_tensor(fused) -> Tensor:
     if isinstance(fused, Tensor):
         return fused
-    if isinstance(fused, (FusionProduct, MultispectralImage)):
-        return Tensor(fused.to_array())
+    if isinstance(fused, MultispectralImage):
+        return Tensor(fused.data)
     raise InvalidInputError(f"cannot interpret {type(fused).__name__} as a fused image")
 
 
@@ -235,7 +236,7 @@ def spectral_loss(fused, ms: MultispectralImage, r: int) -> Tensor:
     for band_idx in range(k):
         q = q_index(
             ad.channel_slice(degraded, band_idx),
-            Tensor(ms.bands[band_idx].data),
+            Tensor(ms.data[band_idx]),
         )
         term = 1.0 - q
         total = term if total is None else total + term
@@ -333,14 +334,14 @@ class _TrainingState:
         gen, disc_spec, disc_spat = GeneratorSpec(k), DiscriminatorSpec(k), DiscriminatorSpec(1)
         rng = np.random.default_rng(cfg.seed)
         ms_up = upsample(ms, cfg.ratio, "bicubic")
-        ms_up_t, pan_t = Tensor(ms_up.to_array()), Tensor(pan.data[None])
+        ms_up_t, pan_t = Tensor(ms_up.data), Tensor(pan.data[None])
         return cls(
             cfg, gen, disc_spec, disc_spat,
             # the parameters are drawn from ``rng`` in this order
             gen.init_params(rng),
             disc_spec.init_params(rng, "dspec"),
             disc_spat.init_params(rng, "dspat"),
-            ms, pan, estimate_weights(ms_up, pan), ms_up_t, pan_t, Tensor(ms.to_array()),
+            ms, pan, estimate_weights(ms_up, pan), ms_up_t, pan_t, Tensor(ms.data),
             ad.concat_channels(ms_up_t, pan_t),  # the generator input, constant across iterations
         )
 
@@ -468,7 +469,9 @@ def _generator_halo(params: ParameterSet, bands: int) -> int:
     return halo
 
 
-def fuse(params: ParameterSet, ms: MultispectralImage, pan: RasterBand, r: int) -> FusionProduct:
+def fuse(
+    params: ParameterSet, ms: MultispectralImage, pan: RasterBand, r: int
+) -> MultispectralImage:
     """Single deterministic forward pass with a frozen checkpoint.
 
     The generator runs on square tiles of the PAN grid, each read with a halo
@@ -484,13 +487,12 @@ def fuse(params: ParameterSet, ms: MultispectralImage, pan: RasterBand, r: int) 
     frozen = {name: Tensor(p.data) for name, p in params.items()}
     gen = GeneratorSpec(bands=k, hidden_channels=params["gen.conv1.weight"].data.shape[0])
     h, w = pan.height, pan.width
-    ms_arr = ms.to_array()
     out = np.empty((k, h, w))
     for top in range(0, h, _FUSE_TILE):
         for left in range(0, w, _FUSE_TILE):
             rows = slice(max(top - halo, 0), min(top + _FUSE_TILE + halo, h))
             cols = slice(max(left - halo, 0), min(left + _FUSE_TILE + halo, w))
-            ms_up = _bicubic_up(ms_arr, r, rows, cols)
+            ms_up = _bicubic_up(ms.data, r, rows, cols)
             try:
                 tile = gen.forward(frozen, Tensor(ms_up), Tensor(pan.data[None, rows, cols]))
             except NumericalError as exc:
@@ -499,7 +501,4 @@ def fuse(params: ParameterSet, ms: MultispectralImage, pan: RasterBand, r: int) 
             out[:, top:bottom, left:right] = tile.data[
                 :, top - rows.start : bottom - rows.start, left - cols.start : right - cols.start
             ]
-    image = MultispectralImage.from_array(out, scale_ratio=1)
-    return FusionProduct(
-        image, method="gan", provenance={"checkpoint_hash": checkpoint_hash(params)}
-    )
+    return MultispectralImage(out)

@@ -30,7 +30,6 @@ from .metrics import (
 )
 from .raster import (
     NYQUIST_GAIN,
-    FusionProduct,
     MultispectralImage,
     RasterBand,
     _inject,
@@ -95,7 +94,7 @@ class SyntheticScene:
 
     def reconstruct_pan(self) -> RasterBand:
         """Rebuild PAN from the ground truth and the stored weights."""
-        return _synth_pan(self.pan_weights, self.gt_hrms.to_array())
+        return _synth_pan(self.pan_weights, self.gt_hrms.data)
 
 
 def synth_scene(
@@ -166,7 +165,7 @@ def synth_scene(
     lo, hi = gt.min(), gt.max()
     gt = 0.1 + 0.8 * (gt - lo) / (hi - lo)
 
-    gt_hrms = MultispectralImage.from_array(gt, scale_ratio=1)
+    gt_hrms = MultispectralImage(gt)
     ms = mtf_degrade_ms(gt_hrms, ratio, nyquist_gain)
     raw_w = rng.uniform(0.5, 1.5, size=bands)
     pan_weights = raw_w / raw_w.sum()
@@ -192,10 +191,7 @@ def wald_reduce(
     r = int(r)
     if ms.height % r or ms.width % r or pan.height % r or pan.width % r:
         raise InvalidInputError(f"input dimensions are not divisible by ratio {r}")
-    ms_lo = MultispectralImage(
-        tuple(mtf_degrade(b, r, nyquist_gain) for b in ms.bands),
-        scale_ratio=ms.scale_ratio,
-    )
+    ms_lo = mtf_degrade_ms(ms, r, nyquist_gain)
     pan_lo = mtf_degrade(pan, r, nyquist_gain)
     return ms_lo, pan_lo, ms
 
@@ -209,11 +205,11 @@ def baseline_fuse(
     pan: RasterBand,
     r: int,
     nyquist_gain: float = NYQUIST_GAIN,
-) -> FusionProduct:
+) -> MultispectralImage:
     """Reference fusers: plain upsampling, global CS injection, GLP-style injection."""
     r = int(r)
     if method == "exp":
-        return FusionProduct(upsample(ms, r, "bicubic"), method="exp")
+        return upsample(ms, r, "bicubic")
     if method == "cs":
         ms_up = upsample(ms, r, "bicubic")
         weights = estimate_weights(ms_up, pan)
@@ -223,7 +219,7 @@ def baseline_fuse(
         ms_up = upsample(ms, r, "bicubic")
         pan_low = upsample_band(mtf_degrade(pan, r, nyquist_gain), r, "bicubic")
         gains = estimate_gains(ms_up, pan_low)
-        return FusionProduct(_inject(ms_up, pan.data - pan_low.data, gains), method="glp")
+        return _inject(ms_up, pan.data - pan_low.data, gains)
     raise InvalidInputError(f"unknown fusion method {method!r}")
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .raster import FusionProduct, MultispectralImage, RasterBand, kv_format, kv_parse, kv_value
+from .raster import MultispectralImage, RasterBand, kv_format, kv_parse, kv_value
 
 REDUCED_METRICS = ("SAM", "CC", "UIQI", "Q4", "ERGAS")
 FULL_METRICS = ("D_lambda", "D_s", "QNR")
@@ -51,13 +51,15 @@ class MetricConfig:
             raise InvalidInputError(f"stride must be >= 1, got {self.stride}")
         if self.p < 1 or self.q < 1:
             raise InvalidInputError("exponents p and q must be >= 1")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
         if float(self.ratio) <= 0:
             raise InvalidInputError("pixel-size ratio must be positive")
 
 
 def _as_ms(image) -> MultispectralImage:
-    if isinstance(image, FusionProduct):
-        return image.image
     if isinstance(image, MultispectralImage):
         return image
     raise InvalidInputError(f"expected a multispectral image, got {type(image).__name__}")
@@ -77,7 +79,7 @@ def _angle_map_degrees(F, M) -> np.ndarray:
     fi, mi = _check_pair(F, M)
     if fi.band_count < 2:
         raise InvalidInputError("spectral angle needs at least two bands")
-    f, m = [b.data for b in fi.bands], [b.data for b in mi.bands]
+    f, m = fi.data, mi.data
     dot = sum(a * b for a, b in zip(f, m))
     sf = sum(a * a for a in f)
     sm = sum(b * b for b in m)
@@ -142,7 +144,7 @@ def cc(F, M) -> float:
             raise InvalidInputError("band dimensions differ")
         return _cc_band(f.data, m.data)
     fi, mi = _check_pair(F, M)
-    vals = [_cc_band(fb.data, mb.data) for fb, mb in zip(fi.bands, mi.bands)]
+    vals = [_cc_band(f, m) for f, m in zip(fi.data, mi.data)]
     return float(np.mean(vals))
 
 
@@ -189,7 +191,7 @@ class _Moments:
     """Per-window statistics, each (k, ny, nx), of the k bands of an image."""
 
     grid: _WindowGrid
-    bands: list
+    bands: np.ndarray  # (k, H, W)
     centre: list  # the image mean of each band
     dsum: np.ndarray  # window sums of band - centre
     mean: np.ndarray
@@ -200,7 +202,7 @@ class _Moments:
 
 def _moments(image, window: int, stride: int) -> _Moments:
     """Window statistics of a RasterBand or of every band of an MS image."""
-    bands = [b.data for b in getattr(image, "bands", (image,))]
+    bands = image.data if isinstance(image, MultispectralImage) else image.data[None]
     grid = _window_origins(*bands[0].shape, window, stride)
     n = window * window
 
@@ -279,11 +281,11 @@ def ergas(F, M, cfg: MetricConfig | None = None) -> float:
     cfg = cfg or MetricConfig()
     fi, mi = _check_pair(F, M)
     acc = 0.0
-    for fb, mb in zip(fi.bands, mi.bands):
-        mu = float(mb.data.mean())
+    for f, m in zip(fi.data, mi.data):
+        mu = float(m.mean())
         if mu == 0.0:
             raise DegenerateInputError("ERGAS undefined for a zero-mean reference band")
-        rmse = math.sqrt(float(np.mean((fb.data - mb.data) ** 2)))
+        rmse = math.sqrt(float(np.mean((f - m) ** 2)))
         acc += (rmse / mu) ** 2
     return 100.0 * float(cfg.ratio) * math.sqrt(acc / fi.band_count)
 

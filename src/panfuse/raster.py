@@ -1,8 +1,8 @@
 """Image containers, resampling, degradation, histogram matching and detail injection.
 
-All containers are immutable value objects backed by read-only float64 arrays;
-every operation is a pure function of its inputs, so values can be shared
-freely across threads.
+A band is one frozen (H, W) float64 array and a multispectral image one frozen
+(K, H, W) float64 array; every operation is a pure function of its inputs, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 import struct
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,25 +35,28 @@ def _freeze(data) -> np.ndarray:
     return arr
 
 
+def _frozen_image(data, ndim: int) -> np.ndarray:
+    """``data`` frozen, once checked to be a non-empty ``ndim``-D array of finite values."""
+    arr = np.asarray(data, dtype=np.float64)
+    if arr.ndim != ndim or arr.size == 0:
+        raise InvalidInputError(f"image data must be a non-empty {ndim}-D array, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError("image data contains NaN or Inf")
+    return _freeze(arr)
+
+
 @dataclass(frozen=True)
 class RasterBand:
     """One image band: row-major float64 intensities, nominally in [0, 1].
 
-    The payload must be a non-empty 2-D array of finite values.  The array is
-    frozen at construction; derive new bands instead of mutating.
+    The payload must be a non-empty (H, W) array of finite values.  The array
+    is frozen at construction; derive new bands instead of mutating.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise InvalidInputError(
-                f"band data must be a non-empty 2-D array, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise InvalidInputError("band data contains NaN or Inf")
-        object.__setattr__(self, "data", _freeze(arr))
+        object.__setattr__(self, "data", _frozen_image(self.data, 2))
 
     @property
     def height(self) -> int:
@@ -66,55 +69,25 @@ class RasterBand:
 
 @dataclass(frozen=True)
 class MultispectralImage:
-    """K co-registered bands of identical size plus the MS-to-PAN scale ratio.
+    """K co-registered bands of identical size: one frozen (K, H, W) array of
+    finite values, checked at construction like :class:`RasterBand`."""
 
-    ``scale_ratio`` is the number of PAN pixels per MS pixel along each axis
-    (1 when the image already sits at PAN scale).
-    """
-
-    bands: tuple
-    scale_ratio: int = 1
+    data: np.ndarray
 
     def __post_init__(self):
-        bands = tuple(
-            b if isinstance(b, RasterBand) else RasterBand(b) for b in self.bands
-        )
-        if len(bands) < 1:
-            raise InvalidInputError("a multispectral image needs at least one band")
-        h, w = bands[0].height, bands[0].width
-        for i, b in enumerate(bands):
-            if (b.height, b.width) != (h, w):
-                raise InvalidInputError(
-                    f"band {i} is {b.height}x{b.width}, expected {h}x{w}"
-                )
-        ratio = int(self.scale_ratio)
-        if ratio < 1:
-            raise InvalidInputError(f"scale_ratio must be >= 1, got {ratio}")
-        object.__setattr__(self, "bands", bands)
-        object.__setattr__(self, "scale_ratio", ratio)
+        object.__setattr__(self, "data", _frozen_image(self.data, 3))
 
     @property
     def band_count(self) -> int:
-        return len(self.bands)
+        return self.data.shape[0]
 
     @property
     def height(self) -> int:
-        return self.bands[0].height
+        return self.data.shape[1]
 
     @property
     def width(self) -> int:
-        return self.bands[0].width
-
-    def to_array(self) -> np.ndarray:
-        """Stack bands into a (K, H, W) float64 array."""
-        return np.stack([b.data for b in self.bands])
-
-    @classmethod
-    def from_array(cls, arr, scale_ratio: int = 1) -> "MultispectralImage":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 3:
-            raise InvalidInputError(f"expected (K, H, W) array, got shape {arr.shape}")
-        return cls(tuple(RasterBand(a) for a in arr), scale_ratio)
+        return self.data.shape[2]
 
 
 @dataclass(frozen=True)
@@ -143,18 +116,6 @@ class InjectionGains:
         if g.size == 0 or not np.isfinite(g).all():
             raise InvalidInputError("gains must be finite and non-empty")
         object.__setattr__(self, "gains", _freeze(g.reshape(-1)))
-
-
-@dataclass(frozen=True)
-class FusionProduct:
-    """Fused K-band image at PAN resolution plus method provenance."""
-
-    image: MultispectralImage
-    method: str
-    provenance: dict = field(default_factory=dict)
-
-    def to_array(self) -> np.ndarray:
-        return self.image.to_array()
 
 
 def check_pan_scale(ms: MultispectralImage, pan: RasterBand, r: int) -> None:
@@ -201,38 +162,49 @@ def _bicubic_up(
 
     A window slices the tap tables of the whole output and reads only the
     source pixels they name, so it is bitwise the same crop of the whole result.
+    The row pass runs on the whole stack, 1/r of the output; the column pass
+    adds its four taps into the output band by band, through one band of scratch.
     """
     idx, w = (t[:, rows] for t in _bicubic_axis_taps(a.shape[-2], r))
     cidx, cw = (t[:, cols] for t in _bicubic_axis_taps(a.shape[-1], r))
     lo = cidx.min()
     a = a[..., lo : cidx.max() + 1]
     a = sum(a[..., idx[k], :] * w[k][:, None] for k in range(4))
-    return sum(a[..., cidx[k] - lo] * cw[k] for k in range(4))
+    out = np.zeros(a.shape[:-1] + cw.shape[1:])  # from +0.0, as sum() starts: -0.0 taps sum to +0.0
+    tap = np.empty(out.shape[-2:])
+    for src, dest in zip(a.reshape(-1, *a.shape[-2:]), out.reshape(-1, *out.shape[-2:])):
+        for k in range(4):
+            # the indices are in range; mode "raise" would copy through a second buffer
+            np.take(src, cidx[k] - lo, axis=-1, out=tap, mode="clip")
+            tap *= cw[k]
+            dest += tap
+    return out
 
 
 def upsample_band(band: RasterBand, r: int, mode: str = "bicubic") -> RasterBand:
     """Upsample one band by an integer factor; see :func:`upsample`."""
-    r = int(r)
-    if r < 1:
-        raise InvalidInputError(f"upsample ratio must be >= 1, got {r}")
-    if mode not in ("replicate", "bicubic"):
-        raise InvalidInputError(f"unknown upsample mode {mode!r}")
-    if r == 1:
-        return band
-    if mode == "replicate":
-        return RasterBand(np.repeat(np.repeat(band.data, r, axis=0), r, axis=1))
-    return RasterBand(_bicubic_up(band.data, r))
+    return RasterBand(upsample(MultispectralImage(band.data[None]), r, mode).data[0])
 
 
 def upsample(ms: MultispectralImage, r: int, mode: str = "bicubic") -> MultispectralImage:
     """Upsample every band by r per axis.
 
     ``replicate`` copies each pixel into an r x r block; ``bicubic`` uses a
-    4x4 Catmull-Rom kernel with tap indices clamped at the edges.  The result
-    sits at PAN scale, so its scale_ratio is 1.
+    4x4 Catmull-Rom kernel with tap indices clamped at the edges.
     """
-    bands = tuple(upsample_band(b, r, mode) for b in ms.bands)
-    return MultispectralImage(bands, scale_ratio=1)
+    r = int(r)
+    if r < 1:
+        raise InvalidInputError(f"upsample ratio must be >= 1, got {r}")
+    if mode not in ("replicate", "bicubic"):
+        raise InvalidInputError(f"unknown upsample mode {mode!r}")
+    if r == 1:
+        return ms
+    if mode == "bicubic":
+        return MultispectralImage(_bicubic_up(ms.data, r))
+    k, h, w = ms.data.shape
+    out = np.empty((k, h * r, w * r))
+    out.reshape(k, h, r, w, r)[...] = ms.data[:, :, None, :, None]
+    return MultispectralImage(out)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +268,10 @@ def mtf_degrade(band: RasterBand, r: int, nyquist_gain: float = NYQUIST_GAIN) ->
 def mtf_degrade_ms(
     ms: MultispectralImage, r: int, nyquist_gain: float = NYQUIST_GAIN
 ) -> MultispectralImage:
-    """Apply :func:`mtf_degrade` band by band, keeping the MS scale ratio."""
-    bands = tuple(mtf_degrade(b, r, nyquist_gain) for b in ms.bands)
-    return MultispectralImage(bands, scale_ratio=ms.scale_ratio * r)
+    """Apply :func:`mtf_degrade` band by band."""
+    return MultispectralImage(
+        np.stack([mtf_degrade(RasterBand(b), r, nyquist_gain).data for b in ms.data])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +308,8 @@ def intensity_component(ms: MultispectralImage, weights: IntensityWeights) -> Ra
             f"{weights.weights.size} weights for {ms.band_count} bands"
         )
     acc = np.full((ms.height, ms.width), weights.bias, dtype=np.float64)
-    for wk, band in zip(weights.weights, ms.bands):
-        acc += wk * band.data
+    for wk, band in zip(weights.weights, ms.data):
+        acc += wk * band
     return RasterBand(acc)
 
 
@@ -354,8 +327,7 @@ def estimate_weights(ms_up: MultispectralImage, pan: RasterBand) -> IntensityWei
     if n < k + 1:
         raise InvalidInputError(f"need at least {k + 1} pixels, got {n}")
     x = np.empty((n, k + 1), dtype=np.float64)
-    for j, band in enumerate(ms_up.bands):
-        x[:, j] = band.data.ravel()
+    x[:, :k] = ms_up.data.reshape(k, n).T
     x[:, k] = 1.0
     a = x.T @ x + 1e-8 * np.eye(k + 1)
     b = x.T @ pan.data.ravel()
@@ -381,8 +353,8 @@ def estimate_gains(ms_up: MultispectralImage, intensity: RasterBand) -> Injectio
     if var_i == 0.0:
         raise DegenerateInputError("intensity component has zero variance")
     gains = np.empty(ms_up.band_count, dtype=np.float64)
-    for j, band in enumerate(ms_up.bands):
-        b = band.data.ravel()
+    for j, band in enumerate(ms_up.data):
+        b = band.ravel()
         gains[j] = (float((b - b.mean()) @ ic) / (n - 1)) / var_i
     return InjectionGains(gains)
 
@@ -392,7 +364,7 @@ def detail_inject(
     pan: RasterBand,
     gains: InjectionGains,
     weights: IntensityWeights,
-) -> FusionProduct:
+) -> MultispectralImage:
     """Component-substitution fusion: band_k + g_k * (pan - intensity), clamped to [0, 1]."""
     if (pan.height, pan.width) != (ms_up.height, ms_up.width):
         raise InvalidInputError("pan and upsampled ms dimensions differ")
@@ -401,16 +373,17 @@ def detail_inject(
             f"{gains.gains.size} gains for {ms_up.band_count} bands"
         )
     detail = pan.data - intensity_component(ms_up, weights).data
-    return FusionProduct(_inject(ms_up, detail, gains), method="cs")
+    return _inject(ms_up, detail, gains)
 
 
-def _inject(ms_up: MultispectralImage, detail: np.ndarray, gains: InjectionGains):
+def _inject(
+    ms_up: MultispectralImage, detail: np.ndarray, gains: InjectionGains
+) -> MultispectralImage:
     """The bands band_k + g_k * detail of ``ms_up``, clamped to [0, 1]."""
-    fused = tuple(
-        RasterBand(np.clip(band.data + g * detail, 0.0, 1.0))
-        for g, band in zip(gains.gains, ms_up.bands)
-    )
-    return MultispectralImage(fused, scale_ratio=1)
+    out = np.empty_like(ms_up.data)
+    for g, band, dest in zip(gains.gains, ms_up.data, out):
+        np.clip(band + g * detail, 0.0, 1.0, out=dest)
+    return MultispectralImage(out)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +467,10 @@ def save_raster(image, path) -> None:
     Layout: magic "PFR1", little-endian u32 width/height/band_count, then
     float32 little-endian samples, band-sequential, row-major within a band.
     """
-    if isinstance(image, FusionProduct):
-        image = image.image
     if isinstance(image, RasterBand):
         arr = image.data[None, :, :]
     elif isinstance(image, MultispectralImage):
-        arr = image.to_array()
+        arr = image.data
     else:
         raise InvalidInputError(f"cannot save object of type {type(image).__name__}")
     k, h, w = arr.shape
@@ -509,12 +480,12 @@ def save_raster(image, path) -> None:
         fh.write(arr.astype("<f4").tobytes())
 
 
-def load_raster(path, scale_ratio: int = 1):
+def load_raster(path):
     """Read a .pfr container (or a grayscale PNG) back into image objects.
 
     Single-band files become a :class:`RasterBand`; multiband files become a
-    :class:`MultispectralImage` with the supplied scale_ratio.  PNG input is
-    normalized to [0, 1] by the sample-type maximum.
+    :class:`MultispectralImage`.  PNG input is normalized to [0, 1] by the
+    sample-type maximum.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -548,7 +519,7 @@ def load_raster(path, scale_ratio: int = 1):
         raise FormatError("payload contains non-finite samples (from byte 16)")
     if k == 1:
         return RasterBand(vals[0])
-    return MultispectralImage.from_array(vals, scale_ratio)
+    return MultispectralImage(vals)
 
 
 def _paeth(a: int, b: int, c: int) -> int:

@@ -64,8 +64,8 @@ class TestCriterion1MetricIdentities:
 
         pan = scene.pan
         pan_low = mtf_degrade(pan, scene.ratio)
-        ideal_f = MultispectralImage.from_array(np.stack([pan.data] * 4))
-        ideal_m = MultispectralImage.from_array(np.stack([pan_low.data] * 4), 4)
+        ideal_f = MultispectralImage(np.stack([pan.data] * 4))
+        ideal_m = MultispectralImage(np.stack([pan_low.data] * 4))
         full = evaluate_full(ideal_f, ideal_m, pan, pan_low)
         assert abs(full.entries["D_lambda"]) < 1e-9
         assert abs(full.entries["D_s"]) < 1e-9
@@ -93,11 +93,11 @@ class TestCriterion3OracleEquivalence:
             rng = np.random.default_rng(1000 + seed)
             f = rng.uniform(size=(4, 64, 64))
             m = rng.uniform(size=(4, 64, 64))
-            fi = MultispectralImage.from_array(f)
-            mi = MultispectralImage.from_array(m)
+            fi = MultispectralImage(f)
+            mi = MultispectralImage(m)
 
             assert abs(
-                uiqi(fi.bands[0], mi.bands[0], cfg)
+                uiqi(RasterBand(f[0]), RasterBand(m[0]), cfg)
                 - oracles.naive_uiqi(f[0], m[0], 32, 32)
             ) < 1e-8
             assert abs(q4(fi, mi, cfg) - oracles.naive_q4(f, m, 32, 32)) < 1e-8
@@ -105,12 +105,12 @@ class TestCriterion3OracleEquivalence:
                 sam_map(fi, mi).data, oracles.naive_sam_map(f, m), atol=1e-8
             )
             assert abs(
-                cc(fi.bands[0], mi.bands[0]) - oracles.naive_cc(f[0], m[0])
+                cc(RasterBand(f[0]), RasterBand(m[0])) - oracles.naive_cc(f[0], m[0])
             ) < 1e-8
             assert abs(ergas(fi, mi, cfg) - oracles.naive_ergas(f, m, 0.25)) < 1e-8
 
             m_lo = rng.uniform(size=(4, 16, 16))
-            lo = MultispectralImage.from_array(m_lo, 4)
+            lo = MultispectralImage(m_lo)
             assert abs(
                 d_lambda(lo, fi, small)
                 - oracles.naive_d_lambda(m_lo, f, 8, 8, 1, 4)
@@ -132,12 +132,12 @@ class TestCriterion4HandValues:
         b = RasterBand(np.array([[2.0, 4.0], [6.0, 8.0]]))
         assert abs(uiqi(a, b, MetricConfig(window=2, stride=2)) - 0.64) < 1e-12
 
-        f = MultispectralImage.from_array(np.array([[[1.0]], [[0.0]]]))
-        m = MultispectralImage.from_array(np.array([[[0.0]], [[1.0]]]))
+        f = MultispectralImage(np.array([[[1.0]], [[0.0]]]))
+        m = MultispectralImage(np.array([[[0.0]], [[1.0]]]))
         assert abs(sam_global(f, m) - 90.0) < 1e-9
 
-        ref = MultispectralImage.from_array(np.full((1, 4, 4), 0.5))
-        fused = MultispectralImage.from_array(np.full((1, 4, 4), 0.55))
+        ref = MultispectralImage(np.full((1, 4, 4), 0.5))
+        fused = MultispectralImage(np.full((1, 4, 4), 0.55))
         assert abs(ergas(fused, ref, MetricConfig()) - 2.5) < 1e-12
         _report(4, "UIQI 0.64, SAM 90 deg, ERGAS 2.5")
 
@@ -168,9 +168,7 @@ class TestCriterion5GradientChecks:
         worst_losses = 0.0
         for seed in range(20):
             rng = np.random.default_rng(3000 + seed)
-            ms = MultispectralImage.from_array(
-                rng.uniform(0.2, 0.8, size=(2, 4, 4)), 2
-            )
+            ms = MultispectralImage(rng.uniform(0.2, 0.8, size=(2, 4, 4)))
             fused0 = rng.uniform(0.2, 0.8, size=(2, 8, 8))
             t = Tensor(fused0.copy(), requires_grad=True)
             ad.backward(spectral_loss(t, ms, 2))
@@ -235,7 +233,7 @@ class TestCriterion6TrainingDynamics:
 class TestCriterion7ProtocolPlumbing:
     def test_wald_sizes_and_cli_reproducibility(self, tmp_path):
         rng = np.random.default_rng(4000)
-        ms = MultispectralImage.from_array(rng.uniform(size=(4, 256, 256)), 4)
+        ms = MultispectralImage(rng.uniform(size=(4, 256, 256)))
         pan = RasterBand(rng.uniform(size=(1024, 1024)))
         ms_lo, pan_lo, reference = wald_reduce(ms, pan, 4)
         assert (ms_lo.height, ms_lo.width) == (64, 64)

@@ -227,7 +227,7 @@ class TestPipeline:
         assert code == 0
         fused = load_raster(out / "fused_gan.pfr")
         assert (fused.height, fused.width) == (32, 32)
-        arr = fused.to_array()
+        arr = fused.data
         assert arr.min() >= 0.0 and arr.max() <= 1.0
 
     def test_gan_without_checkpoint_fails(self, tmp_path):
@@ -378,6 +378,40 @@ class TestMalformedText:
         assert run(["fuse", "--method", "exp", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("panfuse: ") and "scene.meta" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("ratio", [b"0", b"-2"])
+    @pytest.mark.parametrize(
+        "stage", [["degrade"], ["fuse", "--method", "exp"], ["eval", "--mode", "reduced"]],
+        ids=["degrade", "fuse", "eval"],
+    )
+    def test_scene_meta_ratio_below_one(self, tmp_path, capsys, stage, ratio):
+        out = tmp_path / "run"
+        run(synth_args(out, size=16, ratio=2, bands=2))
+        run(["fuse", "--method", "exp", "--out", str(out)])
+        _edit_meta(out, b"ratio = 2", b"ratio = " + ratio)
+        capsys.readouterr()
+        assert run([*stage, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and "scene.meta" in err and "'ratio'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "stage,key,value",
+        [(["train"], "lr_g", "nan"), (["train"], "lambda_spec", "inf"),
+         (["eval", "--mode", "full"], "alpha", "nan")],
+        ids=["lr_g_nan", "lambda_spec_inf", "alpha_nan"],
+    )
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, stage, key, value):
+        out = tmp_path / "run"
+        run(synth_args(out, size=32, ratio=2, bands=2))
+        run(["fuse", "--method", "exp", "--out", str(out)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\niterations = 3\nwindow = 4\nstride = 4\n")
+        capsys.readouterr()
+        assert run([*stage, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and key in err
         assert "Traceback" not in err
 
     def test_synth_with_non_utf8_config(self, tmp_path, capsys):
