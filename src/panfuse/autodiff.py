@@ -1,9 +1,12 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 tensors.
+"""Minimal reverse-mode automatic differentiation over dense float tensors.
 
 Sized for the tiny convolutional networks in :mod:`panfuse.gan`, whose hidden
 layers are fused conv-bias-leaky-ReLU ops (:func:`conv2d` with a ``slope``):
-no GPU, no general broadcasting (scalars only), double precision throughout
-so results are deterministic and easy to verify against finite differences.
+no GPU, no general broadcasting (scalars only).  Tensors hold float64, or
+float32 where a caller asks for it with :func:`cast`; :func:`conv2d` runs in
+its input's dtype, so the training networks compute in single precision while
+parameters, gradients, losses and Adam stay in double.  Every op is
+deterministic and easy to verify against finite differences.
 
 Each operation that touches a gradient-tracked tensor records a
 :class:`TapeNode` on its output; :func:`backward` orders the reachable
@@ -43,12 +46,17 @@ class TapeNode:
 
 
 class Tensor:
-    """Dense float64 array (up to 4 dimensions) with optional grad tracking."""
+    """Dense array (up to 4 dimensions) with optional grad tracking.
+
+    float32 data is kept as it is; every other dtype becomes float64.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim > 4:
             raise ShapeError(f"tensors support at most 4 dimensions, got {arr.shape}")
         self.data = arr
@@ -248,6 +256,21 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _track("div", ad / bd, (a, b), bw)
 
 
+def cast(a: Tensor, dtype) -> Tensor:
+    """``a`` as float32 or float64; the pullback casts back to ``a``'s dtype.
+
+    A value beyond the float32 range becomes inf and fails the finiteness
+    check as a :class:`NumericalError` of this op.
+    """
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise InvalidInputError(f"cast supports float32 and float64, got {dtype}")
+    src = a.data.dtype
+    with np.errstate(over="ignore"):
+        out = a.data.astype(dtype)
+    return _track("cast", out, (a,), lambda g, needs: (g.astype(src),))
+
+
 def neg(a: Tensor) -> Tensor:
     return _track("neg", -a.data, (a,), lambda g, needs: (-g,))
 
@@ -430,8 +453,9 @@ def block_mean(a: Tensor, r: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# float64 elements in one block of unfolded taps (512 KiB, to stay in L2):
-# a block holds as many whole output rows as fit, and at least one
+# elements in one block of unfolded taps (512 KiB in float64, 256 KiB in
+# float32, to stay in L2): a block holds as many whole output rows as fit,
+# and at least one
 _UNFOLD_BLOCK = 1 << 16
 
 
@@ -440,7 +464,7 @@ def _zero_pad(a, top, left, height, width):
 
     A plain copy: ``np.pad`` costs three times as much on small images.
     """
-    out = np.zeros((a.shape[0], height, width))
+    out = np.zeros((a.shape[0], height, width), dtype=a.dtype)
     out[:, top : top + a.shape[1], left : left + a.shape[2]] = a
     return out
 
@@ -458,7 +482,7 @@ def _unfold_rows(win):
     win = win.transpose(0, 3, 4, 1, 2)
     depth = c * kh * kw
     rows = max(1, min(h_out, _UNFOLD_BLOCK // (depth * w_out)))
-    buf = np.empty(depth * rows * w_out)
+    buf = np.empty(depth * rows * w_out, dtype=win.dtype)
     for r0 in range(0, h_out, rows):
         r1 = min(r0 + rows, h_out)
         cols = buf[: depth * (r1 - r0) * w_out].reshape(c, kh, kw, r1 - r0, w_out)
@@ -505,7 +529,7 @@ def _conv_grad_x(g, wd, stride, h_in, w_in):
     gp = _zero_pad(g, t - 1, t - 1, t - 1 + hq, t - 1 + wq)
     win = sliding_window_view(gp, (t, t), axis=(1, 2))
     flipped = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    gx = np.zeros((c_in, h_in, w_in))
+    gx = np.zeros((c_in, h_in, w_in), dtype=g.dtype)
     for ay, ny, ty, qy, jy in phases_y:
         for ax, nx, tx, qx, jx in phases_x:
             if ny == 0 or nx == 0:
@@ -545,6 +569,10 @@ def conv2d(
     same way from the zero-padded gradient with the flipped kernel, once per
     stride phase.  A block holds a bounded number of taps, so the whole
     unfolded matrix is never built.
+
+    It computes in ``x``'s dtype: the weight, the bias and the incoming
+    gradient are cast to it, ``grad_x`` comes back in it, and ``grad_w`` and
+    ``grad_b`` are summed in and returned in the parameters' dtype.
     """
     _require_chw("conv2d", x)
     wd = weight.data
@@ -569,38 +597,44 @@ def conv2d(
     if slope is not None and not (math.isfinite(slope) and slope >= 0.0):
         raise InvalidInputError(f"conv2d slope must be finite and >= 0, got {slope}")
     xd = x.data
+    dt = xd.dtype
     _c, h_in, w_in = xd.shape
     pad = k // 2
     h_out = (h_in - 1) // stride + 1
     w_out = (w_in - 1) // stride + 1
-    wmat = wd.reshape(c_out, c_in * k * k)
-    out = np.empty((c_out, h_out, w_out))
+    out = np.empty((c_out, h_out, w_out), dtype=dt)
     out_mat = out.reshape(c_out, h_out * w_out)
 
     def x_windows():
         xp = _zero_pad(xd, pad, pad, h_in + 2 * pad, w_in + 2 * pad)
         return sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
 
-    for r0, r1, cols in _unfold_rows(x_windows()):
-        np.matmul(wmat, cols, out=out_mat[:, r0 * w_out : r1 * w_out])
-    if bias is not None:
-        out += bias.data[:, None, None]
-    if slope is not None:
-        # on the whole output, not per block; bitwise out * np.where(out > 0, 1, slope)
-        np.multiply(out, slope, out=out, where=~(out > 0.0))
+    # a parameter beyond the range of dt casts to inf and makes the output
+    # non-finite, which the scan in _track reports; numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        wd = wd.astype(dt, copy=False)
+        wmat = wd.reshape(c_out, c_in * k * k)
+        for r0, r1, cols in _unfold_rows(x_windows()):
+            np.matmul(wmat, cols, out=out_mat[:, r0 * w_out : r1 * w_out])
+        if bias is not None:
+            out += bias.data.astype(dt, copy=False)[:, None, None]
+        if slope is not None:
+            # on the whole output, not per block; bitwise out * np.where(out > 0, 1, slope)
+            np.multiply(out, slope, out=out, where=~(out > 0.0))
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def bw(g, needs):
         gx = gw = gb = None
+        g = g.astype(dt, copy=False)
         if slope is not None:
-            masked = np.where(out > 0.0, 1.0, slope)
+            masked = np.where(out > 0.0, dt.type(1.0), dt.type(slope))
             masked *= g
             g = masked
         if needs[0]:
             gx = _conv_grad_x(g, wd, stride, h_in, w_in)
         if needs[1]:
             g_mat = g.reshape(c_out, h_out * w_out)
-            gw_t = np.zeros((c_in * k * k, c_out))
+            gw_t = np.zeros((c_in * k * k, c_out), dtype=weight.data.dtype)
             # padded again rather than kept: the tape then holds no copy of x
             for r0, r1, cols in _unfold_rows(x_windows()):
                 gw_t += cols @ g_mat[:, r0 * w_out : r1 * w_out].T
@@ -608,7 +642,7 @@ def conv2d(
         if bias is None:
             return gx, gw
         if needs[2]:
-            gb = g.reshape(c_out, -1).sum(axis=1)
+            gb = g.reshape(c_out, -1).sum(axis=1, dtype=bias.data.dtype)
         return gx, gw, gb
 
     return _track("conv2d", out, inputs, bw)

@@ -52,7 +52,9 @@ class GeneratorSpec:
 
     Input is the upsampled MS stacked with PAN (K+1 channels); the head output
     is added to the upsampled MS and squashed onto (0, 1), so a zero head
-    reproduces the bicubic upsample through the soft clamp.
+    reproduces the bicubic upsample through the soft clamp.  The conv layers
+    run in the dtype of the stacked input (float32 in training, float64 in
+    :func:`fuse`); the sum with the float64 upsample is float64.
     """
 
     bands: int
@@ -89,7 +91,10 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class DiscriminatorSpec:
-    """Three strided 3x3 conv layers, then a mean-pooled sigmoid score in (0, 1)."""
+    """Three strided 3x3 conv layers, then a mean-pooled sigmoid score in (0, 1).
+
+    The conv layers run in float32; the pooled mean is cast back to float64.
+    """
 
     in_channels: int
     channels: tuple = (16, 32, 32)
@@ -108,7 +113,7 @@ class DiscriminatorSpec:
         return params
 
     def forward(self, params, x: Tensor, prefix: str) -> Tensor:
-        h = x
+        h = ad.cast(x, np.float32)
         for i in range(1, len(self.channels) + 1):
             h = ad.conv2d(
                 h,
@@ -117,7 +122,7 @@ class DiscriminatorSpec:
                 stride=self.stride,
                 slope=self.slope,
             )
-        return ad.sigmoid(ad.mean(h))
+        return ad.sigmoid(ad.cast(ad.mean(h), np.float64))
 
 
 @dataclass(frozen=True)
@@ -342,7 +347,9 @@ class _TrainingState:
             disc_spec.init_params(rng, "dspec"),
             disc_spat.init_params(rng, "dspat"),
             ms, pan, estimate_weights(ms_up, pan), ms_up_t, pan_t, Tensor(ms.data),
-            ad.concat_channels(ms_up_t, pan_t),  # the generator input, constant across iterations
+            # the generator input, constant across iterations; the
+            # generator's layers run in its dtype
+            ad.cast(ad.concat_channels(ms_up_t, pan_t), np.float32),
         )
 
 

@@ -477,7 +477,8 @@ def save_raster(image, path) -> None:
     header = struct.pack("<4sIII", PFR_MAGIC, w, h, k)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(arr.astype("<f4").tobytes())
+        for band in arr:
+            fh.write(band.astype("<f4"))
 
 
 def load_raster(path):
@@ -510,13 +511,11 @@ def load_raster(path):
             f"truncated payload: expected {expected} bytes, got {len(blob)} "
             "(samples begin at byte 16)"
         )
-    vals = (
-        np.frombuffer(blob, dtype="<f4", offset=16)
-        .astype(np.float64)
-        .reshape(k, h, w)
-    )
-    if not np.isfinite(vals).all():
+    samples = np.frombuffer(blob, dtype="<f4", offset=16)
+    # checked before the cast: a signalling NaN makes the cast warn
+    if not np.isfinite(samples).all():
         raise FormatError("payload contains non-finite samples (from byte 16)")
+    vals = samples.astype(np.float64).reshape(k, h, w)
     if k == 1:
         return RasterBand(vals[0])
     return MultispectralImage(vals)

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from panfuse.autodiff import ParameterSet, Tensor
 from panfuse.errors import (
     FormatError,
     InvalidInputError,
+    NumericalError,
     ShapeError,
     TrainingDivergenceError,
 )
@@ -55,35 +57,54 @@ def leaky_scale(pre, slope):
     return 1.0 if slope is None else np.where(pre > 0.0, 1.0, slope)
 
 
-def check_conv2d_forward(c_in, c_out, k, stride, h, w, with_bias, seed, slope=None):
+# absolute error allowed against the float64 loop oracles, by the dtype conv2d
+# computes in; the case space has O(1) values and dot products of up to
+# 4 * 5 * 5 terms, whose float32 error reached 8e-6 over 3000 of the largest cases
+CONV_ATOL = {np.float64: 1e-12, np.float32: 1e-4}
+
+
+def check_conv2d_forward(
+    c_in, c_out, k, stride, h, w, with_bias, seed, slope=None, dtype=np.float64
+):
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, size=(c_in, h, w))
+    x = rng.uniform(-1.0, 1.0, size=(c_in, h, w)).astype(dtype)
     wt = rng.uniform(-1.0, 1.0, size=(c_out, c_in, k, k))
     b = rng.uniform(-1.0, 1.0, size=c_out) if with_bias else None
     out = ad.conv2d(
         Tensor(x), Tensor(wt), None if b is None else Tensor(b), stride=stride, slope=slope
     )
-    pre = oracles.naive_conv2d_zero_pad(x, wt, b, stride)
+    pre = oracles.naive_conv2d_zero_pad(x.astype(np.float64), wt, b, stride)
     expected = pre * leaky_scale(pre, slope)
+    assert out.data.dtype == dtype
     assert out.data.shape == expected.shape
-    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=CONV_ATOL[dtype])
 
 
-def check_conv2d_pullbacks(c_in, c_out, k, stride, h, w, with_bias, seed, slope=None):
+def check_conv2d_pullbacks(
+    c_in, c_out, k, stride, h, w, with_bias, seed, slope=None, dtype=np.float64
+):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.uniform(-1.0, 1.0, size=(c_in, h, w)), requires_grad=True)
+    x = Tensor(rng.uniform(-1.0, 1.0, size=(c_in, h, w)).astype(dtype), requires_grad=True)
     wt = Tensor(rng.uniform(-1.0, 1.0, size=(c_out, c_in, k, k)), requires_grad=True)
     b = Tensor(rng.uniform(-1.0, 1.0, size=c_out), requires_grad=True) if with_bias else None
     out = ad.conv2d(x, wt, b, stride=stride, slope=slope)
     g = rng.uniform(-1.0, 1.0, size=out.shape)
     grads = out.node.backward_fn(g, (True,) * len(out.node.inputs))
-    pre = oracles.naive_conv2d_zero_pad(x.data, wt.data, None if b is None else b.data, stride)
+    x64 = x.data.astype(np.float64)
+    pre = oracles.naive_conv2d_zero_pad(x64, wt.data, None if b is None else b.data, stride)
+    if dtype != np.float64:
+        # a pre-activation within rounding of zero may take the other sign
+        # in float32: the mask is the one the op saw
+        pre = out.data
     expected = oracles.naive_conv2d_zero_pad_pullbacks(
-        x.data, wt.data, g * leaky_scale(pre, slope), stride
+        x64, wt.data, g * leaky_scale(pre, slope), stride
     )
-    for got, want in zip(grads, expected):
+    # grad_x in the input's dtype, grad_w and grad_b in the parameters'
+    dtypes = [dtype, np.float64, np.float64]
+    for got, want, want_dtype in zip(grads, expected, dtypes):
+        assert got.dtype == want_dtype
         assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=0, atol=CONV_ATOL[dtype])
 
 
 def check_conv2d_finite_differences(stride, k, slope=None):
@@ -109,6 +130,8 @@ CONV_FD_CASES = pytest.mark.parametrize(
 # plain ReLU, which zeroes the gradient of every non-positive output
 FUSED_SLOPES = [0.2, 0.01, 0.0]
 FUSED_CASES = dict(CONV_CASES, slope=st.sampled_from(FUSED_SLOPES))
+# the layers of the training networks run in float32, plain and fused
+FLOAT32_CASES = dict(CONV_CASES, slope=st.sampled_from([None] + FUSED_SLOPES))
 
 
 class TestForward:
@@ -168,6 +191,11 @@ class TestForward:
     @given(**FUSED_CASES)
     def test_fused_conv2d_matches_loop_oracle(self, **case):
         check_conv2d_forward(**case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**FLOAT32_CASES)
+    def test_float32_conv2d_matches_loop_oracle(self, **case):
+        check_conv2d_forward(**case, dtype=np.float32)
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("slope", FUSED_SLOPES)
@@ -286,6 +314,11 @@ class TestGradients:
     def test_fused_conv2d_pullbacks_match_loop_oracle(self, **case):
         check_conv2d_pullbacks(**case)
 
+    @settings(max_examples=100, deadline=None)
+    @given(**FLOAT32_CASES)
+    def test_float32_conv2d_pullbacks_match_loop_oracle(self, **case):
+        check_conv2d_pullbacks(**case, dtype=np.float32)
+
     def test_simple_square_gradient(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         loss = ad.mean(ad.mul(x, x))
@@ -378,6 +411,16 @@ class TestConvBlocks:
     def test_fused_gradients(self, stride, k):
         check_conv2d_finite_differences(stride, k, slope=0.2)
 
+    @SMALL_BLOCK_SETTINGS
+    @given(**FLOAT32_CASES)
+    def test_float32_forward_matches_loop_oracle(self, **case):
+        check_conv2d_forward(**case, dtype=np.float32)
+
+    @SMALL_BLOCK_SETTINGS
+    @given(**FLOAT32_CASES)
+    def test_float32_pullbacks_match_loop_oracle(self, **case):
+        check_conv2d_pullbacks(**case, dtype=np.float32)
+
 
 def test_conv2d_never_unfolds_the_whole_image():
     # a 16 -> 16 3x3 conv at 128^2: one full unfold is (9 * 16, 128^2) float64
@@ -396,6 +439,47 @@ def test_conv2d_never_unfolds_the_whole_image():
         tracemalloc.stop()
     assert [gr.shape for gr in grads] == [x.shape, w.shape, b.shape]
     assert peak < full_unfold / 2, f"peak {peak} bytes, full unfold {full_unfold}"
+
+
+class TestDtypes:
+    def test_tensor_keeps_float32(self):
+        assert Tensor(np.ones(3, dtype=np.float32)).data.dtype == np.float32
+
+    @pytest.mark.parametrize(
+        "data",
+        [np.arange(3), np.array([True, False]), np.ones(2, dtype=np.float16), [1, 2], 0.5],
+        ids=["int", "bool", "float16", "list", "scalar"],
+    )
+    def test_tensor_turns_other_dtypes_into_float64(self, data):
+        t = Tensor(data)
+        assert t.data.dtype == np.float64
+        np.testing.assert_array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+    def test_cast_forward_and_pullback_dtypes(self):
+        x = Tensor(np.array([[0.1, -2.5, 3e38]]), requires_grad=True)
+        y = ad.cast(x, np.float32)
+        assert y.data.dtype == np.float32
+        np.testing.assert_array_equal(y.data, x.data.astype(np.float32))
+        z = ad.cast(y, np.float64)
+        assert z.data.dtype == np.float64
+        g32 = np.ones(y.shape, dtype=np.float32)
+        assert y.node.backward_fn(g32, (True,))[0].dtype == np.float64
+        assert z.node.backward_fn(np.ones(z.shape), (True,))[0].dtype == np.float32
+        ad.backward(ad.mean(z))
+        assert x.grad.dtype == np.float64
+        # the cotangent passed through float32 on its way back
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, np.float32(1.0 / 3.0)))
+
+    def test_cast_overflow_is_a_numerical_error_without_warning(self):
+        x = Tensor(np.array([1.0, 1e39]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="op 'cast'"):
+                ad.cast(x, np.float32)
+
+    def test_cast_rejects_other_dtypes(self):
+        with pytest.raises(InvalidInputError, match="float16"):
+            ad.cast(Tensor(np.ones(2)), np.float16)
 
 
 class TestAdam:

@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -459,6 +460,20 @@ class TestMalformedInputs:
         assert run(argv) == 2  # an escaping exception would fail the call itself
         err = capsys.readouterr().err
         assert err.startswith("panfuse: ") and re.search(r"byte \d+", err)
+
+    def test_signalling_nan_pfr_exits_2_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run(synth_args(out, size=16, ratio=2, bands=2))
+        capsys.readouterr()
+        bad = tmp_path / "snan.pfr"
+        bad.write_bytes(struct.pack("<4sIII2I", b"PFR1", 2, 1, 1, 0x7F800001, 0x3F800000))
+        argv = ["fuse", "--method", "exp", "--pan", str(bad), "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err == "panfuse: payload contains non-finite samples (from byte 16)\n"
 
 
 class TestDeterminism:

@@ -277,6 +277,53 @@ class TestTrainingLoop:
                 TrainingConfig(iterations=2, seed=0, ratio=scene.ratio),
             )
 
+    def test_cast_overflow_names_op_and_iteration(self, small_scene, monkeypatch):
+        # weights this large put the fused intensity beyond float32, so the
+        # spatial critic's input cast overflows
+        scene = small_scene
+        monkeypatch.setattr(
+            gan, "estimate_weights", lambda ms_up, pan: IntensityWeights(np.full(4, 1e39))
+        )
+        with pytest.raises(TrainingDivergenceError, match=r"'cast' \(iteration 1\)") as info:
+            gan.train(scene.ms, scene.pan, TrainingConfig(iterations=2, ratio=scene.ratio))
+        assert info.value.iteration == 1
+
+    def test_critic_weights_beyond_float32_diverge(self, small_scene):
+        # the first critic step moves every weight by about lr_d; cast to
+        # float32 in the generator step they overflow, without a warning
+        scene = small_scene
+        cfg = TrainingConfig(iterations=2, ratio=scene.ratio, lr_d=1e39)
+        with pytest.raises(TrainingDivergenceError, match=r"'conv2d' \(iteration 1\)"):
+            gan.train(scene.ms, scene.pan, cfg)
+
+    def test_networks_run_in_float32_the_rest_in_float64(self, small_scene, monkeypatch, tmp_path):
+        scene = small_scene
+        conv_dtypes, state_dtypes = set(), set()
+        conv2d, adam_step = ad.conv2d, ad.adam_step
+
+        def recording_conv2d(x, *args, **kwargs):
+            out = conv2d(x, *args, **kwargs)
+            conv_dtypes.add((x.data.dtype, out.data.dtype))
+            return out
+
+        def recording_adam_step(params, lr):
+            state_dtypes.update(p.grad.dtype for _, p in params.items())
+            adam_step(params, lr)
+            state_dtypes.update(p.data.dtype for _, p in params.items())
+            state_dtypes.update(m.dtype for m in params._m.values())
+            state_dtypes.update(v.dtype for v in params._v.values())
+
+        monkeypatch.setattr(ad, "conv2d", recording_conv2d)
+        monkeypatch.setattr(ad, "adam_step", recording_adam_step)
+        params, _ = gan.train(scene.ms, scene.pan, TrainingConfig(iterations=2, ratio=scene.ratio))
+        assert conv_dtypes == {(np.dtype(np.float32), np.dtype(np.float32))}
+        assert state_dtypes == {np.dtype(np.float64)}
+        ad.save_checkpoint(params, tmp_path / "g.pfck")
+        loaded = ad.load_checkpoint(tmp_path / "g.pfck")
+        for name, p in params.items():
+            assert loaded[name].data.dtype == np.float64
+            assert loaded[name].data.tobytes() == p.data.tobytes()
+
     def test_total_is_weighted_sum(self, small_scene):
         scene = small_scene
         cfg = TrainingConfig(iterations=5, seed=4, ratio=scene.ratio)

@@ -431,6 +431,13 @@ class TestIO:
         with pytest.raises(FormatError, match=r"expected 80 bytes, got 24"):
             load_raster(path)
 
+    def test_pfr_signalling_nan_is_a_format_error(self, tmp_path):
+        # a 2x1 band whose first sample is the signalling NaN 0x7F800001
+        path = tmp_path / "snan.pfr"
+        path.write_bytes(struct.pack("<4sIII2I", b"PFR1", 2, 1, 1, 0x7F800001, 0x3F800000))
+        with pytest.raises(FormatError, match="non-finite samples"):
+            load_raster(path)
+
     def test_pfr_dimension_overflow(self, tmp_path):
         path = tmp_path / "huge.pfr"
         path.write_bytes(struct.pack("<4sIII", b"PFR1", 2**31, 2**31, 4))
