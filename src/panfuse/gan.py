@@ -276,15 +276,20 @@ def spatial_loss(fused, pan: RasterBand, weights: IntensityWeights) -> Tensor:
 
 
 def _check_score(score: Tensor, name: str) -> None:
+    # the sigmoid of a large critic output rounds to exactly 0 or 1: the critic
+    # has saturated, which is a divergence of training, not bad input
     v = float(score.data)
     if not (0.0 < v < 1.0):
-        raise InvalidInputError(f"{name} score {v} outside (0, 1)")
+        raise NumericalError(f"{name} score {v} outside (0, 1)")
 
 
-def discriminator_loss(real_score: Tensor, fake_score: Tensor) -> Tensor:
-    """Binary cross-entropy critic loss: -log D(real) - log(1 - D(fake))."""
-    _check_score(real_score, "real")
-    _check_score(fake_score, "fake")
+def discriminator_loss(real_score: Tensor, fake_score: Tensor, critic: str = "critic") -> Tensor:
+    """Binary cross-entropy critic loss: -log D(real) - log(1 - D(fake)).
+
+    ``critic`` names the critic in the error raised for a saturated score.
+    """
+    _check_score(real_score, f"{critic} real")
+    _check_score(fake_score, f"{critic} fake")
     return ad.neg(ad.log(real_score)) + ad.neg(ad.log(1.0 - fake_score))
 
 
@@ -295,8 +300,8 @@ def generator_adversarial_loss(
 
     Returns the weighted sum and the two unweighted terms -log D(fake).
     """
-    _check_score(score_spec, "spectral fake")
-    _check_score(score_spat, "spatial fake")
+    _check_score(score_spec, "spectral critic fake")
+    _check_score(score_spat, "spatial critic fake")
     adv_spec = ad.neg(ad.log(score_spec))
     adv_spat = ad.neg(ad.log(score_spat))
     weighted = ad.scalar_mul(adv_spec, cfg.lambda_adv_spec) + ad.scalar_mul(
@@ -388,6 +393,7 @@ def _train_iteration(it: int, s: _TrainingState, log: TrainingLog) -> None:
     d_spec_loss = discriminator_loss(
         s.disc_spec.forward(s.ds_params, s.ms_real, "dspec"),
         s.disc_spec.forward(s.ds_params, fake_ms, "dspec"),
+        "spectral critic",
     )
     ad.backward(d_spec_loss)
     ad.adam_step(s.ds_params, cfg.lr_d)
@@ -397,6 +403,7 @@ def _train_iteration(it: int, s: _TrainingState, log: TrainingLog) -> None:
     d_spat_loss = discriminator_loss(
         s.disc_spat.forward(s.dt_params, s.pan_t, "dspat"),
         s.disc_spat.forward(s.dt_params, fake_intensity, "dspat"),
+        "spatial critic",
     )
     ad.backward(d_spat_loss)
     ad.adam_step(s.dt_params, cfg.lr_d)

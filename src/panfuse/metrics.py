@@ -5,12 +5,18 @@ Full-resolution (no-reference) metrics: D_lambda, D_s and their QNR product.
 
 The windowed indices (UIQI, Q4, D_lambda, D_s) score every window at once.
 Each band is centred on its image mean; the window sums of it, its square and
-the band products a metric needs come from ``reduceat`` along rows and then
-columns, which sums each window directly whether windows overlap, tile or
-leave gaps.  A window is flat when no pixel in it differs from its neighbour,
-so the degenerate-window conventions are exact.  The high-resolution side of
-D_lambda / D_s multiplies window and stride by the resolution ratio, so window
-statistics are invariant under pixel replication.
+of band products come from ``reduceat`` along rows and then columns, which
+sums each window directly whether windows overlap, tile or leave gaps.  The
+band products form one cross-sum table: the per-window covariance of each
+(band i of one image, band j of another) pair a metric asks for, each product
+formed once.  UIQI reads its diagonal, Q4 the Hamilton signed sums of the
+full 4 x 4 table, D_lambda its upper triangle within one image and D_s the
+column of each band against PAN.  A window is flat when no pixel in it
+differs from its neighbour, so the degenerate-window conventions are exact.
+The high-resolution side of D_lambda / D_s multiplies window and stride by
+the resolution ratio, so window statistics are invariant under pixel
+replication; :func:`evaluate_full` builds the statistics of each image once
+and shares them between D_lambda and D_s.
 """
 
 from __future__ import annotations
@@ -75,24 +81,6 @@ def _as_band(image) -> RasterBand:
 # spectral angle
 
 
-def _angle_map_degrees(F, M) -> np.ndarray:
-    fi, mi = _check_pair(F, M)
-    if fi.band_count < 2:
-        raise InvalidInputError("spectral angle needs at least two bands")
-    f, m = fi.data, mi.data
-    dot = sum(a * b for a, b in zip(f, m))
-    sf = sum(a * a for a in f)
-    sm = sum(b * b for b in m)
-    # single sqrt of the product keeps cos exactly 1 for identical vectors
-    norm = np.sqrt(sf * sm)
-    valid = norm > 0.0
-    cosv = np.ones_like(dot)
-    cosv[valid] = np.clip(dot[valid] / norm[valid], -1.0, 1.0)
-    ang = np.degrees(np.arccos(cosv))
-    ang[~valid] = 0.0  # zero spectral vectors contribute a zero angle
-    return ang
-
-
 def _check_pair(F, M):
     fi, mi = _as_ms(F), _as_ms(M)
     if fi.band_count != mi.band_count:
@@ -106,9 +94,41 @@ def _check_pair(F, M):
     return fi, mi
 
 
+# rows of the angle map computed at a time; bounds the working arrays of SAM
+_SAM_ROWS = 64
+
+
+def _angle_blocks(fi: MultispectralImage, mi: MultispectralImage):
+    """Per-pixel spectral angles in degrees, as (rows, angles) for blocks of rows.
+
+    Every block is written into one reused buffer, so the caller must use it
+    before taking the next.
+    """
+    if fi.band_count < 2:
+        raise InvalidInputError("spectral angle needs at least two bands")
+    buf = np.empty((min(_SAM_ROWS, fi.height), fi.width))
+    for top in range(0, fi.height, _SAM_ROWS):
+        rows = slice(top, top + _SAM_ROWS)
+        f, m = fi.data[:, rows], mi.data[:, rows]
+        dot = sum(a * b for a, b in zip(f, m))
+        sf = sum(a * a for a in f)
+        sm = sum(b * b for b in m)
+        # single sqrt of the product keeps cos exactly 1 for identical vectors
+        norm = np.sqrt(sf * sm)
+        # a zero spectral vector keeps cos = 1, so its angle is exactly 0
+        ang = buf[: len(dot)]
+        ang.fill(1.0)
+        np.divide(dot, norm, out=ang, where=norm > 0.0)
+        np.clip(ang, -1.0, 1.0, out=ang)
+        np.degrees(np.arccos(ang, out=ang), out=ang)
+        yield rows, ang
+
+
 def sam_global(F, M) -> float:
     """Mean per-pixel spectral angle between F and M, in degrees."""
-    return float(_angle_map_degrees(F, M).mean())
+    fi, mi = _check_pair(F, M)
+    total = sum(float(ang.sum()) for _, ang in _angle_blocks(fi, mi))
+    return total / (fi.height * fi.width)
 
 
 def sam_map(F, M) -> RasterBand:
@@ -116,11 +136,18 @@ def sam_map(F, M) -> RasterBand:
 
     Rounding is half-up; a constant angle map yields all zeros.
     """
-    ang = _angle_map_degrees(F, M)
+    fi, mi = _check_pair(F, M)
+    ang = np.empty((fi.height, fi.width))
+    for rows, block in _angle_blocks(fi, mi):
+        ang[rows] = block
     lo, hi = float(ang.min()), float(ang.max())
     if hi == lo:
         return RasterBand(np.zeros_like(ang))
-    return RasterBand(np.floor((ang - lo) / (hi - lo) * 255.0 + 0.5))
+    ang -= lo
+    ang /= hi - lo
+    ang *= 255.0
+    ang += 0.5
+    return RasterBand(np.floor(ang, out=ang))
 
 
 # ---------------------------------------------------------------------------
@@ -200,28 +227,51 @@ class _Moments:
     level: np.ndarray  # the window's first pixel, the value of a flat window
 
 
+def _covariance(cross, dsum_a, dsum_b, n: int) -> np.ndarray:
+    """ddof = 1 covariance from the window sums of the centred product and factors."""
+    return (cross - dsum_a * dsum_b / n) / (n - 1)
+
+
 def _moments(image, window: int, stride: int) -> _Moments:
     """Window statistics of a RasterBand or of every band of an MS image."""
     bands = image.data if isinstance(image, MultispectralImage) else image.data[None]
     grid = _window_origins(*bands[0].shape, window, stride)
     n = window * window
-
-    def per_window(arrays):
-        return np.stack([_window_reduce(x, grid) for x in arrays])
     centre = [x.mean() for x in bands]
-    dsum = per_window(x - c for x, c in zip(bands, centre))
-    var = (per_window((x - c) ** 2 for x, c in zip(bands, centre)) - dsum * dsum / n) / (n - 1)
-    return _Moments(grid, bands, centre, dsum, per_window(bands) / n, var,
+    scratch = np.empty_like(bands[0])
+    dsum, square = [], []
+    for x, c in zip(bands, centre):
+        np.subtract(x, c, out=scratch)
+        dsum.append(_window_reduce(scratch, grid))
+        square.append(_window_reduce(np.multiply(scratch, scratch, out=scratch), grid))
+    dsum = np.stack(dsum)
+    return _Moments(grid, bands, centre, dsum,
+                    np.stack([_window_reduce(x, grid) for x in bands]) / n,
+                    _covariance(np.stack(square), dsum, dsum, n),
                     np.stack([_flat(x, grid) for x in bands]),
                     np.stack([x[np.ix_(grid.ys, grid.xs)] for x in bands]))
 
 
-def _cov(a: _Moments, b: _Moments, terms) -> np.ndarray:
-    """Per-window covariance (ddof = 1) summed over (sign, band of a, band of b) terms."""
-    n = a.grid.window ** 2
-    products = (s * (a.bands[i] - a.centre[i]) * (b.bands[j] - b.centre[j]) for s, i, j in terms)
-    cross = _window_reduce(sum(products), a.grid)
-    return (cross - sum(s * a.dsum[i] * b.dsum[j] for s, i, j in terms) / n) / (n - 1)
+def _cross(a: _Moments, b: _Moments, pairs) -> np.ndarray:
+    """Per-window covariance of band i of a with band j of b, for each (i, j) in
+    ``pairs``: (len(pairs), ny, nx).
+
+    The bands are centred into two reused buffers; band i of a is centred
+    again only when i changes from one pair to the next.
+    """
+    # the table outlives the scratch buffers, so it is allocated before them:
+    # freed last-in, they leave no hole under a live array in the heap
+    table = np.empty((len(pairs), *a.dsum.shape[1:]))
+    ca, cb = np.empty_like(a.bands[0]), np.empty_like(a.bands[0])
+    last = None
+    for cov, (i, j) in zip(table, pairs):
+        if i != last:
+            np.subtract(a.bands[i], a.centre[i], out=ca)
+            last = i
+        np.subtract(b.bands[j], b.centre[j], out=cb)
+        cross = _window_reduce(np.multiply(ca, cb, out=cb), a.grid)
+        cov[...] = _covariance(cross, a.dsum[i], b.dsum[j], a.grid.window ** 2)
+    return table
 
 
 def _q_map(mu_a, mu_b, var_a, var_b, cov, flat_a, flat_b, same) -> np.ndarray:
@@ -233,9 +283,14 @@ def _q_map(mu_a, mu_b, var_a, var_b, cov, flat_a, flat_b, same) -> np.ndarray:
     return np.where(flat_a & flat_b, same, np.where(flat_a | flat_b, 0.0, q))
 
 
-def _uiqi_map(a: _Moments, i: int, b: _Moments, j: int) -> np.ndarray:
-    return _q_map(a.mean[i], b.mean[j], a.var[i], b.var[j], _cov(a, b, [(1, i, j)]),
+def _uiqi_map(a: _Moments, i: int, b: _Moments, j: int, cov: np.ndarray) -> np.ndarray:
+    return _q_map(a.mean[i], b.mean[j], a.var[i], b.var[j], cov,
                   a.flat[i], b.flat[j], a.level[i] == b.level[j])
+
+
+def _uiqi_means(a: _Moments, b: _Moments, pairs) -> list:
+    """Window-mean UIQI of band i of a with band j of b, for each (i, j) in ``pairs``."""
+    return [_uiqi_map(a, i, b, j, cov).mean() for (i, j), cov in zip(pairs, _cross(a, b, pairs))]
 
 
 # (sign, f band, m band) terms of the four parts of (f - mu_f) conj(m - mu_m)
@@ -245,13 +300,20 @@ _HAMILTON = (((1, 0, 0), (1, 1, 1), (1, 2, 2), (1, 3, 3)),
              ((-1, 0, 3), (-1, 1, 2), (1, 2, 1), (1, 3, 0)))
 
 
-def _q4_value(f: _Moments, m: _Moments) -> float:
-    """Window mean of quaternion Q; a window is flat when it is flat in all four bands."""
+def _q4_table(f: _Moments, m: _Moments) -> np.ndarray:
+    """Covariance of every (f band, m band) pair: (4, 4, ny, nx)."""
     if len(f.bands) != 4:
         raise InvalidInputError(f"Q4 requires exactly 4 bands, got {len(f.bands)}")
-    modulus = np.linalg.norm([_cov(f, m, terms) for terms in _HAMILTON], axis=0)
+    table = _cross(f, m, [(i, j) for i in range(4) for j in range(4)])
+    return table.reshape(4, 4, *table.shape[1:])
+
+
+def _q4_value(f: _Moments, m: _Moments, table: np.ndarray) -> float:
+    """Window mean of quaternion Q; a window is flat when it is flat in all four bands."""
+    parts = [sum(s * table[i, j] for s, i, j in terms) for terms in _HAMILTON]
     q = _q_map(*(np.linalg.norm(x.mean, axis=0) for x in (f, m)), f.var.sum(0), m.var.sum(0),
-               modulus, f.flat.all(0), m.flat.all(0), (f.level == m.level).all(0))
+               np.linalg.norm(parts, axis=0), f.flat.all(0), m.flat.all(0),
+               (f.level == m.level).all(0))
     return float(q.mean())
 
 
@@ -262,14 +324,14 @@ def uiqi(A: RasterBand, B: RasterBand, cfg: MetricConfig | None = None) -> float
     if a.data.shape != b.data.shape:
         raise InvalidInputError(f"dimensions differ: {a.data.shape} vs {b.data.shape}")
     ma, mb = (_moments(x, cfg.window, cfg.stride) for x in (a, b))
-    return float(_uiqi_map(ma, 0, mb, 0).mean())
+    return float(_uiqi_means(ma, mb, [(0, 0)])[0])
 
 
 def q4(F, M, cfg: MetricConfig | None = None) -> float:
     """Quaternion-valued UIQI for exactly four bands, averaged over windows."""
     cfg = cfg or MetricConfig()
     f, m = (_moments(x, cfg.window, cfg.stride) for x in _check_pair(F, M))
-    return _q4_value(f, m)
+    return _q4_value(f, m, _q4_table(f, m))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +369,46 @@ def _scale_factor(low: MultispectralImage, high_h: int, high_w: int) -> int:
     return r_h
 
 
+def _scaled_moments(M, F, cfg: MetricConfig):
+    """Window statistics of M, and of F with window and stride scaled by the
+    resolution ratio r; returns them with r."""
+    mi, fi = _as_ms(M), _as_ms(F)
+    if mi.band_count != fi.band_count:
+        raise InvalidInputError("band counts differ")
+    r = _scale_factor(mi, fi.height, fi.width)
+    return _moments(mi, cfg.window, cfg.stride), _moments(fi, cfg.window * r, cfg.stride * r), r
+
+
+def _full_moments(M, F, P: RasterBand, P_L: RasterBand, cfg: MetricConfig):
+    """Window statistics of M and P_L, and of F and P on windows and strides
+    scaled by the resolution ratio."""
+    m, f, r = _scaled_moments(M, F, cfg)
+    if P.data.shape != f.bands.shape[1:]:
+        raise InvalidInputError("PAN and fused dimensions differ")
+    if P_L.data.shape != m.bands.shape[1:]:
+        raise InvalidInputError("degraded PAN and MS dimensions differ")
+    return m, f, _moments(P_L, cfg.window, cfg.stride), _moments(P, cfg.window * r, cfg.stride * r)
+
+
+def _d_lambda(m: _Moments, f: _Moments, cfg: MetricConfig) -> float:
+    k = len(m.bands)
+    if k < 2:
+        raise InvalidInputError("spectral distortion needs at least two bands")
+    # Q is symmetric, so each unordered pair stands for both orders
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    total = sum(abs(qm - qf) ** cfg.p
+                for qm, qf in zip(_uiqi_means(m, m, pairs), _uiqi_means(f, f, pairs)))
+    return (2.0 * total / (k * (k - 1))) ** (1.0 / cfg.p)
+
+
+def _d_s(m: _Moments, f: _Moments, low: _Moments, high: _Moments, cfg: MetricConfig) -> float:
+    k = len(m.bands)
+    pairs = [(b, 0) for b in range(k)]
+    total = sum(abs(ql - qh) ** cfg.q
+                for ql, qh in zip(_uiqi_means(m, low, pairs), _uiqi_means(f, high, pairs)))
+    return (total / k) ** (1.0 / cfg.q)
+
+
 def d_lambda(M, F, cfg: MetricConfig | None = None) -> float:
     """Spectral distortion: p-norm gap between inter-band UIQI tables of M and F.
 
@@ -314,38 +416,14 @@ def d_lambda(M, F, cfg: MetricConfig | None = None) -> float:
     the resolution ratio.
     """
     cfg = cfg or MetricConfig()
-    mi = _as_ms(M)
-    fi = _as_ms(F)
-    if mi.band_count != fi.band_count:
-        raise InvalidInputError("band counts differ")
-    k = mi.band_count
-    if k < 2:
-        raise InvalidInputError("spectral distortion needs at least two bands")
-    r = _scale_factor(mi, fi.height, fi.width)
-    m, f = _moments(mi, cfg.window, cfg.stride), _moments(fi, cfg.window * r, cfg.stride * r)
-    # Q is symmetric, so each unordered pair stands for both orders
-    total = sum(abs(_uiqi_map(m, i, m, j).mean() - _uiqi_map(f, i, f, j).mean()) ** cfg.p
-                for i in range(k) for j in range(i + 1, k))
-    return (2.0 * total / (k * (k - 1))) ** (1.0 / cfg.p)
+    m, f, _ = _scaled_moments(M, F, cfg)
+    return _d_lambda(m, f, cfg)
 
 
 def d_s(M, F, P: RasterBand, P_L: RasterBand, cfg: MetricConfig | None = None) -> float:
     """Spatial distortion: q-norm gap between UIQI(band, PAN) at the two scales."""
     cfg = cfg or MetricConfig()
-    mi = _as_ms(M)
-    fi = _as_ms(F)
-    if mi.band_count != fi.band_count:
-        raise InvalidInputError("band counts differ")
-    if (P.height, P.width) != (fi.height, fi.width):
-        raise InvalidInputError("PAN and fused dimensions differ")
-    if (P_L.height, P_L.width) != (mi.height, mi.width):
-        raise InvalidInputError("degraded PAN and MS dimensions differ")
-    r = _scale_factor(mi, fi.height, fi.width)
-    m, low = (_moments(x, cfg.window, cfg.stride) for x in (mi, P_L))
-    f, high = (_moments(x, cfg.window * r, cfg.stride * r) for x in (fi, P))
-    total = sum(abs(_uiqi_map(m, b, low, 0).mean() - _uiqi_map(f, b, high, 0).mean()) ** cfg.q
-                for b in range(mi.band_count))
-    return (total / mi.band_count) ** (1.0 / cfg.q)
+    return _d_s(*_full_moments(M, F, P, P_L, cfg), cfg)
 
 
 def qnr(dl: float, ds: float, cfg: MetricConfig | None = None) -> float:
@@ -423,17 +501,24 @@ def evaluate_reduced(F, GT, cfg: MetricConfig | None = None) -> QualityReport:
     # the window statistics are built after SAM and CC, so their memory peaks do not add
     entries = {"SAM": sam_global(fi, gi), "CC": cc(fi, gi)}
     f, g = (_moments(x, cfg.window, cfg.stride) for x in (fi, gi))
-    entries["UIQI"] = float(np.mean([_uiqi_map(f, b, g, b).mean() for b in range(fi.band_count)]))
-    entries["Q4"] = _q4_value(f, g)
+    # UIQI reads the diagonal of Q4's table of band-pair covariances
+    table = _q4_table(f, g)
+    entries["UIQI"] = float(np.mean([_uiqi_map(f, b, g, b, table[b, b]).mean()
+                                     for b in range(fi.band_count)]))
+    entries["Q4"] = _q4_value(f, g, table)
     entries["ERGAS"] = ergas(fi, gi, cfg)
     return QualityReport(mode="reduced", entries=entries, config=cfg)
 
 
 def evaluate_full(F, M, P: RasterBand, P_L: RasterBand,
                   cfg: MetricConfig | None = None) -> QualityReport:
-    """No-reference scoring of a fused image against its MS/PAN inputs."""
+    """No-reference scoring of a fused image against its MS/PAN inputs.
+
+    D_lambda and D_s share the window statistics of M and F.
+    """
     cfg = cfg or MetricConfig()
-    dl = d_lambda(M, F, cfg)
-    ds = d_s(M, F, P, P_L, cfg)
+    m, f, low, high = _full_moments(M, F, P, P_L, cfg)
+    dl = _d_lambda(m, f, cfg)
+    ds = _d_s(m, f, low, high, cfg)
     entries = {"D_lambda": dl, "D_s": ds, "QNR": qnr(dl, ds, cfg)}
     return QualityReport(mode="full", entries=entries, config=cfg)

@@ -225,44 +225,44 @@ def mtf_sigma(r: int, nyquist_gain: float) -> float:
     return math.sqrt(-2.0 * math.log(nyquist_gain)) * r / (2.0 * math.pi)
 
 
-def _separable_blur(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # Symmetric (half-sample) border reflection along each axis in turn.
-    radius = len(k) // 2
-    h, w = a.shape
-    ap = np.pad(a, ((radius, radius), (0, 0)), mode="symmetric")
-    out = np.zeros_like(a)
-    for i, kv in enumerate(k):
-        out += kv * ap[i : i + h, :]
-    ap = np.pad(out, ((0, 0), (radius, radius)), mode="symmetric")
-    out2 = np.zeros_like(a)
-    for i, kv in enumerate(k):
-        out2 += kv * ap[:, i : i + w]
-    return out2
-
-
 def mtf_degrade(band: RasterBand, r: int, nyquist_gain: float = NYQUIST_GAIN) -> RasterBand:
-    """Sensor-style lowpass plus decimation.
+    """Sensor-style lowpass plus decimation, as one filter sampled every r pixels.
 
-    Applies a separable Gaussian blur with sigma = sqrt(-2 ln g) * r / (2 pi)
-    (kernel truncated at 4 sigma, symmetric borders), then decimates by
-    averaging each r x r block.  With r = 1 only the blur is applied.
+    The model is a separable Gaussian blur with sigma = sqrt(-2 ln g) * r / (2 pi)
+    (kernel truncated at 4 sigma, symmetric borders) followed by the mean of
+    each r x r block.  Both together are one separable filter of
+    ``len(kernel) + r - 1`` taps, the Gaussian convolved with an r-tap box; it
+    is applied along rows and then along columns, evaluated only at the first
+    pixel of each block.  With r = 1 the filter is the Gaussian itself.
     """
     r = int(r)
     if r < 1:
         raise InvalidInputError(f"degrade ratio must be >= 1, got {r}")
     if not (0.0 < nyquist_gain < 1.0):
         raise InvalidInputError(f"nyquist_gain must lie in (0, 1), got {nyquist_gain}")
-    a = band.data
-    if a.shape[0] % r or a.shape[1] % r:
+    out = band.data
+    if out.shape[0] % r or out.shape[1] % r:
         raise InvalidInputError(
-            f"band dimensions {a.shape} are not divisible by ratio {r}"
+            f"band dimensions {out.shape} are not divisible by ratio {r}"
         )
-    blurred = _separable_blur(a, gaussian_kernel(mtf_sigma(r, nyquist_gain)))
-    if r == 1:
-        return RasterBand(blurred)
-    h, w = blurred.shape
-    dec = blurred.reshape(h // r, r, w // r, r).mean(axis=(1, 3))
-    return RasterBand(dec)
+    k = gaussian_kernel(mtf_sigma(r, nyquist_gain))
+    taps = np.convolve(k, np.full(r, 1.0 / r))
+    # block y reads padded samples y r .. y r + len(taps) - 1, so the last block
+    # ends at the last sample of the Gaussian's own padding
+    radius = len(k) // 2
+    for axis in (0, 1):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        ap = np.pad(out, pad, mode="symmetric")
+        n = out.shape[axis]
+        shape = list(out.shape)
+        shape[axis] = n // r
+        out = np.zeros(shape)
+        term = np.empty_like(out)
+        for i, c in enumerate(taps):
+            taken = slice(i, i + n, r)
+            out += np.multiply(c, ap[taken] if axis == 0 else ap[:, taken], out=term)
+    return RasterBand(out)
 
 
 def mtf_degrade_ms(

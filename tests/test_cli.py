@@ -301,6 +301,18 @@ class TestExitCodes:
         monkeypatch.setattr("panfuse.gan.train", explode)
         assert run(["train", "--out", str(out)]) == 3
 
+    def test_saturated_critic_exits_3_and_names_it(self, tmp_path, capsys):
+        # a huge critic step drives its sigmoid to exactly 0 or 1 in the first iteration
+        out = tmp_path / "run"
+        run(synth_args(out, size=64, seed=3))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr_d = 1e3\niterations = 3\n")
+        capsys.readouterr()
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"(spectral|spatial) critic .*score .* \(iteration \d\)", err), err
+        assert "Traceback" not in err
+
 
     # checkpoints for a 2-band scene with one generator parameter left out
     # (None) or replaced

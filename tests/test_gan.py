@@ -141,9 +141,9 @@ class TestAdversarialLosses:
         assert abs(loss.item()) < 1e-9
 
     def test_score_range_validated(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(NumericalError):
             discriminator_loss(Tensor(np.array(1.0)), Tensor(np.array(0.5)))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(NumericalError):
             discriminator_loss(Tensor(np.array(0.5)), Tensor(np.array(0.0)))
 
     def test_zero_adversarial_weights_reduce_exactly(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from panfuse import metrics
 from panfuse.errors import DegenerateInputError, InvalidInputError
 from panfuse.metrics import (
     MetricConfig,
@@ -81,6 +83,26 @@ class TestSamMap:
         m = rng.uniform(size=(4, 4, 4))
         out = sam_map(ms_of(f), ms_of(m))
         np.testing.assert_array_equal(out.data, oracles.naive_sam_map(f, m))
+
+    def test_blocks_bound_the_peak_and_keep_the_angles(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        f, m = ms_of(rng.uniform(size=(4, 64, 256))), ms_of(rng.uniform(size=(4, 64, 256)))
+        whole_map, whole_mean = sam_map(f, m), sam_global(f, m)  # one block of 64 rows
+        monkeypatch.setattr(metrics, "_SAM_ROWS", 4)
+        block = 4 * 256 * 8  # bytes of one band-sized array of a block
+        tracemalloc.start()
+        try:
+            mean = sam_global(f, m)
+            _, global_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = sam_map(f, m)
+            _, map_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert global_peak <= 12 * block, f"sam_global peak {global_peak} B"
+        assert map_peak <= out.data.nbytes + 12 * block, f"sam_map peak {map_peak} B"
+        np.testing.assert_array_equal(out.data, whole_map.data)
+        assert abs(mean - whole_mean) < 1e-12
 
 
 class TestCc:
@@ -413,6 +435,31 @@ class TestQnr:
             assert qnr(dl + bump, ds) < base
         if ds + bump <= 1.0:
             assert qnr(dl, ds + bump) < base
+
+
+class TestSharedStatistics:
+    """The protocol entry points score with the same window statistics as each metric alone."""
+
+    @pytest.mark.parametrize("window, stride, levels", [(4, 4, 0), (4, 3, 2), (3, 5, 1)])
+    def test_evaluate_full_equals_separate_calls(self, window, stride, levels):
+        rng = np.random.default_rng(window * 10 + stride)
+        m, pan_low = blocky(rng, (4, 8, 12), levels, 2), blocky(rng, (8, 12), levels, 2)
+        f, pan = blocky(rng, (4, 32, 48), levels, 8), blocky(rng, (32, 48), levels, 8)
+        M, F, P, P_L = ms_of(m), ms_of(f), RasterBand(pan), RasterBand(pan_low)
+        cfg = MetricConfig(window=window, stride=stride)
+        dl, ds = d_lambda(M, F, cfg), d_s(M, F, P, P_L, cfg)
+        report = evaluate_full(F, M, P, P_L, cfg)
+        assert report.entries == {"D_lambda": dl, "D_s": ds, "QNR": qnr(dl, ds, cfg)}
+
+    @pytest.mark.parametrize("window, stride, levels", [(8, 8, 0), (8, 3, 2), (5, 7, 1)])
+    def test_evaluate_reduced_equals_separate_calls(self, window, stride, levels):
+        rng = np.random.default_rng(window * 10 + stride + 1)
+        f, g = blocky(rng, (4, 24, 20), levels, 4), blocky(rng, (4, 24, 20), levels, 4)
+        cfg = MetricConfig(window=window, stride=stride)
+        report = evaluate_reduced(ms_of(f), ms_of(g), cfg)
+        per_band = [uiqi(RasterBand(a), RasterBand(b), cfg) for a, b in zip(f, g)]
+        assert report.entries["UIQI"] == float(np.mean(per_band))
+        assert report.entries["Q4"] == q4(ms_of(f), ms_of(g), cfg)
 
 
 class TestReports:

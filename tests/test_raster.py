@@ -205,6 +205,17 @@ class TestMtfDegrade:
         oracle = naive_conv2d_reflect(a, np.outer(k1, k1))
         assert np.max(np.abs(out.data - oracle)) < 1e-10
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [(12, 12), (12, 24), (24, 12)])
+    def test_decimated_filter_matches_blur_then_block_mean(self, r, shape):
+        a = np.random.default_rng(40 + r).uniform(size=shape)
+        out = mtf_degrade(band(a), r, nyquist_gain=0.3)
+        k = gaussian_kernel(mtf_sigma(r, 0.3))
+        blurred = naive_conv2d_reflect(a, np.outer(k, k))
+        oracle = blurred.reshape(shape[0] // r, r, shape[1] // r, r).mean(axis=(1, 3))
+        assert out.data.shape == oracle.shape
+        assert np.max(np.abs(out.data - oracle)) < 1e-12
+
     def test_indivisible_dims_rejected(self):
         with pytest.raises(InvalidInputError):
             mtf_degrade(band(np.zeros((5, 8))), 4)
