@@ -178,80 +178,59 @@ def backward(loss: Tensor) -> None:
 # elementwise and scalar ops
 
 
-def _binary_shapes(op, a: Tensor, b: Tensor):
-    if a.data.shape == b.data.shape:
-        return "same"
-    if a.data.size == 1:
-        return "a_scalar"
-    if b.data.size == 1:
-        return "b_scalar"
-    raise ShapeError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}")
+def _check_shapes(op, a: Tensor, b: Tensor) -> None:
+    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
+        raise ShapeError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}")
 
 
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    return np.asarray(g.sum(), dtype=np.float64).reshape(shape)
+def _unbroadcast(g: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """Cotangent ``g`` of a binary op's output, summed to ``operand``'s shape
+    where ``operand`` was a broadcast scalar."""
+    if g.shape == operand.shape:
+        return g
+    return np.asarray(g.sum(), dtype=np.float64).reshape(operand.shape)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    kind = _binary_shapes("add", a, b)
+    _check_shapes("add", a, b)
 
     def bw(g, needs):
-        ga = (_reduce_to(g, a.data.shape) if kind == "a_scalar" else g) if needs[0] else None
-        gb = (_reduce_to(g, b.data.shape) if kind == "b_scalar" else g) if needs[1] else None
-        return ga, gb
+        return (_unbroadcast(g, a.data) if needs[0] else None,
+                _unbroadcast(g, b.data) if needs[1] else None)
 
     return _track("add", a.data + b.data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    kind = _binary_shapes("sub", a, b)
+    _check_shapes("sub", a, b)
 
     def bw(g, needs):
-        ga = (_reduce_to(g, a.data.shape) if kind == "a_scalar" else g) if needs[0] else None
-        gb = None
-        if needs[1]:
-            gb = -( _reduce_to(g, b.data.shape) if kind == "b_scalar" else g)
-        return ga, gb
+        return (_unbroadcast(g, a.data) if needs[0] else None,
+                -_unbroadcast(g, b.data) if needs[1] else None)
 
     return _track("sub", a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    kind = _binary_shapes("mul", a, b)
+    _check_shapes("mul", a, b)
     ad, bd = a.data, b.data
 
     def bw(g, needs):
-        ga = gb = None
-        if needs[0]:
-            ga = g * bd
-            if kind == "a_scalar":
-                ga = _reduce_to(ga, ad.shape)
-        if needs[1]:
-            gb = g * ad
-            if kind == "b_scalar":
-                gb = _reduce_to(gb, bd.shape)
-        return ga, gb
+        return (_unbroadcast(g * bd, ad) if needs[0] else None,
+                _unbroadcast(g * ad, bd) if needs[1] else None)
 
     return _track("mul", ad * bd, (a, b), bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    kind = _binary_shapes("div", a, b)
+    _check_shapes("div", a, b)
     ad, bd = a.data, b.data
     if np.any(bd == 0.0):
         raise NumericalError("division by zero")
 
     def bw(g, needs):
-        ga = gb = None
-        if needs[0]:
-            ga = g / bd
-            if kind == "a_scalar":
-                ga = _reduce_to(ga, ad.shape)
-        if needs[1]:
-            gb = -g * ad / (bd * bd)
-            if kind == "b_scalar":
-                gb = _reduce_to(gb, bd.shape)
-        return ga, gb
+        return (_unbroadcast(g / bd, ad) if needs[0] else None,
+                _unbroadcast(-g * ad / (bd * bd), bd) if needs[1] else None)
 
     return _track("div", ad / bd, (a, b), bw)
 

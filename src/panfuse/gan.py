@@ -214,29 +214,20 @@ def q_index(a: Tensor, b: Tensor) -> Tensor:
     return num / den
 
 
-def _as_tensor(fused) -> Tensor:
-    if isinstance(fused, Tensor):
-        return fused
-    if isinstance(fused, MultispectralImage):
-        return Tensor(fused.data)
-    raise InvalidInputError(f"cannot interpret {type(fused).__name__} as a fused image")
-
-
-def spectral_loss(fused, ms: MultispectralImage, r: int) -> Tensor:
+def spectral_loss(fused: Tensor, ms: MultispectralImage, r: int) -> Tensor:
     """Mean over bands of 1 - Q(block-averaged fused band, original MS band).
 
     The fused image is degraded back to MS scale with a differentiable r x r
     block average, so the loss value lies in [0, 2].
     """
-    fused_t = _as_tensor(fused)
     r = int(r)
-    k, h, w = fused_t.shape
+    k, h, w = fused.shape
     if k != ms.band_count or h != ms.height * r or w != ms.width * r:
         raise InvalidInputError(
-            f"fused {fused_t.shape} does not match {ms.band_count}x{ms.height}x{ms.width} "
+            f"fused {fused.shape} does not match {ms.band_count}x{ms.height}x{ms.width} "
             f"ms at ratio {r}"
         )
-    degraded = ad.block_mean(fused_t, r)
+    degraded = ad.block_mean(fused, r)
     total = None
     for band_idx in range(k):
         q = q_index(
@@ -248,9 +239,9 @@ def spectral_loss(fused, ms: MultispectralImage, r: int) -> Tensor:
     return ad.scalar_mul(total, 1.0 / k)
 
 
-def intensity_of(fused, weights: IntensityWeights) -> Tensor:
+def intensity_of(fused: Tensor, weights: IntensityWeights) -> Tensor:
     """Differentiable intensity component of a fused image: (1, H, W)."""
-    return ad.channel_weighted_sum(_as_tensor(fused), weights.weights, weights.bias)
+    return ad.channel_weighted_sum(fused, weights.weights, weights.bias)
 
 
 def _spatial_loss_from_intensity(intensity: Tensor, pan: RasterBand) -> Tensor:
@@ -265,14 +256,13 @@ def _spatial_loss_from_intensity(intensity: Tensor, pan: RasterBand) -> Tensor:
     return 1.0 - q_index(intensity, Tensor(matched[None]))
 
 
-def spatial_loss(fused, pan: RasterBand, weights: IntensityWeights) -> Tensor:
+def spatial_loss(fused: Tensor, pan: RasterBand, weights: IntensityWeights) -> Tensor:
     """1 - Q between the fused intensity and the moment-matched PAN band."""
-    fused_t = _as_tensor(fused)
-    if fused_t.shape[1:] != (pan.height, pan.width):
+    if fused.shape[1:] != (pan.height, pan.width):
         raise InvalidInputError(
-            f"fused {fused_t.shape} and pan {pan.height}x{pan.width} dimensions differ"
+            f"fused {fused.shape} and pan {pan.height}x{pan.width} dimensions differ"
         )
-    return _spatial_loss_from_intensity(intensity_of(fused_t, weights), pan)
+    return _spatial_loss_from_intensity(intensity_of(fused, weights), pan)
 
 
 def _check_score(score: Tensor, name: str) -> None:
@@ -343,7 +333,7 @@ class _TrainingState:
         k = ms.band_count
         gen, disc_spec, disc_spat = GeneratorSpec(k), DiscriminatorSpec(k), DiscriminatorSpec(1)
         rng = np.random.default_rng(cfg.seed)
-        ms_up = upsample(ms, cfg.ratio, "bicubic")
+        ms_up = upsample(ms, cfg.ratio)
         ms_up_t, pan_t = Tensor(ms_up.data), Tensor(pan.data[None])
         return cls(
             cfg, gen, disc_spec, disc_spat,

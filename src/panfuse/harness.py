@@ -32,7 +32,6 @@ from .raster import (
     NYQUIST_GAIN,
     MultispectralImage,
     RasterBand,
-    _inject,
     check_pan_scale,
     detail_inject,
     estimate_gains,
@@ -206,21 +205,19 @@ def baseline_fuse(
     r: int,
     nyquist_gain: float = NYQUIST_GAIN,
 ) -> MultispectralImage:
-    """Reference fusers: plain upsampling, global CS injection, GLP-style injection."""
+    """Reference fusers: plain bicubic upsampling, and CS and GLP detail
+    injection, which differ only in the low-resolution pan they subtract."""
+    if method not in BASELINE_METHODS:
+        raise InvalidInputError(f"unknown fusion method {method!r}")
     r = int(r)
+    ms_up = upsample(ms, r)
     if method == "exp":
-        return upsample(ms, r, "bicubic")
+        return ms_up
     if method == "cs":
-        ms_up = upsample(ms, r, "bicubic")
-        weights = estimate_weights(ms_up, pan)
-        gains = estimate_gains(ms_up, intensity_component(ms_up, weights))
-        return detail_inject(ms_up, pan, gains, weights)
-    if method == "glp":
-        ms_up = upsample(ms, r, "bicubic")
-        pan_low = upsample_band(mtf_degrade(pan, r, nyquist_gain), r, "bicubic")
-        gains = estimate_gains(ms_up, pan_low)
-        return _inject(ms_up, pan.data - pan_low.data, gains)
-    raise InvalidInputError(f"unknown fusion method {method!r}")
+        low = intensity_component(ms_up, estimate_weights(ms_up, pan))
+    else:
+        low = upsample_band(mtf_degrade(pan, r, nyquist_gain), r)
+    return detail_inject(ms_up, pan, estimate_gains(ms_up, low), low)
 
 
 @dataclass

@@ -221,7 +221,7 @@ class _Moments:
     bands: np.ndarray  # (k, H, W)
     centre: list  # the image mean of each band
     dsum: np.ndarray  # window sums of band - centre
-    mean: np.ndarray
+    mean: np.ndarray  # centre + dsum / n
     var: np.ndarray  # ddof = 1
     flat: np.ndarray  # the window holds one value
     level: np.ndarray  # the window's first pixel, the value of a flat window
@@ -246,7 +246,7 @@ def _moments(image, window: int, stride: int) -> _Moments:
         square.append(_window_reduce(np.multiply(scratch, scratch, out=scratch), grid))
     dsum = np.stack(dsum)
     return _Moments(grid, bands, centre, dsum,
-                    np.stack([_window_reduce(x, grid) for x in bands]) / n,
+                    np.asarray(centre)[:, None, None] + dsum / n,
                     _covariance(np.stack(square), dsum, dsum, n),
                     np.stack([_flat(x, grid) for x in bands]),
                     np.stack([x[np.ix_(grid.ys, grid.xs)] for x in bands]))

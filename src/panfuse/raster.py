@@ -181,30 +181,20 @@ def _bicubic_up(
     return out
 
 
-def upsample_band(band: RasterBand, r: int, mode: str = "bicubic") -> RasterBand:
+def upsample_band(band: RasterBand, r: int) -> RasterBand:
     """Upsample one band by an integer factor; see :func:`upsample`."""
-    return RasterBand(upsample(MultispectralImage(band.data[None]), r, mode).data[0])
+    return RasterBand(upsample(MultispectralImage(band.data[None]), r).data[0])
 
 
-def upsample(ms: MultispectralImage, r: int, mode: str = "bicubic") -> MultispectralImage:
-    """Upsample every band by r per axis.
-
-    ``replicate`` copies each pixel into an r x r block; ``bicubic`` uses a
-    4x4 Catmull-Rom kernel with tap indices clamped at the edges.
-    """
+def upsample(ms: MultispectralImage, r: int) -> MultispectralImage:
+    """Bicubic upsample of every band by r per axis: a 4x4 Catmull-Rom kernel
+    with tap indices clamped at the edges."""
     r = int(r)
     if r < 1:
         raise InvalidInputError(f"upsample ratio must be >= 1, got {r}")
-    if mode not in ("replicate", "bicubic"):
-        raise InvalidInputError(f"unknown upsample mode {mode!r}")
     if r == 1:
         return ms
-    if mode == "bicubic":
-        return MultispectralImage(_bicubic_up(ms.data, r))
-    k, h, w = ms.data.shape
-    out = np.empty((k, h * r, w * r))
-    out.reshape(k, h, r, w, r)[...] = ms.data[:, :, None, :, None]
-    return MultispectralImage(out)
+    return MultispectralImage(_bicubic_up(ms.data, r))
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +330,19 @@ def estimate_weights(ms_up: MultispectralImage, pan: RasterBand) -> IntensityWei
     return IntensityWeights(weights=beta[:k], bias=float(beta[k]))
 
 
-def estimate_gains(ms_up: MultispectralImage, intensity: RasterBand) -> InjectionGains:
-    """Global covariance-ratio gains: g_k = cov(band_k, I) / var(I), ddof = 1."""
-    if (intensity.height, intensity.width) != (ms_up.height, ms_up.width):
-        raise InvalidInputError("intensity and ms dimensions differ")
-    i = intensity.data.ravel()
+def estimate_gains(ms_up: MultispectralImage, low: RasterBand) -> InjectionGains:
+    """Global covariance-ratio gains of the low-resolution PAN ``low``:
+    g_k = cov(band_k, low) / var(low), ddof = 1."""
+    if (low.height, low.width) != (ms_up.height, ms_up.width):
+        raise InvalidInputError("low-resolution pan and ms dimensions differ")
+    i = low.data.ravel()
     n = i.size
     if n < 2:
         raise DegenerateInputError("need at least two pixels to estimate gains")
     ic = i - i.mean()
     var_i = float(ic @ ic) / (n - 1)
     if var_i == 0.0:
-        raise DegenerateInputError("intensity component has zero variance")
+        raise DegenerateInputError("low-resolution pan has zero variance")
     gains = np.empty(ms_up.band_count, dtype=np.float64)
     for j, band in enumerate(ms_up.data):
         b = band.ravel()
@@ -360,26 +351,21 @@ def estimate_gains(ms_up: MultispectralImage, intensity: RasterBand) -> Injectio
 
 
 def detail_inject(
-    ms_up: MultispectralImage,
-    pan: RasterBand,
-    gains: InjectionGains,
-    weights: IntensityWeights,
+    ms_up: MultispectralImage, pan: RasterBand, gains: InjectionGains, low: RasterBand
 ) -> MultispectralImage:
-    """Component-substitution fusion: band_k + g_k * (pan - intensity), clamped to [0, 1]."""
-    if (pan.height, pan.width) != (ms_up.height, ms_up.width):
-        raise InvalidInputError("pan and upsampled ms dimensions differ")
+    """Detail injection: band_k + g_k * (pan - low), clamped to [0, 1].
+
+    ``low`` is the low-resolution PAN: the intensity component for CS, the
+    degraded-then-upsampled PAN for GLP.
+    """
+    for name, b in (("pan", pan), ("low-resolution pan", low)):
+        if (b.height, b.width) != (ms_up.height, ms_up.width):
+            raise InvalidInputError(f"{name} and upsampled ms dimensions differ")
     if gains.gains.size != ms_up.band_count:
         raise InvalidInputError(
             f"{gains.gains.size} gains for {ms_up.band_count} bands"
         )
-    detail = pan.data - intensity_component(ms_up, weights).data
-    return _inject(ms_up, detail, gains)
-
-
-def _inject(
-    ms_up: MultispectralImage, detail: np.ndarray, gains: InjectionGains
-) -> MultispectralImage:
-    """The bands band_k + g_k * detail of ``ms_up``, clamped to [0, 1]."""
+    detail = pan.data - low.data
     out = np.empty_like(ms_up.data)
     for g, band, dest in zip(gains.gains, ms_up.data, out):
         np.clip(band + g * detail, 0.0, 1.0, out=dest)
@@ -466,6 +452,7 @@ def save_raster(image, path) -> None:
 
     Layout: magic "PFR1", little-endian u32 width/height/band_count, then
     float32 little-endian samples, band-sequential, row-major within a band.
+    A sample beyond the float32 range raises NumericalError before the file opens.
     """
     if isinstance(image, RasterBand):
         arr = image.data[None, :, :]
@@ -473,6 +460,10 @@ def save_raster(image, path) -> None:
         arr = image.data
     else:
         raise InvalidInputError(f"cannot save object of type {type(image).__name__}")
+    limit = float(np.finfo(np.float32).max)
+    for i, band in enumerate(arr):
+        if band.min() < -limit or band.max() > limit:
+            raise NumericalError(f"band {i} holds samples beyond the float32 range of .pfr")
     k, h, w = arr.shape
     header = struct.pack("<4sIII", PFR_MAGIC, w, h, k)
     with open(path, "wb") as fh:

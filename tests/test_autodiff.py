@@ -288,12 +288,45 @@ class TestGradients:
             check_gradients(fn, *arrays)
 
     def test_scalar_broadcast_gradients(self):
+        # one rule for every binary op: a size-1 operand of any shape, on either
+        # side, gets the cotangent summed into its own shape
         rng = np.random.default_rng(42)
         x = rng.uniform(0.5, 1.5, size=(2, 3, 3))
-        s = np.array(0.7)
-        check_gradients(lambda ts: ad.mean(ad.mul(ts[0], ts[1])), x, s)
-        check_gradients(lambda ts: ad.mean(ad.div(ts[0], ts[1])), x, s)
-        check_gradients(lambda ts: ad.mean(ad.add(ts[1], ts[0])), x, s)
+        ops = (ad.add, ad.sub, ad.mul, ad.div)
+        for op in ops:
+            for s in (np.array(0.7), np.full((1, 1, 1), 0.7)):
+                for left, right in ((0, 1), (1, 0)):
+                    def fn(ts, op=op, left=left, right=right):
+                        return ad.mean(op(ts[left], ts[right]))
+
+                    auto, numeric = grad_of(fn, x, s)
+                    assert [g.shape for g in auto] == [x.shape, s.shape]
+                    for a, n in zip(auto, numeric):
+                        assert oracles.max_relative_error(a, n) < 1e-4
+        # a float32 tensor with a float64 scalar computes in float64, so its
+        # gradients are those of the float64 tensor holding the same values, up
+        # to the float32 square in div's pullback
+        x32 = x.astype(np.float32)
+        for op in ops:
+            for left, right in ((0, 1), (1, 0)):
+                grads = []
+                for data in (x32, x32.astype(np.float64)):
+                    ts = [Tensor(data, requires_grad=True), Tensor(0.7, requires_grad=True)]
+                    ad.backward(ad.mean(op(ts[left], ts[right])))
+                    grads.append([t.grad for t in ts])
+                (g32, s32), (g64, s64) = grads
+                assert g32.shape == x.shape
+                np.testing.assert_allclose(g32, g64, rtol=1e-6, atol=0)
+                assert s32.shape == () and s32.dtype == np.float64 and s32 == s64
+        # two size-1 operands of different shapes: each gradient keeps its own
+        for op in ops:
+            a = Tensor(np.full((1, 1, 1), 0.6), requires_grad=True)
+            b = Tensor(0.7, requires_grad=True)
+            ad.backward(ad.mean(op(a, b)))
+            assert a.grad.shape == (1, 1, 1) and b.grad.shape == ()
+        for op in ops:
+            with pytest.raises(ShapeError, match=r"\(2, 3\) and \(3, 2\)"):
+                op(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
     @CONV_FD_CASES
     def test_conv2d_gradients(self, stride, k):

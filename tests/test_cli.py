@@ -1,7 +1,11 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +13,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import panfuse
 from panfuse.autodiff import ParameterSet, save_checkpoint
 from panfuse.cli import main, parse_kv_file
 from panfuse.errors import ConfigError
 from panfuse.gan import GeneratorSpec
 from panfuse.metrics import QualityReport
-from panfuse.raster import kv_format, kv_parse, load_raster
+from panfuse.raster import (
+    MultispectralImage,
+    RasterBand,
+    kv_format,
+    kv_parse,
+    load_raster,
+    save_raster,
+)
 
 
 def run(args) -> int:
     return main(args)
+
+
+def overflow_fuse_args(tmp_path) -> list:
+    """``fuse --method exp`` on a valid 2-band 4x4 MS of +-3.3e38 samples in
+    a checkerboard, whose bicubic upsample overshoots the float32 range."""
+    sign = np.where(np.indices((4, 4)).sum(0) % 2, 1.0, -1.0)
+    ms, pan = tmp_path / "big_ms.pfr", tmp_path / "big_pan.pfr"
+    save_raster(MultispectralImage(np.stack([3.3e38 * sign, -3.3e38 * sign])), ms)
+    save_raster(RasterBand(np.full((16, 16), 0.5)), pan)
+    return ["fuse", "--method", "exp", "--ratio", "4", "--ms", str(ms), "--pan", str(pan),
+            "--out", str(tmp_path / "big")]
 
 
 def synth_args(out, size=64, ratio=4, seed=7, bands=4):
@@ -486,6 +509,42 @@ class TestMalformedInputs:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err == "panfuse: payload contains non-finite samples (from byte 16)\n"
+
+
+    def test_fused_beyond_float32_range_exits_3_without_output(self, tmp_path, capsys):
+        argv = overflow_fuse_args(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"panfuse: [^\n]*band 0 [^\n]*float32 range[^\n]*\n", err), err
+        assert not (tmp_path / "big" / "fused_exp.pfr").exists()
+
+
+class TestSubprocess:
+    """The CLI run as its own process, which prints every warning to stderr."""
+
+    def cli(self, *argv):
+        src = str(Path(panfuse.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run([sys.executable, "-W", "default", "-m", "panfuse.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=300)
+
+    def test_stages_exit_0_with_empty_stderr(self, tmp_path):
+        out = str(tmp_path / "run")
+        for argv in (synth_args(out, size=32), ["degrade", "--out", out],
+                     ["fuse", "--method", "exp", "--out", out]):
+            proc = self.cli(*argv)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert (tmp_path / "run" / "fused_exp.pfr").exists()
+
+    def test_fused_beyond_float32_range_exits_3_with_one_line(self, tmp_path):
+        proc = self.cli(*overflow_fuse_args(tmp_path))
+        assert proc.returncode == 3
+        assert re.fullmatch(r"panfuse: [^\n]*\n", proc.stderr), proc.stderr
+        assert not (tmp_path / "big" / "fused_exp.pfr").exists()
 
 
 class TestDeterminism:

@@ -130,13 +130,13 @@ class TestBaselines:
     def test_exp_equals_bicubic_exactly(self, small_scene):
         scene = small_scene
         product = baseline_fuse("exp", scene.ms, scene.pan, scene.ratio)
-        expected = upsample(scene.ms, scene.ratio, "bicubic")
+        expected = upsample(scene.ms, scene.ratio)
         np.testing.assert_array_equal(product.data, expected.data)
 
     def test_cs_with_pan_equal_intensity_matches_exp(self):
         rng = np.random.default_rng(1)
         ms = MultispectralImage(rng.uniform(0.2, 0.8, size=(3, 8, 8)))
-        ms_up = upsample(ms, 2, "bicubic")
+        ms_up = upsample(ms, 2)
         weights = estimate_weights(ms_up, RasterBand(np.zeros((16, 16)) + 0.5))
         # construct pan exactly equal to an intensity of the upsampled bands
         from panfuse.raster import IntensityWeights

@@ -12,7 +12,9 @@ from panfuse.errors import (
     DegenerateInputError,
     FormatError,
     InvalidInputError,
+    NumericalError,
 )
+from panfuse.harness import baseline_fuse
 from panfuse.raster import (
     IntensityWeights,
     InjectionGains,
@@ -73,37 +75,15 @@ class TestContainers:
 
 
 class TestUpsample:
-    @pytest.mark.parametrize("mode", ["replicate", "bicubic"])
-    def test_ratio_one_is_identity(self, mode):
+    def test_ratio_one_is_identity(self):
         ms = MultispectralImage(np.array([[[0.1, 0.9], [0.4, 0.3]]]))
-        out = upsample(ms, 1, mode)
+        out = upsample(ms, 1)
         np.testing.assert_array_equal(out.data, ms.data)
 
-    def test_replicate_blocks(self):
-        a, b, c, d = 0.1, 0.5, 0.7, 0.2
-        out = upsample_band(band([[a, b], [c, d]]), 2, "replicate")
-        expected = np.array(
-            [[a, a, b, b], [a, a, b, b], [c, c, d, d], [c, c, d, d]]
-        )
-        np.testing.assert_array_equal(out.data, expected)
-
     def test_bicubic_constant(self):
-        out = upsample_band(band(np.full((2, 2), 0.5)), 4, "bicubic")
+        out = upsample_band(band(np.full((2, 2), 0.5)), 4)
         assert out.data.shape == (8, 8)
         np.testing.assert_allclose(out.data, 0.5, atol=1e-12)
-
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidInputError):
-            upsample_band(band([[0.0, 1.0]]), 2, "nearest")
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
-    def test_replicate_then_block_average_is_identity(self, r, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(0.0, 1.0, size=(5, 3))
-        up = upsample_band(band(a), r, "replicate").data
-        down = up.reshape(5, r, 3, r).mean(axis=(1, 3))
-        np.testing.assert_allclose(down, a, rtol=0, atol=1e-15)
 
     # the examples: the whole grid, the top-right pixel, the bottom-left
     # pixel, and a window on the top and right edges
@@ -127,7 +107,7 @@ class TestUpsample:
             return slice(start, max(start + 1, int(max(at) * n)))
 
         rows, cols = window(rows_at, h * r), window(cols_at, w * r)
-        whole = upsample(MultispectralImage(a), r, "bicubic").data
+        whole = upsample(MultispectralImage(a), r).data
         # one band, and the stack of all three bands in one call
         for got, want in ((_bicubic_up(a[0], r, rows, cols), whole[0, rows, cols]),
                           (_bicubic_up(a, r, rows, cols), whole[:, rows, cols])):
@@ -159,17 +139,17 @@ class TestStackOps:
             # tobytes, so that a -0.0 against a +0.0 counts as a difference
             assert got.data.tobytes() == np.stack([w.data for w in want]).tobytes()
 
-        for mode in ("bicubic", "replicate"):
-            assert_stack(upsample(ms, 4, mode), [upsample_band(b, 4, mode) for b in bands])
+        assert_stack(upsample(ms, 4), [upsample_band(b, 4) for b in bands])
         assert_stack(upsample(ms, 4), [band(bicubic_by_sums(b, 4)) for b in ms.data])
         assert_stack(mtf_degrade_ms(ms, 4), [mtf_degrade(b, 4) for b in bands])
         ms_up = upsample(ms, 4)
         pan = band(rng.uniform(size=(32, 48)))
         weights = IntensityWeights(np.full(3, 1 / 3), 0.0)
         gains = InjectionGains(np.array([1.5, -2.0, 0.5]))
-        detail = pan.data - intensity_component(ms_up, weights).data
+        intensity = intensity_component(ms_up, weights)
+        detail = pan.data - intensity.data
         assert_stack(
-            detail_inject(ms_up, pan, gains, weights),
+            detail_inject(ms_up, pan, gains, intensity),
             [band(np.clip(b + g * detail, 0.0, 1.0)) for g, b in zip(gains.gains, ms_up.data)],
         )
 
@@ -346,30 +326,47 @@ class TestDetailInject:
         rng = np.random.default_rng(10)
         ms = MultispectralImage(rng.uniform(0.1, 0.9, size=(3, 4, 4)))
         pan = band(rng.uniform(size=(4, 4)))
-        w = IntensityWeights(np.full(3, 1 / 3), 0.0)
-        fused = detail_inject(ms, pan, InjectionGains(np.zeros(3)), w)
+        low = intensity_component(ms, IntensityWeights(np.full(3, 1 / 3), 0.0))
+        fused = detail_inject(ms, pan, InjectionGains(np.zeros(3)), low)
         np.testing.assert_array_equal(fused.data, ms.data)
 
     def test_pan_equal_intensity_identity(self):
         rng = np.random.default_rng(11)
         ms = MultispectralImage(rng.uniform(0.1, 0.9, size=(2, 4, 4)))
-        w = IntensityWeights(np.array([0.5, 0.5]), 0.0)
-        pan = intensity_component(ms, w)
-        fused = detail_inject(ms, pan, InjectionGains(np.ones(2)), w)
+        pan = intensity_component(ms, IntensityWeights(np.array([0.5, 0.5]), 0.0))
+        fused = detail_inject(ms, pan, InjectionGains(np.ones(2)), pan)
         np.testing.assert_array_equal(fused.data, ms.data)
 
     def test_single_pixel_arithmetic(self):
         ms = MultispectralImage(np.full((1, 1, 1), 0.4))
-        # intensity = 0.6 via bias, pan = 0.9, g = 1 -> 0.4 + (0.9 - 0.6) = 0.7
-        w = IntensityWeights(np.array([0.0]), 0.6)
-        fused = detail_inject(ms, band([[0.9]]), InjectionGains(np.array([1.0])), w)
+        # low = 0.6, pan = 0.9, g = 1 -> 0.4 + (0.9 - 0.6) = 0.7
+        fused = detail_inject(ms, band([[0.9]]), InjectionGains(np.array([1.0])), band([[0.6]]))
         assert abs(fused.data[0, 0, 0] - 0.7) < 1e-12
 
     def test_output_clamped(self):
         ms = MultispectralImage(np.full((1, 2, 2), 0.9))
-        w = IntensityWeights(np.array([0.0]), 0.0)
-        fused = detail_inject(ms, band(np.full((2, 2), 5.0)), InjectionGains(np.array([1.0])), w)
+        fused = detail_inject(ms, band(np.full((2, 2), 5.0)), InjectionGains(np.array([1.0])),
+                              band(np.zeros((2, 2))))
         assert fused.data.max() <= 1.0
+
+    def test_glp_path_bitwise(self):
+        rng = np.random.default_rng(13)
+        ms = MultispectralImage(rng.uniform(0.1, 0.9, size=(3, 4, 4)))
+        pan = band(rng.uniform(size=(16, 16)))
+        ms_up = upsample(ms, 4)
+        pan_low = upsample_band(mtf_degrade(pan, 4), 4)
+        gains = estimate_gains(ms_up, pan_low)
+        want = np.stack([np.clip(b + g * (pan.data - pan_low.data), 0.0, 1.0)
+                         for g, b in zip(gains.gains, ms_up.data)])
+        got = detail_inject(ms_up, pan, gains, pan_low).data
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == baseline_fuse("glp", ms, pan, 4).data.tobytes()
+
+    def test_mismatched_low_rejected(self):
+        ms = MultispectralImage(np.full((1, 2, 2), 0.5))
+        with pytest.raises(InvalidInputError):
+            detail_inject(ms, band(np.ones((2, 2))), InjectionGains(np.array([1.0])),
+                          band(np.ones((2, 3))))
 
 
 def png_chunk(ctype: bytes, data: bytes) -> bytes:
@@ -448,6 +445,19 @@ class TestIO:
         path.write_bytes(struct.pack("<4sIII2I", b"PFR1", 2, 1, 1, 0x7F800001, 0x3F800000))
         with pytest.raises(FormatError, match="non-finite samples"):
             load_raster(path)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_pfr_sample_beyond_float32_range_writes_nothing(self, tmp_path, value):
+        data = np.full((3, 2, 2), 0.5)
+        data[1, 1, 0] = value
+        path = tmp_path / "big.pfr"
+        with pytest.raises(NumericalError, match="band 1 "):
+            save_raster(MultispectralImage(data.copy()), path)
+        assert not path.exists()
+        # the largest float32 itself still round-trips
+        data[1, 1, 0] = np.sign(value) * float(np.finfo(np.float32).max)
+        save_raster(MultispectralImage(data.copy()), path)
+        assert load_raster(path).data.tobytes() == data.tobytes()
 
     def test_pfr_dimension_overflow(self, tmp_path):
         path = tmp_path / "huge.pfr"
