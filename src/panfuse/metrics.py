@@ -4,15 +4,20 @@ Reduced-resolution (full-reference) metrics: SAM, CC, UIQI, Q4, ERGAS.
 Full-resolution (no-reference) metrics: D_lambda, D_s and their QNR product.
 
 The windowed indices (UIQI, Q4, D_lambda, D_s) score every window at once.
-Each band is centred on its image mean; the window sums of it, its square and
-of band products come from ``reduceat`` along rows and then columns, which
-sums each window directly whether windows overlap, tile or leave gaps.  The
-band products form one cross-sum table: the per-window covariance of each
-(band i of one image, band j of another) pair a metric asks for, each product
-formed once.  UIQI reads its diagonal, Q4 the Hamilton signed sums of the
-full 4 x 4 table, D_lambda its upper triangle within one image and D_s the
-column of each band against PAN.  A window is flat when no pixel in it
-differs from its neighbour, so the degenerate-window conventions are exact.
+Each band is centred on its image mean.  The window sums of it, its square
+and of band products come from one kernel, run down the rows of the plane and
+then down the rows of its transposed result: rows are summed in blocks of
+gcd(window, stride), runs of 1, 2, 4, ... blocks are built by doubling, and
+each window combines one run per set bit of its length in blocks, whether
+windows overlap, tile or leave gaps.  The band products form one cross-sum
+table: the per-window covariance of each (band i of one image, band j of
+another) pair a metric asks for, each product formed once.  UIQI reads its
+diagonal, Q4 the Hamilton signed sums of the full 4 x 4 table, D_lambda its
+upper triangle within one image and D_s the column of each band against PAN.
+A window is flat when its max, from the same kernel, equals its min, so the
+degenerate-window conventions are exact.  A window whose one-pass variance is
+within rounding of zero (a small spread far from the image mean) has its
+mean, variance and covariances recomputed from its tile in two passes.
 The high-resolution side of D_lambda / D_s multiplies window and stride by
 the resolution ratio, so window statistics are invariant under pixel
 replication; :func:`evaluate_full` builds the statistics of each image once
@@ -197,20 +202,44 @@ def _window_origins(h: int, w: int, window: int, stride: int) -> _WindowGrid:
     return _WindowGrid(*(np.arange(0, n - window + 1, stride) for n in (h, w)), window)
 
 
-def _window_reduce(a: np.ndarray, grid: _WindowGrid, ufunc=np.add, trim=(0, 0)) -> np.ndarray:
-    """``ufunc`` over every window, less ``trim`` (rows, columns), of a 2-D array: (ny, nx)."""
-    for axis, starts in ((1, grid.xs), (0, grid.ys)):
-        idx = np.stack([starts, starts + grid.window - trim[axis]], axis=1).ravel()
-        a = ufunc.reduceat(a, idx[:-1] if idx[-1] == a.shape[axis] else idx, axis=axis)
-        # odd outputs span the gaps or overlaps between windows
-        a = a[:, ::2] if axis == 1 else a[::2]
-    return a
+def _window_rows(a: np.ndarray, starts: np.ndarray, window: int, ufunc) -> np.ndarray:
+    """``ufunc`` over rows s .. s + window - 1 of ``a``, for each s in ``starts``.
+
+    Rows are first reduced in blocks of g = gcd(window, stride), so a window
+    is k = window / g consecutive blocks.  Runs of 1, 2, 4, ... blocks are
+    built by doubling, and each window combines one run per set bit of k.
+    """
+    step = int(starts[1] - starts[0]) if starts.size > 1 else window
+    g = math.gcd(window, step)
+    n = (int(starts[-1]) + window) // g
+    run = a[:n] if g == 1 else ufunc.reduce(a[: n * g].reshape(n, g, *a.shape[1:]), axis=1)
+    k, s = window // g, step // g
+    last = (starts.size - 1) * s
+    out, offset, length = None, 0, 1
+    while True:
+        if k & length:
+            part = run[offset : offset + last + 1 : s]
+            offset += length
+            if offset == k:
+                return part if out is None else ufunc(out, part, out=out)
+            out = part.copy() if out is None else ufunc(out, part, out=out)
+        # in place once the run is not a view of a: numpy gives overlapping
+        # operands copy semantics, and with the output ahead of the input it
+        # needs no temporary copy for that
+        shared = np.may_share_memory(run, a)
+        run = ufunc(run[:-length], run[length:], out=None if shared else run[:-length])
+        length *= 2
+
+
+def _window_reduce(a: np.ndarray, grid: _WindowGrid, ufunc=np.add) -> np.ndarray:
+    """``ufunc`` over every window of a 2-D array: (ny, nx)."""
+    rows = np.ascontiguousarray(_window_rows(a, grid.ys, grid.window, ufunc).T)
+    return _window_rows(rows, grid.xs, grid.window, ufunc).T
 
 
 def _flat(x: np.ndarray, grid: _WindowGrid) -> np.ndarray:
-    """Windows of one value: no change along any of their rows nor down their first column."""
-    rows = _window_reduce(x[:, 1:] != x[:, :-1], grid, np.logical_or, (0, 1))
-    return ~(rows | _window_reduce(x[1:] != x[:-1], grid, np.logical_or, (1, grid.window - 1)))
+    """Windows of one value: their max equals their min."""
+    return _window_reduce(x, grid, np.maximum) == _window_reduce(x, grid, np.minimum)
 
 
 @dataclass(frozen=True)
@@ -221,10 +250,17 @@ class _Moments:
     bands: np.ndarray  # (k, H, W)
     centre: list  # the image mean of each band
     dsum: np.ndarray  # window sums of band - centre
-    mean: np.ndarray  # centre + dsum / n
+    mean: np.ndarray  # centre + dsum / n, or the tile's mean where redo
     var: np.ndarray  # ddof = 1
     flat: np.ndarray  # the window holds one value
     level: np.ndarray  # the window's first pixel, the value of a flat window
+    redo: np.ndarray  # mean and var were recomputed from the tile in two passes
+
+
+def _tile(a: np.ndarray, grid: _WindowGrid, iy: int, ix: int) -> np.ndarray:
+    """The pixels of window (iy, ix) of a 2-D array."""
+    y, x = grid.ys[iy], grid.xs[ix]
+    return a[y : y + grid.window, x : x + grid.window]
 
 
 def _covariance(cross, dsum_a, dsum_b, n: int) -> np.ndarray:
@@ -244,12 +280,23 @@ def _moments(image, window: int, stride: int) -> _Moments:
         np.subtract(x, c, out=scratch)
         dsum.append(_window_reduce(scratch, grid))
         square.append(_window_reduce(np.multiply(scratch, scratch, out=scratch), grid))
-    dsum = np.stack(dsum)
-    return _Moments(grid, bands, centre, dsum,
-                    np.asarray(centre)[:, None, None] + dsum / n,
-                    _covariance(np.stack(square), dsum, dsum, n),
-                    np.stack([_flat(x, grid) for x in bands]),
-                    np.stack([x[np.ix_(grid.ys, grid.xs)] for x in bands]))
+    dsum, square = np.stack(dsum), np.stack(square)
+    mean = np.asarray(centre)[:, None, None] + dsum / n
+    var = _covariance(square, dsum, dsum, n)
+    flat = np.stack([_flat(x, grid) for x in bands])
+    # One pass forms (n - 1) var = S2 - dsum^2 / n, where S2 is the window sum
+    # of (x - c)^2, with a rounding error below 2 n eps S2 (Chan, Golub and
+    # LeVeque 1983).  A window whose (n - 1) var is under 2^20 times that bound
+    # may keep fewer than 20 correct bits, and its Q can leave [-1, 1]; it is
+    # recomputed from its tile in two passes, and so are its covariances with
+    # every band (see _cross).
+    redo = ~flat & ((n - 1) * var <= 2.0**21 * n * np.finfo(float).eps * square)
+    for b, y, x in np.argwhere(redo):
+        tile = _tile(bands[b], grid, y, x)
+        mean[b, y, x] = tile.mean()
+        var[b, y, x] = np.square(tile - mean[b, y, x]).sum() / (n - 1)
+    return _Moments(grid, bands, centre, dsum, mean, var, flat,
+                    np.stack([x[np.ix_(grid.ys, grid.xs)] for x in bands]), redo)
 
 
 def _cross(a: _Moments, b: _Moments, pairs) -> np.ndarray:
@@ -263,6 +310,7 @@ def _cross(a: _Moments, b: _Moments, pairs) -> np.ndarray:
     # freed last-in, they leave no hole under a live array in the heap
     table = np.empty((len(pairs), *a.dsum.shape[1:]))
     ca, cb = np.empty_like(a.bands[0]), np.empty_like(a.bands[0])
+    n = a.grid.window ** 2
     last = None
     for cov, (i, j) in zip(table, pairs):
         if i != last:
@@ -270,7 +318,10 @@ def _cross(a: _Moments, b: _Moments, pairs) -> np.ndarray:
             last = i
         np.subtract(b.bands[j], b.centre[j], out=cb)
         cross = _window_reduce(np.multiply(ca, cb, out=cb), a.grid)
-        cov[...] = _covariance(cross, a.dsum[i], b.dsum[j], a.grid.window ** 2)
+        cov[...] = _covariance(cross, a.dsum[i], b.dsum[j], n)
+        for y, x in np.argwhere(a.redo[i] | b.redo[j]):
+            ta, tb = _tile(a.bands[i], a.grid, y, x), _tile(b.bands[j], a.grid, y, x)
+            cov[y, x] = np.sum((ta - ta.mean()) * (tb - tb.mean())) / (n - 1)
     return table
 
 

@@ -50,7 +50,10 @@ class RasterBand:
     """One image band: row-major float64 intensities, nominally in [0, 1].
 
     The payload must be a non-empty (H, W) array of finite values.  The array
-    is frozen at construction; derive new bands instead of mutating.
+    is frozen at construction; derive new bands instead of mutating.  A
+    C-contiguous float64 array is taken over without a copy and made read-only
+    in place, so the caller's own array can no longer be written; any other
+    dtype or layout is copied, and the caller's array is left as it was.
     """
 
     data: np.ndarray
@@ -70,7 +73,8 @@ class RasterBand:
 @dataclass(frozen=True)
 class MultispectralImage:
     """K co-registered bands of identical size: one frozen (K, H, W) array of
-    finite values, checked at construction like :class:`RasterBand`."""
+    finite values, checked and frozen at construction like :class:`RasterBand`
+    (a C-contiguous float64 array is made read-only in place, not copied)."""
 
     data: np.ndarray
 

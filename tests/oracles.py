@@ -17,6 +17,13 @@ def window_origins(h, w, window, stride):
     ]
 
 
+def naive_window_reduce(a, window, stride, fn):
+    """``fn`` of every window x window tile of a 2-D array, as an (ny, nx) array."""
+    ys = range(0, a.shape[0] - window + 1, stride)
+    xs = range(0, a.shape[1] - window + 1, stride)
+    return np.array([[fn(a[y : y + window, x : x + window]) for x in xs] for y in ys])
+
+
 def q_tile(a, b):
     """Wang-Bovik index on one tile, direct three-factor evaluation, ddof 1."""
     a = np.asarray(a, dtype=float).ravel()

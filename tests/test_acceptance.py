@@ -6,7 +6,9 @@ were recorded from the first verified implementation run on the seed-7
 fixture scene (see test bodies).
 """
 
+import ast
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,3 +306,11 @@ FROZEN_FIXTURE_VALUES = {
     "cs": {"ERGAS": 0.6215064787107801, "QNR": 0.9982486760527364},
     "glp": {"ERGAS": 0.5822696043592985, "QNR": 0.9940839905836566},
 }
+
+
+def test_benchmark_checks_the_same_frozen_values():
+    # perfbench/child.py keeps its own copy, read here without importing the benchmark
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "child.py").read_text())
+    copies = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "FROZEN_FIXTURE_VALUES" for t in node.targets)]
+    assert copies == [FROZEN_FIXTURE_VALUES]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import panfuse
 from panfuse.autodiff import ParameterSet, save_checkpoint
 from panfuse.cli import main, parse_kv_file
@@ -162,6 +163,22 @@ class TestPipeline:
         pairs = kv_parse((out / "eval_reduced_exp.kv").read_bytes(), "eval_reduced_exp.kv")
         assert pairs["ratio"] == "1/2"
         assert pairs["config.ratio"] == "2"
+
+    def test_eval_scores_a_nearly_flat_window(self, tmp_path):
+        # the top-right 32 x 32 window is 1.0 but for one pixel one float32 step
+        # below it, another pixel in each file: its one-pass variance cancels
+        paths = [tmp_path / "fused.pfr", tmp_path / "gt.pfr"]
+        for (y, x), path in zip(((3, 37), (20, 50)), paths):
+            a = np.zeros((4, 64, 64))
+            a[:, :32, 32:] = 1.0
+            a[:, y, x] = np.nextafter(np.float32(1.0), np.float32(0.0))
+            save_raster(MultispectralImage(a), path)
+        assert run(["eval", "--mode", "reduced", "--fused", str(paths[0]), "--gt", str(paths[1]),
+                    "--label", "flat", "--out", str(tmp_path)]) == 0
+        report = QualityReport.parse_kv((tmp_path / "eval_reduced_flat.kv").read_text())
+        f, g = (load_raster(path).data for path in paths)
+        expected = np.mean([oracles.naive_uiqi(a, b, 32, 32) for a, b in zip(f, g)])
+        assert abs(report.entries["UIQI"] - expected) < 1e-10
 
     def test_eval_echoes_every_config_key(self, tmp_path):
         # every setting at its default; the keys that default to None are set, so

@@ -235,6 +235,49 @@ def tile_kinds(a, b, window, stride):
     return kinds
 
 
+class TestWindowKernel:
+    """_window_reduce and _flat against the brute-force tile loop."""
+
+    @staticmethod
+    def check(a, window, stride):
+        grid = metrics._window_origins(*a.shape, window, stride)
+        np.testing.assert_allclose(
+            metrics._window_reduce(a, grid),
+            oracles.naive_window_reduce(a, window, stride, np.sum), rtol=0, atol=1e-12)
+        for ufunc, fn in ((np.maximum, np.max), (np.minimum, np.min)):
+            np.testing.assert_array_equal(metrics._window_reduce(a, grid, ufunc),
+                                          oracles.naive_window_reduce(a, window, stride, fn))
+        np.testing.assert_array_equal(
+            metrics._flat(a, grid),
+            oracles.naive_window_reduce(a, window, stride, lambda t: np.ptp(t) == 0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=windowed_inputs(max_side=40))
+    def test_matches_brute_force(self, case):
+        seed, h, w, window, stride, levels, block = case
+        self.check(blocky(np.random.default_rng(seed), (h, w), levels, block) - 0.5,
+                   window, stride)
+
+    @pytest.mark.parametrize("h,w,window,stride", [
+        (64, 64, 8, 2),  # overlapping
+        (64, 48, 8, 8),  # tiling
+        (50, 64, 8, 11),  # gapped
+        (64, 64, 16, 3),  # stride coprime to the window: blocks of one row
+        (64, 96, 28, 4),  # a window of 7 blocks: three set bits
+        (28, 96, 28, 4),  # one window down the rows
+        (96, 30, 28, 4),  # one window across the columns
+    ])
+    def test_strides(self, h, w, window, stride):
+        self.check(blocky(np.random.default_rng(h * w + stride), (h, w), 2, 5), window, stride)
+
+    def test_signed_zeros_make_a_flat_window(self):
+        a = np.random.default_rng(4).uniform(size=(8, 8))
+        a[:4, :4] = 0.0
+        a[1:4:2, ::3] = -0.0
+        self.check(a, 4, 2)
+        assert metrics._flat(a, metrics._window_origins(8, 8, 4, 2))[0, 0]
+
+
 class TestWindowedOracles:
     """The vectorised window statistics against the brute-force tile loops."""
 
@@ -300,6 +343,60 @@ class TestWindowedOracles:
         assert abs(fast - oracles.naive_uiqi(a[0], b[0], 3, stride)) < 1e-10
         fast = q4(ms_of(a), ms_of(b), cfg)
         assert abs(fast - oracles.naive_q4(a, b, 3, stride)) < 1e-10
+
+
+def near_flat(seed, shape, level, pixel):
+    """Float32 noise, but for a window at ``level`` in its top-right quarter in
+    every band, where ``pixel`` is one float32 step below the level."""
+    a = np.random.default_rng(seed).uniform(size=shape).astype(np.float32)
+    h, w = shape[-2:]
+    a[..., : h // 2, w // 2 :] = level
+    a[(..., *pixel)] = np.nextafter(np.float32(level), np.float32(0.0))
+    return a.astype(np.float64)
+
+
+class TestNearlyFlatWindows:
+    """A window far from the image mean with a spread of one float32 step: its
+    one-pass variance cancels, and it must be recomputed from the tile."""
+
+    @pytest.mark.parametrize("level", [1.0, 0.9, 0.7])
+    def test_reduced_indices_match_the_oracles(self, level):
+        f = near_flat(5, (4, 64, 64), level, (3, 37))
+        m = near_flat(6, (4, 64, 64), level, (20, 50))
+        cfg = MetricConfig(window=32, stride=32)
+        fast = uiqi(RasterBand(f[0]), RasterBand(m[0]), cfg)
+        assert abs(fast - oracles.naive_uiqi(f[0], m[0], 32, 32)) < 1e-10
+        assert -1.0 <= fast <= 1.0
+        fast = q4(ms_of(f), ms_of(m), cfg)
+        assert abs(fast - oracles.naive_q4(f, m, 32, 32)) < 1e-10
+        assert -1.0 <= fast <= 1.0
+
+    def test_a_few_correct_digits_are_not_enough(self):
+        # a spread of 1e-6 about 1.0, in an image of mean about 0.6, leaves the
+        # one-pass variance above its bare rounding bound, 2 n eps S2, but with
+        # only a few correct digits
+        rng = np.random.default_rng(12)
+        a, b = rng.uniform(size=(2, 64, 64))
+        u = rng.uniform(size=(2, 32, 32))
+        a[:32, 32:] = 1.0 + 1e-6 * u[0]
+        b[:32, 32:] = 1.0 + 1e-6 * (u[0] + 0.01 * u[1])
+        fast = uiqi(RasterBand(a), RasterBand(b), MetricConfig(window=32, stride=32))
+        assert abs(fast - oracles.naive_uiqi(a, b, 32, 32)) < 1e-10
+
+    @pytest.mark.parametrize("level", [1.0, 0.7])
+    def test_distortions_match_the_oracles(self, level):
+        # the fused side is at twice the MS size, so its windows are 32 x 32 too
+        m = near_flat(7, (4, 32, 32), level, (5, 20))
+        f = near_flat(8, (4, 64, 64), level, (9, 40))
+        pan_low = near_flat(9, (32, 32), level, (2, 30))
+        pan = near_flat(10, (64, 64), level, (30, 33))
+        cfg = MetricConfig(window=16, stride=16)
+        fast = d_lambda(ms_of(m), ms_of(f), cfg)
+        assert abs(fast - oracles.naive_d_lambda(m, f, 16, 16, 1, 2)) < 1e-10
+        assert -1.0 <= fast <= 1.0
+        fast = d_s(ms_of(m), ms_of(f), RasterBand(pan), RasterBand(pan_low), cfg)
+        assert abs(fast - oracles.naive_d_s(m, f, pan, pan_low, 16, 16, 1, 2)) < 1e-10
+        assert -1.0 <= fast <= 1.0
 
 
 class TestErgas:

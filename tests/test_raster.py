@@ -69,6 +69,15 @@ class TestContainers:
         with pytest.raises(ValueError):
             ms.data[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("cls,shape", [(RasterBand, (3, 4)), (MultispectralImage, (2, 3, 4))])
+    def test_float64_is_frozen_in_place_and_other_dtypes_copied(self, cls, shape):
+        data = np.full(shape, 0.5)
+        assert cls(data).data is data
+        assert not data.flags.writeable
+        data = np.full(shape, 0.5, dtype=np.float32)
+        assert not np.shares_memory(cls(data).data, data)
+        assert data.flags.writeable
+
     def test_weights_reject_nonfinite(self):
         with pytest.raises(InvalidInputError):
             IntensityWeights(np.array([np.inf]), 0.0)
