@@ -228,11 +228,16 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     if np.any(bd == 0.0):
         raise NumericalError("division by zero")
 
-    def bw(g, needs):
-        return (_unbroadcast(g / bd, ad) if needs[0] else None,
-                _unbroadcast(-g * ad / (bd * bd), bd) if needs[1] else None)
+    out = ad / bd
 
-    return _track("div", ad / bd, (a, b), bw)
+    def bw(g, needs):
+        # the divisor is squared in the quotient's dtype: squared in float32, a
+        # float32 divisor under a float64 numerator underflows or overflows
+        bd2 = bd.astype(out.dtype, copy=False)
+        return (_unbroadcast(g / bd, ad) if needs[0] else None,
+                _unbroadcast(-g * ad / (bd2 * bd2), bd) if needs[1] else None)
+
+    return _track("div", out, (a, b), bw)
 
 
 def cast(a: Tensor, dtype) -> Tensor:
@@ -285,14 +290,15 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
 CLAMP_MARGIN = 0.05
 
 
-def clamp_smooth(a: Tensor, margin: float = CLAMP_MARGIN) -> Tensor:
-    """Differentiable squash onto (0, 1): identity on [m, 1-m], tanh tails.
+def clamp_smooth(a: Tensor) -> Tensor:
+    """Differentiable squash onto (0, 1): identity on [m, 1-m], tanh tails,
+    with m = ``CLAMP_MARGIN``.
 
     Hard clamping kills gradients at saturation; the tanh tails keep a strict
     (0, 1) range while deviating from the identity by at most
-    m * (1 - tanh(1)) ~ 0.012 for inputs in [0, 1] with the default margin.
+    m * (1 - tanh(1)) ~ 0.012 for inputs in [0, 1].
     """
-    m = float(margin)
+    m = CLAMP_MARGIN
     x = a.data
     lo = x < m
     hi = x > 1.0 - m
@@ -672,14 +678,13 @@ class ParameterSet:
             p.requires_grad = bool(flag)
 
 
-def adam_step(
-    params: ParameterSet,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+# Adam's decay rates of the first and second moments, and its denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: ParameterSet, lr: float) -> None:
     """Bias-corrected Adam update over all parameters; gradients are zeroed after."""
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     params.step_count += 1
     t = params.step_count
     for name, p in params.items():

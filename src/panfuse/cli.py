@@ -16,8 +16,6 @@ from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import gan
 from .autodiff import load_checkpoint, save_checkpoint
 from .errors import ConfigError, NumericalError, PanfuseError

@@ -41,9 +41,19 @@ from .raster import (
 )
 
 
-def _he_uniform(rng: np.random.Generator, c_out: int, c_in: int, k: int) -> np.ndarray:
+# The one architecture of both networks: 3x3 kernels and leaky ReLUs of slope
+# 0.2; a generator of 16 hidden channels; critics of three stride-2 layers
+KERNEL = 3
+SLOPE = 0.2
+HIDDEN_CHANNELS = 16
+CRITIC_CHANNELS = (16, 32, 32)
+CRITIC_STRIDE = 2
+
+
+def _he_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    _, c_in, k, _ = shape
     limit = math.sqrt(6.0 / (c_in * k * k))
-    return rng.uniform(-limit, limit, size=(c_out, c_in, k, k))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 @dataclass(frozen=True)
@@ -58,20 +68,23 @@ class GeneratorSpec:
     """
 
     bands: int
-    hidden_channels: int = 16
-    kernel_size: int = 3
-    slope: float = 0.2
+
+    def param_shapes(self) -> dict:
+        """The shape of each parameter, in the order :meth:`init_params` draws them."""
+        shapes = {}
+        c_in = self.bands + 1
+        for layer, c_out in (("conv1", HIDDEN_CHANNELS), ("conv2", HIDDEN_CHANNELS),
+                             ("head", self.bands)):
+            shapes[f"gen.{layer}.weight"] = (c_out, c_in, KERNEL, KERNEL)
+            shapes[f"gen.{layer}.bias"] = (c_out,)
+            c_in = c_out
+        return shapes
 
     def init_params(self, rng: np.random.Generator) -> ParameterSet:
-        k = self.kernel_size
-        hid = self.hidden_channels
         params = ParameterSet()
-        params.add("gen.conv1.weight", _he_uniform(rng, hid, self.bands + 1, k))
-        params.add("gen.conv1.bias", np.zeros(hid))
-        params.add("gen.conv2.weight", _he_uniform(rng, hid, hid, k))
-        params.add("gen.conv2.bias", np.zeros(hid))
-        params.add("gen.head.weight", np.zeros((self.bands, hid, k, k)))
-        params.add("gen.head.bias", np.zeros(self.bands))
+        for name, shape in self.param_shapes().items():
+            drawn = name in ("gen.conv1.weight", "gen.conv2.weight")
+            params.add(name, _he_uniform(rng, shape) if drawn else np.zeros(shape))
         return params
 
     def forward(self, params, ms_up: Tensor, pan: Tensor) -> Tensor:
@@ -83,7 +96,7 @@ class GeneratorSpec:
         h = stacked
         for layer in ("conv1", "conv2"):
             h = ad.conv2d(
-                h, params[f"gen.{layer}.weight"], params[f"gen.{layer}.bias"], slope=self.slope
+                h, params[f"gen.{layer}.weight"], params[f"gen.{layer}.bias"], slope=SLOPE
             )
         residual = ad.conv2d(h, params["gen.head.weight"], params["gen.head.bias"])
         return ad.clamp_smooth(ad.add(ms_up, residual))
@@ -97,30 +110,25 @@ class DiscriminatorSpec:
     """
 
     in_channels: int
-    channels: tuple = (16, 32, 32)
-    kernel_size: int = 3
-    stride: int = 2
-    slope: float = 0.2
 
     def init_params(self, rng: np.random.Generator, prefix: str) -> ParameterSet:
-        k = self.kernel_size
         params = ParameterSet()
         c_in = self.in_channels
-        for i, c_out in enumerate(self.channels, start=1):
-            params.add(f"{prefix}.conv{i}.weight", _he_uniform(rng, c_out, c_in, k))
+        for i, c_out in enumerate(CRITIC_CHANNELS, start=1):
+            params.add(f"{prefix}.conv{i}.weight", _he_uniform(rng, (c_out, c_in, KERNEL, KERNEL)))
             params.add(f"{prefix}.conv{i}.bias", np.zeros(c_out))
             c_in = c_out
         return params
 
     def forward(self, params, x: Tensor, prefix: str) -> Tensor:
         h = ad.cast(x, np.float32)
-        for i in range(1, len(self.channels) + 1):
+        for i in range(1, len(CRITIC_CHANNELS) + 1):
             h = ad.conv2d(
                 h,
                 params[f"{prefix}.conv{i}.weight"],
                 params[f"{prefix}.conv{i}.bias"],
-                stride=self.stride,
-                slope=self.slope,
+                stride=CRITIC_STRIDE,
+                slope=SLOPE,
             )
         return ad.sigmoid(ad.cast(ad.mean(h), np.float64))
 
@@ -151,6 +159,8 @@ class TrainingConfig:
             raise InvalidInputError("learning rates must be positive")
         if self.ratio < 1:
             raise InvalidInputError("ratio must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 LOG_COLUMNS = (
@@ -308,46 +318,6 @@ def generator_total_loss(l1: Tensor, l2: Tensor, adv: Tensor, cfg: TrainingConfi
 # training and inference
 
 
-@dataclass(frozen=True)
-class _TrainingState:
-    """What every training iteration reads: the config, the three networks
-    with their parameters, and the inputs, with their constant tensors."""
-
-    cfg: TrainingConfig
-    gen: GeneratorSpec
-    disc_spec: DiscriminatorSpec
-    disc_spat: DiscriminatorSpec
-    g_params: ParameterSet
-    ds_params: ParameterSet
-    dt_params: ParameterSet
-    ms: MultispectralImage
-    pan: RasterBand
-    weights: IntensityWeights
-    ms_up_t: Tensor
-    pan_t: Tensor
-    ms_real: Tensor
-    gen_input: Tensor
-
-    @classmethod
-    def start(cls, ms: MultispectralImage, pan: RasterBand, cfg: TrainingConfig):
-        k = ms.band_count
-        gen, disc_spec, disc_spat = GeneratorSpec(k), DiscriminatorSpec(k), DiscriminatorSpec(1)
-        rng = np.random.default_rng(cfg.seed)
-        ms_up = upsample(ms, cfg.ratio)
-        ms_up_t, pan_t = Tensor(ms_up.data), Tensor(pan.data[None])
-        return cls(
-            cfg, gen, disc_spec, disc_spat,
-            # the parameters are drawn from ``rng`` in this order
-            gen.init_params(rng),
-            disc_spec.init_params(rng, "dspec"),
-            disc_spat.init_params(rng, "dspat"),
-            ms, pan, estimate_weights(ms_up, pan), ms_up_t, pan_t, Tensor(ms.data),
-            # the generator input, constant across iterations; the
-            # generator's layers run in its dtype
-            ad.cast(ad.concat_channels(ms_up_t, pan_t), np.float32),
-        )
-
-
 def train(
     ms: MultispectralImage, pan: RasterBand, cfg: TrainingConfig
 ) -> tuple[ParameterSet, TrainingLog]:
@@ -359,76 +329,86 @@ def train(
     loss.  Everything is derived from ``cfg.seed``, so runs are reproducible
     bit for bit.
     """
-    check_pan_scale(ms, pan, cfg.ratio)
-    state = _TrainingState.start(ms, pan, cfg)
+    r = cfg.ratio
+    check_pan_scale(ms, pan, r)
+    k = ms.band_count
+    gen, disc_spec, disc_spat = GeneratorSpec(k), DiscriminatorSpec(k), DiscriminatorSpec(1)
+    rng = np.random.default_rng(cfg.seed)
+    # the parameters are drawn from ``rng`` in this order
+    g_params = gen.init_params(rng)
+    ds_params = disc_spec.init_params(rng, "dspec")
+    dt_params = disc_spat.init_params(rng, "dspat")
+    ms_up = upsample(ms, r)
+    weights = estimate_weights(ms_up, pan)
+    ms_up_t, pan_t, ms_real = Tensor(ms_up.data), Tensor(pan.data[None]), Tensor(ms.data)
+    # the generator input, constant across iterations; the generator's layers
+    # run in its dtype
+    gen_input = ad.cast(ad.concat_channels(ms_up_t, pan_t), np.float32)
     log = TrainingLog()
+
+    # one iteration; its tapes are freed when it returns, before the next
+    def iteration(it: int) -> None:
+        fused = gen.forward_from(g_params, gen_input, ms_up_t)
+        fused_const = fused.detach()
+
+        # spectral critic: original MS vs degraded generator output
+        d_spec_loss = discriminator_loss(
+            disc_spec.forward(ds_params, ms_real, "dspec"),
+            disc_spec.forward(ds_params, ad.block_mean(fused_const, r), "dspec"),
+            "spectral critic",
+        )
+        ad.backward(d_spec_loss)
+        ad.adam_step(ds_params, cfg.lr_d)
+
+        # spatial critic: original PAN vs intensity of the generator output
+        d_spat_loss = discriminator_loss(
+            disc_spat.forward(dt_params, pan_t, "dspat"),
+            disc_spat.forward(dt_params, intensity_of(fused_const, weights), "dspat"),
+            "spatial critic",
+        )
+        ad.backward(d_spat_loss)
+        ad.adam_step(dt_params, cfg.lr_d)
+
+        # generator: consistency losses plus adversarial terms with frozen critics
+        l1 = spectral_loss(fused, ms, r)
+        intensity = intensity_of(fused, weights)
+        l2 = _spatial_loss_from_intensity(intensity, pan)
+        ds_params.set_trainable(False)
+        dt_params.set_trainable(False)
+        try:
+            adv, adv_spec, adv_spat = generator_adversarial_loss(
+                disc_spec.forward(ds_params, ad.block_mean(fused, r), "dspec"),
+                disc_spat.forward(dt_params, intensity, "dspat"),
+                cfg,
+            )
+            total = generator_total_loss(l1, l2, adv, cfg)
+            if not math.isfinite(total.item()):
+                raise TrainingDivergenceError("generator loss is non-finite", iteration=it)
+            ad.backward(total)
+        finally:
+            ds_params.set_trainable(True)
+            dt_params.set_trainable(True)
+        ad.adam_step(g_params, cfg.lr_g)
+
+        log.append(
+            iteration=it,
+            L1=l1.item(),
+            L2=l2.item(),
+            adv_G_spec=adv_spec.item(),
+            adv_G_spat=adv_spat.item(),
+            D_spec_loss=d_spec_loss.item(),
+            D_spat_loss=d_spat_loss.item(),
+            total_G=total.item(),
+        )
+
     for it in range(1, cfg.iterations + 1):
         try:
-            _train_iteration(it, state, log)
+            iteration(it)
         except TrainingDivergenceError:
             raise
         except NumericalError as exc:
             raise TrainingDivergenceError(str(exc), iteration=it) from exc
-    return state.g_params, log
-
-
-def _train_iteration(it: int, s: _TrainingState, log: TrainingLog) -> None:
-    cfg = s.cfg
-    r = cfg.ratio
-    fused = s.gen.forward_from(s.g_params, s.gen_input, s.ms_up_t)
-    fused_const = fused.detach()
-
-    # spectral critic: original MS vs degraded generator output
-    fake_ms = ad.block_mean(fused_const, r)
-    d_spec_loss = discriminator_loss(
-        s.disc_spec.forward(s.ds_params, s.ms_real, "dspec"),
-        s.disc_spec.forward(s.ds_params, fake_ms, "dspec"),
-        "spectral critic",
-    )
-    ad.backward(d_spec_loss)
-    ad.adam_step(s.ds_params, cfg.lr_d)
-
-    # spatial critic: original PAN vs intensity of the generator output
-    fake_intensity = intensity_of(fused_const, s.weights)
-    d_spat_loss = discriminator_loss(
-        s.disc_spat.forward(s.dt_params, s.pan_t, "dspat"),
-        s.disc_spat.forward(s.dt_params, fake_intensity, "dspat"),
-        "spatial critic",
-    )
-    ad.backward(d_spat_loss)
-    ad.adam_step(s.dt_params, cfg.lr_d)
-
-    # generator: consistency losses plus adversarial terms with frozen critics
-    l1 = spectral_loss(fused, s.ms, r)
-    intensity = intensity_of(fused, s.weights)
-    l2 = _spatial_loss_from_intensity(intensity, s.pan)
-    s.ds_params.set_trainable(False)
-    s.dt_params.set_trainable(False)
-    try:
-        adv, adv_spec, adv_spat = generator_adversarial_loss(
-            s.disc_spec.forward(s.ds_params, ad.block_mean(fused, r), "dspec"),
-            s.disc_spat.forward(s.dt_params, intensity, "dspat"),
-            cfg,
-        )
-        total = generator_total_loss(l1, l2, adv, cfg)
-        if not math.isfinite(total.item()):
-            raise TrainingDivergenceError("generator loss is non-finite", iteration=it)
-        ad.backward(total)
-    finally:
-        s.ds_params.set_trainable(True)
-        s.dt_params.set_trainable(True)
-    ad.adam_step(s.g_params, cfg.lr_g)
-
-    log.append(
-        iteration=it,
-        L1=l1.item(),
-        L2=l2.item(),
-        adv_G_spec=adv_spec.item(),
-        adv_G_spat=adv_spat.item(),
-        D_spec_loss=d_spec_loss.item(),
-        D_spat_loss=d_spat_loss.item(),
-        total_G=total.item(),
-    )
+    return g_params, log
 
 
 def checkpoint_hash(params: ParameterSet) -> str:
@@ -438,39 +418,8 @@ def checkpoint_hash(params: ParameterSet) -> str:
 # PAN pixels along each side of one tile of :func:`fuse`, halo not counted:
 # its activations, not the scene's, bound the memory of inference
 _FUSE_TILE = 256
-
-
-def _generator_halo(params: ParameterSet, bands: int) -> int:
-    """Check that ``params`` holds a generator for ``bands`` bands; return
-    its receptive-field radius, the sum of ``k // 2`` over its three layers.
-
-    The six ``gen.*`` parameters must be present, each weight a square odd
-    kernel whose input channels are the previous layer's outputs (the first
-    takes the bands and PAN, the head gives the bands), each bias one value
-    per output channel.
-    """
-    c_in, halo = bands + 1, 0
-    for layer in ("conv1", "conv2", "head"):
-        w_name, b_name = f"gen.{layer}.weight", f"gen.{layer}.bias"
-        for name in (w_name, b_name):
-            if name not in params:
-                raise InvalidInputError(f"checkpoint has no generator parameter {name!r}")
-        w, b = params[w_name].data.shape, params[b_name].data.shape
-        c_out = bands if layer == "head" else "C"
-        if (
-            len(w) != 4 or 0 in w or w[1] != c_in or w[2] != w[3] or w[2] % 2 == 0
-            or (layer == "head" and w[0] != bands)
-        ):
-            raise InvalidInputError(
-                f"checkpoint parameter {w_name!r} has shape {w}, expected "
-                f"({c_out}, {c_in}, k, k) with an odd k for {bands} input bands"
-            )
-        if b != w[:1]:
-            raise InvalidInputError(
-                f"checkpoint parameter {b_name!r} has shape {b}, expected ({w[0]},)"
-            )
-        c_in, halo = w[0], halo + w[2] // 2
-    return halo
+# the generator's receptive-field radius: KERNEL // 2 for each of its 3 layers
+_FUSE_HALO = 3 * (KERNEL // 2)
 
 
 def fuse(
@@ -478,24 +427,34 @@ def fuse(
 ) -> MultispectralImage:
     """Single deterministic forward pass with a frozen checkpoint.
 
-    The generator runs on square tiles of the PAN grid, each read with a halo
-    of its receptive-field radius and cut at the image border, so every kept
-    pixel equals the whole-image pass: inside, the halo holds every pixel it
-    reads; at the border, conv2d pads with the same zeros.  Each tile's
-    bicubic input is upsampled from the MS directly.
+    ``params`` must hold the six ``gen.*`` parameters of the one generator
+    architecture for the bands of ``ms``, each of the shape that
+    :meth:`GeneratorSpec.init_params` gives it.  The generator runs on square
+    tiles of the PAN grid, each read with a halo of ``_FUSE_HALO`` pixels and
+    cut at the image border, so every kept pixel equals the whole-image pass:
+    inside, the halo holds every pixel it reads; at the border, conv2d pads
+    with the same zeros.  Each tile's bicubic input is upsampled from the MS
+    directly.
     """
     r = int(r)
     k = ms.band_count
-    halo = _generator_halo(params, k)
+    gen = GeneratorSpec(k)
+    for name, shape in gen.param_shapes().items():
+        if name not in params:
+            raise InvalidInputError(f"checkpoint has no generator parameter {name!r}")
+        got = params[name].data.shape
+        if got != shape:
+            raise InvalidInputError(
+                f"checkpoint parameter {name!r} has shape {got}, expected {shape} for {k} bands"
+            )
     check_pan_scale(ms, pan, r)
     frozen = {name: Tensor(p.data) for name, p in params.items()}
-    gen = GeneratorSpec(bands=k, hidden_channels=params["gen.conv1.weight"].data.shape[0])
     h, w = pan.height, pan.width
     out = np.empty((k, h, w))
     for top in range(0, h, _FUSE_TILE):
         for left in range(0, w, _FUSE_TILE):
-            rows = slice(max(top - halo, 0), min(top + _FUSE_TILE + halo, h))
-            cols = slice(max(left - halo, 0), min(left + _FUSE_TILE + halo, w))
+            rows = slice(max(top - _FUSE_HALO, 0), min(top + _FUSE_TILE + _FUSE_HALO, h))
+            cols = slice(max(left - _FUSE_HALO, 0), min(left + _FUSE_TILE + _FUSE_HALO, w))
             ms_up = _bicubic_up(ms.data, r, rows, cols)
             try:
                 tile = gen.forward(frozen, Tensor(ms_up), Tensor(pan.data[None, rows, cols]))

@@ -53,15 +53,7 @@ IDEAL_ROW = {
 
 
 def worker_threads() -> int:
-    """Worker cap from PANFUSE_THREADS; defaults to all cores."""
-    raw = os.environ.get("PANFUSE_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise InvalidInputError(f"PANFUSE_THREADS must be an integer, got {raw!r}") from exc
-        if n >= 1:
-            return n
+    """Worker cap of :func:`run_experiment`'s pool: every core."""
     return os.cpu_count() or 1
 
 
@@ -127,6 +119,8 @@ def synth_scene(
         )
     if bands < 2:
         raise InvalidInputError(f"need at least 2 bands, got {bands}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     jitter = 0.05
 
@@ -265,8 +259,8 @@ def run_experiment(
             ExperimentResult(name, "full", full, elapsed),
         ]
 
-    max_workers = min(worker_threads(), max(1, len(names)))
-    if max_workers > 1 and len(names) > 1:
+    max_workers = min(worker_threads(), len(names))
+    if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             chunks = list(pool.map(run_one, names))
     else:

@@ -510,6 +510,22 @@ class TestDtypes:
             with pytest.raises(NumericalError, match="op 'cast'"):
                 ad.cast(x, np.float32)
 
+    @pytest.mark.parametrize(
+        "divisor", [1e-30, 3e19], ids=["square-underflows", "square-overflows"]
+    )
+    def test_div_pullback_of_a_float32_divisor(self, divisor):
+        # the quotient of a float64 numerator is float64, and so is the
+        # divisor's pullback; squared in float32, 1e-30 gives 0 and 3e19 inf
+        a = Tensor(np.ones(4), requires_grad=True)
+        b = Tensor(np.full(4, divisor, dtype=np.float32), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ad.backward(ad.mean(ad.div(a, b)))
+        b64 = b.data.astype(np.float64)
+        want = -0.25 * 1.0 / (b64 * b64)
+        assert (want < 0).all() and np.isfinite(want).all()
+        np.testing.assert_allclose(b.grad, want, rtol=1e-15)
+
     def test_cast_rejects_other_dtypes(self):
         with pytest.raises(InvalidInputError, match="float16"):
             ad.cast(Tensor(np.ones(2)), np.float16)

@@ -324,6 +324,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_seed_synth_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(synth_args(out, seed=-1)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and "seed" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_negative_seed_train_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        run(synth_args(out, size=16, ratio=2, bands=2))
+        before = sorted(p.name for p in out.iterdir())
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("seed = -1\n")
+        capsys.readouterr()
+        assert run(["train", "--config", str(cfg), "--iterations", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and "seed" in err and len(err.splitlines()) == 1
+        assert sorted(p.name for p in out.iterdir()) == before
+
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["eval", "--mode", "sideways", "--out", str(tmp_path)])
@@ -365,6 +384,8 @@ class TestExitCodes:
             pytest.param("gen.conv2.weight", np.zeros((16, 8, 3, 3)), id="conv2-in-channels"),
             pytest.param("gen.conv1.weight", np.zeros((16, 3, 2, 2)), id="conv1-even-kernel"),
             pytest.param("gen.head.weight", np.zeros((3, 16, 3, 3)), id="head-band-count"),
+            pytest.param("gen.conv2.weight", np.zeros((16, 16, 5, 5)), id="conv2-kernel-5"),
+            pytest.param("gen.conv1.weight", np.zeros((8, 3, 3, 3)), id="conv1-8-wide"),
         ],
     )
     def test_bad_generator_checkpoint_exits_2(self, tmp_path, capsys, name, value):

@@ -388,11 +388,11 @@ class TestFuse:
             gan.fuse(params, scene.ms, scene.pan, scene.ratio)
 
 
-def random_head_checkpoint(bands, seed, kernel_size=3):
+def random_head_checkpoint(bands, seed):
     """A generator whose head and biases are random, not zero: with the zero
     head of ``init_params`` the output ignores the hidden layers, and a halo
     too small for them would go unseen."""
-    spec = GeneratorSpec(bands=bands, kernel_size=kernel_size)
+    spec = GeneratorSpec(bands=bands)
     rng = np.random.default_rng(seed)
     params = spec.init_params(rng)
     for name in ("gen.conv1.bias", "gen.conv2.bias", "gen.head.weight", "gen.head.bias"):
@@ -401,25 +401,21 @@ def random_head_checkpoint(bands, seed, kernel_size=3):
 
 
 class TestFuseTiles:
-    # (PAN width, height, ratio, kernel size, tile); the halo of the 3x3
-    # network is 3 pixels, that of the 5x5 one 6
+    # (PAN width, height, ratio, tile); the generator's halo is 3 pixels
     @pytest.mark.parametrize(
-        "width, height, ratio, kernel, tile",
+        "width, height, ratio, tile",
         [
-            pytest.param(256, 256, 4, 3, 64, id="divisor"),
-            pytest.param(256, 256, 4, 3, 40, id="non-divisor-40"),
-            pytest.param(256, 256, 4, 3, 100, id="non-divisor-100"),
-            pytest.param(24, 24, 4, 3, 2, id="tile-below-halo"),
-            pytest.param(96, 96, 4, 5, 40, id="kernel-5"),
-            pytest.param(128, 128, 2, 3, 40, id="ratio-2"),
-            pytest.param(160, 96, 4, 3, 40, id="non-square"),
+            pytest.param(256, 256, 4, 64, id="divisor"),
+            pytest.param(256, 256, 4, 40, id="non-divisor-40"),
+            pytest.param(256, 256, 4, 100, id="non-divisor-100"),
+            pytest.param(24, 24, 4, 2, id="tile-below-halo"),
+            pytest.param(128, 128, 2, 40, id="ratio-2"),
+            pytest.param(160, 96, 4, 40, id="non-square"),
         ],
     )
-    def test_tiles_match_the_whole_image_pass(
-        self, monkeypatch, width, height, ratio, kernel, tile
-    ):
+    def test_tiles_match_the_whole_image_pass(self, monkeypatch, width, height, ratio, tile):
         scene = synth_scene(seed=21, width=width, height=height, bands=4, ratio=ratio)
-        spec, params = random_head_checkpoint(4, 22, kernel)
+        spec, params = random_head_checkpoint(4, 22)
         monkeypatch.setattr(gan, "_FUSE_TILE", tile)
         got = gan.fuse(params, scene.ms, scene.pan, ratio).data
         frozen = {name: Tensor(p.data) for name, p in params.items()}

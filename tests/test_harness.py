@@ -248,15 +248,5 @@ class TestRunExperiment:
 
 
 class TestWorkerThreads:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PANFUSE_THREADS", "2")
-        assert worker_threads() == 2
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("PANFUSE_THREADS", "abc")
-        with pytest.raises(InvalidInputError):
-            worker_threads()
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("PANFUSE_THREADS", raising=False)
+    def test_default_positive(self):
         assert worker_threads() >= 1
