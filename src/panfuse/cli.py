@@ -51,7 +51,6 @@ from .raster import (
 CONFIG_DEFAULTS = {
     **{f.name: f.default for f in fields(MetricConfig) if f.name != "ratio"},
     **{f.name: f.default for f in fields(gan.TrainingConfig)},
-    "nyquist_gain": NYQUIST_GAIN,
     "size": 256,
     "bands": 4,
     "out": ".",
@@ -166,7 +165,6 @@ def cmd_synth(args) -> int:
         height=cfg.size,
         bands=cfg.bands,
         ratio=cfg.ratio,
-        nyquist_gain=cfg.nyquist_gain,
     )
     os.makedirs(cfg.out, exist_ok=True)
     save_raster(scene.gt_hrms, _out_path(cfg, "gt.pfr"))
@@ -175,7 +173,7 @@ def cmd_synth(args) -> int:
     gt = scene.gt_hrms
     meta = kv_format([
         ("seed", scene.seed), ("ratio", scene.ratio), ("bands", gt.band_count),
-        ("width", gt.width), ("height", gt.height), ("nyquist_gain", scene.nyquist_gain),
+        ("width", gt.width), ("height", gt.height), ("nyquist_gain", NYQUIST_GAIN),
         ("pan_weights", ",".join(repr(w) for w in scene.pan_weights)),
     ])
     Path(_out_path(cfg, "scene.meta")).write_text(meta, encoding="utf-8")
@@ -187,7 +185,7 @@ def cmd_degrade(args) -> int:
     cfg = RunConfig(args)
     ratio = _resolve_ratio(cfg, args)
     ms, pan = _load_ms_pan(cfg)
-    ms_lo, pan_lo, reference = wald_reduce(ms, pan, ratio, cfg.nyquist_gain)
+    ms_lo, pan_lo, reference = wald_reduce(ms, pan, ratio)
     os.makedirs(cfg.out, exist_ok=True)
     save_raster(ms_lo, _out_path(cfg, "ms_lo.pfr"))
     save_raster(pan_lo, _out_path(cfg, "pan_lo.pfr"))
@@ -209,7 +207,7 @@ def cmd_fuse(args) -> int:
         params = load_checkpoint(cfg.checkpoint)
         product = gan.fuse(params, ms, pan, ratio)
     else:
-        product = baseline_fuse(method, ms, pan, ratio, cfg.nyquist_gain)
+        product = baseline_fuse(method, ms, pan, ratio)
     os.makedirs(cfg.out, exist_ok=True)
     out_path = _out_path(cfg, f"fused_{method}.pfr")
     save_raster(product, out_path)
@@ -232,10 +230,16 @@ def cmd_train(args) -> int:
 
 
 def _eval_label(cfg: RunConfig, fused_path: str) -> str:
-    if cfg.label:
-        return cfg.label
-    stem = os.path.splitext(os.path.basename(fused_path))[0]
-    return stem[6:] if stem.startswith("fused_") else stem
+    """The report label: --label, else the fused file's stem less ``fused_``.  It is a
+    file name part and a report table cell, so it may hold no separator of either."""
+    label = cfg.label
+    if not label:
+        stem = os.path.splitext(os.path.basename(fused_path))[0]
+        label = stem[6:] if stem.startswith("fused_") else stem
+    bad = {",", "\n", "\r", "/", os.sep} & set(label)
+    if bad:
+        raise ConfigError(f"key 'label' must not contain {sorted(bad)}, got {label!r}")
+    return label
 
 
 def _find_fused(cfg: RunConfig) -> str:
@@ -274,7 +278,7 @@ def cmd_eval(args) -> int:
         report = evaluate_reduced(fused, gt, mcfg)
     else:
         ms, pan = _load_ms_pan(cfg, ("_lo", ""))
-        pan_low = mtf_degrade(pan, ratio, cfg.nyquist_gain)
+        pan_low = mtf_degrade(pan, ratio)
         report = evaluate_full(fused, ms, pan, pan_low, mcfg)
     kv_text = report.to_kv() + cfg.echo(ratio=ratio)
     os.makedirs(cfg.out, exist_ok=True)

@@ -15,7 +15,8 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .metrics import (
     evaluate_reduced,
 )
 from .raster import (
-    NYQUIST_GAIN,
     MultispectralImage,
     RasterBand,
     check_pan_scale,
@@ -78,7 +78,6 @@ class SyntheticScene:
     pan_weights: np.ndarray
     seed: int
     ratio: int
-    nyquist_gain: float = NYQUIST_GAIN
 
     def __post_init__(self):
         check_pan_scale(self.ms, self.pan, self.ratio)
@@ -94,7 +93,6 @@ def synth_scene(
     height: int,
     bands: int = 4,
     ratio: int = 4,
-    nyquist_gain: float = NYQUIST_GAIN,
 ) -> SyntheticScene:
     """Deterministic scene at PAN scale ``width x height`` with ``bands`` bands.
 
@@ -159,7 +157,7 @@ def synth_scene(
     gt = 0.1 + 0.8 * (gt - lo) / (hi - lo)
 
     gt_hrms = MultispectralImage(gt)
-    ms = mtf_degrade_ms(gt_hrms, ratio, nyquist_gain)
+    ms = mtf_degrade_ms(gt_hrms, ratio)
     raw_w = rng.uniform(0.5, 1.5, size=bands)
     pan_weights = raw_w / raw_w.sum()
     return SyntheticScene(
@@ -169,13 +167,10 @@ def synth_scene(
         pan_weights=pan_weights,
         seed=int(seed),
         ratio=ratio,
-        nyquist_gain=nyquist_gain,
     )
 
 
-def wald_reduce(
-    ms: MultispectralImage, pan: RasterBand, r: int, nyquist_gain: float = NYQUIST_GAIN
-):
+def wald_reduce(ms: MultispectralImage, pan: RasterBand, r: int):
     """Degrade both inputs by r so the original MS becomes the reference.
 
     Returns (ms_lo, pan_lo, reference) where reference is the input MS object,
@@ -184,8 +179,8 @@ def wald_reduce(
     r = int(r)
     if ms.height % r or ms.width % r or pan.height % r or pan.width % r:
         raise InvalidInputError(f"input dimensions are not divisible by ratio {r}")
-    ms_lo = mtf_degrade_ms(ms, r, nyquist_gain)
-    pan_lo = mtf_degrade(pan, r, nyquist_gain)
+    ms_lo = mtf_degrade_ms(ms, r)
+    pan_lo = mtf_degrade(pan, r)
     return ms_lo, pan_lo, ms
 
 
@@ -193,11 +188,7 @@ BASELINE_METHODS = ("cs", "exp", "glp")
 
 
 def baseline_fuse(
-    method: str,
-    ms: MultispectralImage,
-    pan: RasterBand,
-    r: int,
-    nyquist_gain: float = NYQUIST_GAIN,
+    method: str, ms: MultispectralImage, pan: RasterBand, r: int
 ) -> MultispectralImage:
     """Reference fusers: plain bicubic upsampling, and CS and GLP detail
     injection, which differ only in the low-resolution pan they subtract."""
@@ -210,7 +201,7 @@ def baseline_fuse(
     if method == "cs":
         low = intensity_component(ms_up, estimate_weights(ms_up, pan))
     else:
-        low = upsample_band(mtf_degrade(pan, r, nyquist_gain), r)
+        low = upsample_band(mtf_degrade(pan, r), r)
     return detail_inject(ms_up, pan, estimate_gains(ms_up, low), low)
 
 
@@ -232,19 +223,20 @@ def run_experiment(
 ) -> list:
     """Fuse and score every baseline method in ``methods`` in both protocol
     modes, rows sorted by (method, mode).  Failures are recorded per row and
-    the run continues.
+    the run continues.  Window and stride come from ``cfg``; the pixel-size
+    ratio that ERGAS reads comes from the scene.
     """
-    cfg = cfg or MetricConfig()
+    cfg = replace(cfg or MetricConfig(), ratio=Fraction(1, scene.ratio))
     names = sorted(set(methods))
     for name in names:
         if name not in BASELINE_METHODS:
             raise InvalidInputError(f"unknown fusion method {name!r}")
-    pan_low = mtf_degrade(scene.pan, scene.ratio, scene.nyquist_gain)
+    pan_low = mtf_degrade(scene.pan, scene.ratio)
 
     def run_one(name: str) -> list:
         start = time.perf_counter()
         try:
-            product = baseline_fuse(name, scene.ms, scene.pan, scene.ratio, scene.nyquist_gain)
+            product = baseline_fuse(name, scene.ms, scene.pan, scene.ratio)
             reduced = evaluate_reduced(product, scene.gt_hrms, cfg)
             full = evaluate_full(product, scene.ms, scene.pan, pan_low, cfg)
         except PanfuseError as exc:

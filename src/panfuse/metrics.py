@@ -41,7 +41,7 @@ FULL_METRICS = ("D_lambda", "D_s", "QNR")
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Knobs shared by the windowed indices and the distortion exponents.
+    """Window and stride of the windowed indices, and the pixel-size ratio.
 
     ``ratio`` is the PAN-to-MS pixel-size ratio d_h/d_l used by ERGAS
     (1/4 for a 4:1 sharpening ratio).
@@ -49,10 +49,6 @@ class MetricConfig:
 
     window: int = 32
     stride: int = 32
-    p: int = 1
-    q: int = 1
-    alpha: float = 1.0
-    beta: float = 1.0
     ratio: Fraction = Fraction(1, 4)
 
     def __post_init__(self):
@@ -60,12 +56,6 @@ class MetricConfig:
             raise InvalidInputError(f"window must be >= 2, got {self.window}")
         if self.stride < 1:
             raise InvalidInputError(f"stride must be >= 1, got {self.stride}")
-        if self.p < 1 or self.q < 1:
-            raise InvalidInputError("exponents p and q must be >= 1")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidInputError(f"{name} must be finite, got {value}")
         if float(self.ratio) <= 0:
             raise InvalidInputError("pixel-size ratio must be positive")
 
@@ -441,48 +431,49 @@ def _full_moments(M, F, P: RasterBand, P_L: RasterBand, cfg: MetricConfig):
     return m, f, _moments(P_L, cfg.window, cfg.stride), _moments(P, cfg.window * r, cfg.stride * r)
 
 
-def _d_lambda(m: _Moments, f: _Moments, cfg: MetricConfig) -> float:
+def _d_lambda(m: _Moments, f: _Moments) -> float:
     k = len(m.bands)
     if k < 2:
         raise InvalidInputError("spectral distortion needs at least two bands")
     # Q is symmetric, so each unordered pair stands for both orders
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    total = sum(abs(qm - qf) ** cfg.p
+    total = sum(abs(qm - qf)
                 for qm, qf in zip(_uiqi_means(m, m, pairs), _uiqi_means(f, f, pairs)))
-    return (2.0 * total / (k * (k - 1))) ** (1.0 / cfg.p)
+    return total / len(pairs)
 
 
-def _d_s(m: _Moments, f: _Moments, low: _Moments, high: _Moments, cfg: MetricConfig) -> float:
+def _d_s(m: _Moments, f: _Moments, low: _Moments, high: _Moments) -> float:
     k = len(m.bands)
     pairs = [(b, 0) for b in range(k)]
-    total = sum(abs(ql - qh) ** cfg.q
+    total = sum(abs(ql - qh)
                 for ql, qh in zip(_uiqi_means(m, low, pairs), _uiqi_means(f, high, pairs)))
-    return (total / k) ** (1.0 / cfg.q)
+    return total / k
 
 
 def d_lambda(M, F, cfg: MetricConfig | None = None) -> float:
-    """Spectral distortion: p-norm gap between inter-band UIQI tables of M and F.
+    """Spectral distortion: mean gap between the inter-band UIQI of M and of F
+    over band pairs.
 
     M sits at MS scale and F at PAN scale; windows on the F side scale with
     the resolution ratio.
     """
     cfg = cfg or MetricConfig()
     m, f, _ = _scaled_moments(M, F, cfg)
-    return _d_lambda(m, f, cfg)
+    return _d_lambda(m, f)
 
 
 def d_s(M, F, P: RasterBand, P_L: RasterBand, cfg: MetricConfig | None = None) -> float:
-    """Spatial distortion: q-norm gap between UIQI(band, PAN) at the two scales."""
+    """Spatial distortion: mean gap between UIQI(band, PAN) at the two scales
+    over bands."""
     cfg = cfg or MetricConfig()
-    return _d_s(*_full_moments(M, F, P, P_L, cfg), cfg)
+    return _d_s(*_full_moments(M, F, P, P_L, cfg))
 
 
-def qnr(dl: float, ds: float, cfg: MetricConfig | None = None) -> float:
-    """No-reference quality: (1 - D_lambda)^alpha * (1 - D_s)^beta."""
-    cfg = cfg or MetricConfig()
+def qnr(dl: float, ds: float) -> float:
+    """No-reference quality: (1 - D_lambda) * (1 - D_s)."""
     if not (0.0 <= dl <= 1.0) or not (0.0 <= ds <= 1.0):
         raise InvalidInputError(f"distortions must lie in [0, 1], got {dl}, {ds}")
-    return (1.0 - dl) ** cfg.alpha * (1.0 - ds) ** cfg.beta
+    return (1.0 - dl) * (1.0 - ds)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +514,7 @@ class QualityReport:
     def to_kv(self) -> str:
         c = self.config
         return kv_format([
-            ("mode", self.mode), ("window", c.window), ("stride", c.stride), ("p", c.p),
-            ("q", c.q), ("alpha", c.alpha), ("beta", c.beta), ("ratio", c.ratio),
+            ("mode", self.mode), ("window", c.window), ("stride", c.stride), ("ratio", c.ratio),
             *((name, self.entries[name]) for name in self.metric_names()),
         ])
 
@@ -536,10 +526,8 @@ class QualityReport:
         def get(key, convert):
             return kv_value(fields, key, convert, source)
 
-        cfg = MetricConfig(
-            **{key: get(key, int) for key in ("window", "stride", "p", "q")},
-            alpha=get("alpha", float), beta=get("beta", float), ratio=get("ratio", Fraction),
-        )
+        cfg = MetricConfig(window=get("window", int), stride=get("stride", int),
+                           ratio=get("ratio", Fraction))
         known = REDUCED_METRICS + FULL_METRICS
         entries = {k: get(k, float) for k in fields if k in known}
         return QualityReport(mode=get("mode", str), entries=entries, config=cfg)
@@ -569,7 +557,7 @@ def evaluate_full(F, M, P: RasterBand, P_L: RasterBand,
     """
     cfg = cfg or MetricConfig()
     m, f, low, high = _full_moments(M, F, P, P_L, cfg)
-    dl = _d_lambda(m, f, cfg)
-    ds = _d_s(m, f, low, high, cfg)
-    entries = {"D_lambda": dl, "D_s": ds, "QNR": qnr(dl, ds, cfg)}
+    dl = _d_lambda(m, f)
+    ds = _d_s(m, f, low, high)
+    entries = {"D_lambda": dl, "D_s": ds, "QNR": qnr(dl, ds)}
     return QualityReport(mode="full", entries=entries, config=cfg)

@@ -213,33 +213,31 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def mtf_sigma(r: int, nyquist_gain: float) -> float:
-    """Blur std-dev (pixels) whose response hits nyquist_gain at the decimated
+def mtf_sigma(r: int) -> float:
+    """Blur std-dev (pixels) whose response hits NYQUIST_GAIN at the decimated
     grid's Nyquist frequency."""
-    return math.sqrt(-2.0 * math.log(nyquist_gain)) * r / (2.0 * math.pi)
+    return math.sqrt(-2.0 * math.log(NYQUIST_GAIN)) * r / (2.0 * math.pi)
 
 
-def mtf_degrade(band: RasterBand, r: int, nyquist_gain: float = NYQUIST_GAIN) -> RasterBand:
+def mtf_degrade(band: RasterBand, r: int) -> RasterBand:
     """Sensor-style lowpass plus decimation, as one filter sampled every r pixels.
 
     The model is a separable Gaussian blur with sigma = sqrt(-2 ln g) * r / (2 pi)
-    (kernel truncated at 4 sigma, symmetric borders) followed by the mean of
-    each r x r block.  Both together are one separable filter of
-    ``len(kernel) + r - 1`` taps, the Gaussian convolved with an r-tap box; it
-    is applied along rows and then along columns, evaluated only at the first
-    pixel of each block.  With r = 1 the filter is the Gaussian itself.
+    for g = NYQUIST_GAIN (kernel truncated at 4 sigma, symmetric borders)
+    followed by the mean of each r x r block.  Both together are one separable
+    filter of ``len(kernel) + r - 1`` taps, the Gaussian convolved with an r-tap
+    box; it is applied along rows and then along columns, evaluated only at the
+    first pixel of each block.  With r = 1 the filter is the Gaussian itself.
     """
     r = int(r)
     if r < 1:
         raise InvalidInputError(f"degrade ratio must be >= 1, got {r}")
-    if not (0.0 < nyquist_gain < 1.0):
-        raise InvalidInputError(f"nyquist_gain must lie in (0, 1), got {nyquist_gain}")
     out = band.data
     if out.shape[0] % r or out.shape[1] % r:
         raise InvalidInputError(
             f"band dimensions {out.shape} are not divisible by ratio {r}"
         )
-    k = gaussian_kernel(mtf_sigma(r, nyquist_gain))
+    k = gaussian_kernel(mtf_sigma(r))
     taps = np.convolve(k, np.full(r, 1.0 / r))
     # block y reads padded samples y r .. y r + len(taps) - 1, so the last block
     # ends at the last sample of the Gaussian's own padding
@@ -259,13 +257,9 @@ def mtf_degrade(band: RasterBand, r: int, nyquist_gain: float = NYQUIST_GAIN) ->
     return RasterBand(out)
 
 
-def mtf_degrade_ms(
-    ms: MultispectralImage, r: int, nyquist_gain: float = NYQUIST_GAIN
-) -> MultispectralImage:
+def mtf_degrade_ms(ms: MultispectralImage, r: int) -> MultispectralImage:
     """Apply :func:`mtf_degrade` band by band."""
-    return MultispectralImage(
-        np.stack([mtf_degrade(RasterBand(b), r, nyquist_gain).data for b in ms.data])
-    )
+    return MultispectralImage(np.stack([mtf_degrade(RasterBand(b), r).data for b in ms.data]))
 
 
 # ---------------------------------------------------------------------------

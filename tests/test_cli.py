@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 import oracles
 import panfuse
 from panfuse.autodiff import ParameterSet, save_checkpoint
-from panfuse.cli import main, parse_kv_file
+from panfuse.cli import CONFIG_DEFAULTS, main, parse_kv_file
 from panfuse.errors import ConfigError
 from panfuse.gan import GeneratorSpec
+from panfuse.harness import parse_results_table
 from panfuse.metrics import QualityReport
 from panfuse.raster import (
     MultispectralImage,
@@ -68,6 +69,14 @@ class TestConfigFile:
         path.write_text("wibble = 3\n")
         with pytest.raises(ConfigError, match="wibble"):
             parse_kv_file(path)
+
+    def test_readme_lists_every_key(self):
+        # the README's config paragraph names each key of CONFIG_DEFAULTS, and no other
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = " ".join(readme.read_text(encoding="utf-8").split())
+        start = text.index("Its keys are")
+        paragraph = text[start : text.index("Unknown keys are rejected", start)]
+        assert set(re.findall(r"`([a-z_][a-z0-9_]*)`", paragraph)) == set(CONFIG_DEFAULTS)
 
     def test_bad_value_named(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -182,7 +191,7 @@ class TestPipeline:
 
     def test_eval_echoes_every_config_key(self, tmp_path):
         # every setting at its default; the keys that default to None are set, so
-        # that all 27 keys are echoed
+        # that all 22 keys are echoed
         out = tmp_path / "run"
         run(synth_args(out))
         run(["fuse", "--method", "exp", "--out", str(out)])
@@ -194,12 +203,11 @@ class TestPipeline:
         cfg.write_text(kv_format(given.items()))
         assert run(["eval", "--mode", "reduced", "--config", str(cfg), "--out", str(out)]) == 0
         echo = dict(
-            given, alpha=1.0, bands=4, beta=1.0, iterations=500, lambda_adv_spat=0.01,
-            lambda_adv_spec=0.01, lambda_spat=1.0, lambda_spec=1.0, lr_d=0.001, lr_g=0.005,
-            mode="reduced", nyquist_gain=0.3, out=out, p=1, q=1, ratio=4, seed=0, size=256,
-            stride=32, window=32,
+            given, bands=4, iterations=500, lambda_adv_spat=0.01, lambda_adv_spec=0.01,
+            lambda_spat=1.0, lambda_spec=1.0, lr_d=0.001, lr_g=0.005, mode="reduced", out=out,
+            ratio=4, seed=0, size=256, stride=32, window=32,
         )
-        assert len(echo) == 27
+        assert len(echo) == 22
         text = (out / "eval_reduced_pinned.kv").read_text()
         assert [ln for ln in text.splitlines() if ln.startswith("config.")] == [
             f"config.{key} = {echo[key]}" for key in sorted(echo)
@@ -238,6 +246,28 @@ class TestPipeline:
         assert table[0] == "method,SAM,CC,UIQI,Q4,ERGAS"
         methods = [line.split(",")[0] for line in table[1:]]
         assert methods == ["cs", "exp", "Ideal"]
+
+    def test_report_reads_reports_with_qnr_exponents(self, tmp_path):
+        # an eval_*.kv of the format that still echoed the QNR exponents p, q, alpha
+        # and beta loads, and report tables it next to one of the current format
+        out = tmp_path / "run"
+        out.mkdir()
+        entries = {"D_lambda": 0.0125, "D_s": 0.03125, "QNR": 0.956640625}
+        (out / "eval_full_x.kv").write_text(
+            "mode = full\nwindow = 32\nstride = 32\np = 1\nq = 1\nalpha = 1.0\n"
+            "beta = 1.0\nratio = 1/4\nD_lambda = 0.0125\nD_s = 0.03125\n"
+            "QNR = 0.956640625\nconfig.alpha = 1.0\nconfig.beta = 1.0\n"
+            "config.nyquist_gain = 0.3\nconfig.p = 1\nconfig.q = 1\n"
+        )
+        (out / "eval_full_y.kv").write_text(QualityReport("full", entries).to_kv())
+        old, new = (QualityReport.parse_kv((out / f"eval_full_{label}.kv").read_text())
+                    for label in ("x", "y"))
+        assert old.entries == new.entries == entries
+        assert old.config == new.config
+        assert run(["report", "--out", str(out)]) == 0
+        table = parse_results_table((out / "report_full.csv").read_text(), "full")
+        assert list(table) == ["x", "y", "Ideal"]
+        assert table["x"] == table["y"] == entries
 
     def test_train_and_gan_fuse(self, tmp_path):
         out = tmp_path / "run"
@@ -342,6 +372,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("panfuse: ") and "seed" in err and len(err.splitlines()) == 1
         assert sorted(p.name for p in out.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--fused", "fused_exp.pfr", "--label", "a,b"],
+         ["--fused", "fused_exp.pfr", "--label", "a/b"], ["--fused", "fused_a,b.pfr"]],
+        ids=["comma", "slash", "comma_stem"],
+    )
+    def test_eval_label_with_separator_exits_2(self, tmp_path, capsys, flags):
+        # the label is a file name part and a report table cell
+        out = tmp_path / "run"
+        run(synth_args(out, size=16))
+        run(["fuse", "--method", "exp", "--out", str(out)])
+        (out / "fused_a,b.pfr").write_bytes((out / "fused_exp.pfr").read_bytes())
+        before = sorted(p.name for p in out.rglob("*"))
+        flags = [str(out / f) if f.endswith(".pfr") else f for f in flags]
+        capsys.readouterr()
+        assert run(["eval", "--mode", "reduced", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and "'label'" in err and err.count("\n") == 1
+        assert sorted(p.name for p in out.rglob("*")) == before
 
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -472,9 +522,8 @@ class TestMalformedText:
 
     @pytest.mark.parametrize(
         "stage,key,value",
-        [(["train"], "lr_g", "nan"), (["train"], "lambda_spec", "inf"),
-         (["eval", "--mode", "full"], "alpha", "nan")],
-        ids=["lr_g_nan", "lambda_spec_inf", "alpha_nan"],
+        [(["train"], "lr_g", "nan"), (["train"], "lambda_spec", "inf")],
+        ids=["lr_g_nan", "lambda_spec_inf"],
     )
     def test_non_finite_setting_exits_2(self, tmp_path, capsys, stage, key, value):
         out = tmp_path / "run"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +170,17 @@ class TestRunExperiment:
         assert [r.mode for r in results] == ["full", "reduced"]
         assert all(r.method == "exp" and r.report is not None for r in results)
 
+    def test_ergas_takes_the_scene_ratio(self):
+        # window and stride come from the config, the pixel-size ratio from the scene
+        scene = synth_scene(7, 64, 64, 4, 2)
+        results = run_experiment(scene, ["exp"], MetricConfig(window=8, stride=8))
+        reduced = next(r.report for r in results if r.mode == "reduced")
+        cfg = MetricConfig(window=8, stride=8, ratio=Fraction(1, 2))
+        product = baseline_fuse("exp", scene.ms, scene.pan, scene.ratio)
+        expected = evaluate_reduced(product, scene.gt_hrms, cfg)
+        assert reduced.entries == expected.entries
+        assert reduced.entries["ERGAS"] == pytest.approx(1.40053, abs=1e-5)
+
     def test_identity_method_ideal_reduced(self, small_scene):
         scene = small_scene
         cfg = MetricConfig(window=8, stride=8)
@@ -179,7 +191,7 @@ class TestRunExperiment:
         assert abs(reduced["CC"] - 1.0) < 1e-9
         # full-resolution distortions of a perfect fusion are near zero, not
         # exactly zero: the MS input is a blurred decimation, not a block mean
-        pan_low = mtf_degrade(scene.pan, scene.ratio, scene.nyquist_gain)
+        pan_low = mtf_degrade(scene.pan, scene.ratio)
         full = evaluate_full(perfect, scene.ms, scene.pan, pan_low, cfg).entries
         assert full["D_lambda"] < 0.05
         assert full["D_s"] < 0.05

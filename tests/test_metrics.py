@@ -300,29 +300,27 @@ class TestWindowedOracles:
         assert abs(fast - oracles.naive_q4(f, m, window, stride)) < 1e-10
 
     @settings(max_examples=30, deadline=None)
-    @given(case=windowed_inputs(max_side=6), k=st.integers(2, 4), r=st.integers(1, 2),
-           p=st.integers(1, 2))
-    def test_d_lambda(self, case, k, r, p):
+    @given(case=windowed_inputs(max_side=6), k=st.integers(2, 4), r=st.integers(1, 2))
+    def test_d_lambda(self, case, k, r):
         seed, h, w, window, stride, levels, block = case
         rng = np.random.default_rng(seed)
         m = blocky(rng, (k, h, w), levels, block)
         f = blocky(rng, (k, h * r, w * r), levels, block * r)
-        cfg = MetricConfig(window=window, stride=stride, p=p)
+        cfg = MetricConfig(window=window, stride=stride)
         fast = d_lambda(ms_of(m), ms_of(f), cfg)
-        assert abs(fast - oracles.naive_d_lambda(m, f, window, stride, p, r)) < 1e-10
+        assert abs(fast - oracles.naive_d_lambda(m, f, window, stride, 1, r)) < 1e-10
 
     @settings(max_examples=30, deadline=None)
-    @given(case=windowed_inputs(max_side=6), k=st.integers(1, 4), r=st.integers(1, 2),
-           q=st.integers(1, 2))
-    def test_d_s(self, case, k, r, q):
+    @given(case=windowed_inputs(max_side=6), k=st.integers(1, 4), r=st.integers(1, 2))
+    def test_d_s(self, case, k, r):
         seed, h, w, window, stride, levels, block = case
         rng = np.random.default_rng(seed)
         m, pan_low = blocky(rng, (k, h, w), levels, block), blocky(rng, (h, w), levels, block)
         f = blocky(rng, (k, h * r, w * r), levels, block * r)
         pan = blocky(rng, (h * r, w * r), levels, block * r)
-        cfg = MetricConfig(window=window, stride=stride, q=q)
+        cfg = MetricConfig(window=window, stride=stride)
         fast = d_s(ms_of(m), ms_of(f), RasterBand(pan), RasterBand(pan_low), cfg)
-        oracle = oracles.naive_d_s(m, f, pan, pan_low, window, stride, q, r)
+        oracle = oracles.naive_d_s(m, f, pan, pan_low, window, stride, 1, r)
         assert abs(fast - oracle) < 1e-10
 
     @pytest.mark.parametrize("stride", [1, 2, 3, 5])
@@ -546,7 +544,7 @@ class TestSharedStatistics:
         cfg = MetricConfig(window=window, stride=stride)
         dl, ds = d_lambda(M, F, cfg), d_s(M, F, P, P_L, cfg)
         report = evaluate_full(F, M, P, P_L, cfg)
-        assert report.entries == {"D_lambda": dl, "D_s": ds, "QNR": qnr(dl, ds, cfg)}
+        assert report.entries == {"D_lambda": dl, "D_s": ds, "QNR": qnr(dl, ds)}
 
     @pytest.mark.parametrize("window, stride, levels", [(8, 8, 0), (8, 3, 2), (5, 7, 1)])
     def test_evaluate_reduced_equals_separate_calls(self, window, stride, levels):
