@@ -542,7 +542,7 @@ def conv2d(
     With a ``slope`` it is the fused conv-bias-leaky-ReLU layer: one tape node,
     bitwise equal to ``leaky_relu(conv2d(x, weight, bias), slope)``, whose
     pullback takes the activation mask from the sign of the output (exact for
-    ``slope >= 0``), so the tape keeps no pre-activation and no scale array.
+    ``0 <= slope <= 1``), so the tape keeps no pre-activation and no scale array.
 
     One blocked unfold-then-GEMM kernel serves the forward pass and both
     pullbacks.  For a block of output rows it copies all k * k taps of every
@@ -579,8 +579,8 @@ def conv2d(
         raise ShapeError(
             f"conv2d bias shape {bias.data.shape} does not match {c_out} outputs"
         )
-    if slope is not None and not (math.isfinite(slope) and slope >= 0.0):
-        raise InvalidInputError(f"conv2d slope must be finite and >= 0, got {slope}")
+    if slope is not None and not 0.0 <= slope <= 1.0:
+        raise InvalidInputError(f"conv2d slope must lie in [0, 1], got {slope}")
     xd = x.data
     dt = xd.dtype
     _c, h_in, w_in = xd.shape
@@ -604,8 +604,12 @@ def conv2d(
         if bias is not None:
             out += bias.data.astype(dt, copy=False)[:, None, None]
         if slope is not None:
-            # on the whole output, not per block; bitwise out * np.where(out > 0, 1, slope)
-            np.multiply(out, slope, out=out, where=~(out > 0.0))
+            # for 0 <= slope <= 1 bitwise out * np.where(out > 0, 1, slope),
+            # signed zeros included, with no branch on the sign, so its time
+            # does not depend on it; a channel at a time, so that the product
+            # needs no temporary the size of the output
+            for plane in out:
+                np.maximum(plane, plane * slope, out=plane)
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def bw(g, needs):

@@ -231,11 +231,15 @@ def cmd_train(args) -> int:
 
 def _eval_label(cfg: RunConfig, fused_path: str) -> str:
     """The report label: --label, else the fused file's stem less ``fused_``.  It is a
-    file name part and a report table cell, so it may hold no separator of either."""
+    file name part and a report table cell, so it may hold no separator of either,
+    and it may not be empty, which ``report`` could not tell from no label."""
     label = cfg.label
     if not label:
         stem = os.path.splitext(os.path.basename(fused_path))[0]
         label = stem[6:] if stem.startswith("fused_") else stem
+    if not label:
+        raise ConfigError(f"key 'label' must not be empty; the fused file {fused_path!r} "
+                          "gives none, so pass --label")
     bad = {",", "\n", "\r", "/", os.sep} & set(label)
     if bad:
         raise ConfigError(f"key 'label' must not contain {sorted(bad)}, got {label!r}")

@@ -63,8 +63,9 @@ class GeneratorSpec:
     Input is the upsampled MS stacked with PAN (K+1 channels); the head output
     is added to the upsampled MS and squashed onto (0, 1), so a zero head
     reproduces the bicubic upsample through the soft clamp.  The conv layers
-    run in the dtype of the stacked input (float32 in training, float64 in
-    :func:`fuse`); the sum with the float64 upsample is float64.
+    run in the dtype of the stacked input, float32 in training and in
+    :func:`fuse`: :meth:`forward` casts it once; the sum with the float64
+    upsample is float64.
     """
 
     bands: int
@@ -88,7 +89,8 @@ class GeneratorSpec:
         return params
 
     def forward(self, params, ms_up: Tensor, pan: Tensor) -> Tensor:
-        return self.forward_from(params, ad.concat_channels(ms_up, pan), ms_up)
+        stacked = ad.cast(ad.concat_channels(ms_up, pan), np.float32)
+        return self.forward_from(params, stacked, ms_up)
 
     def forward_from(self, params, stacked: Tensor, ms_up: Tensor) -> Tensor:
         """Forward pass on a prebuilt (K+1, H, W) input; lets training loops
@@ -431,10 +433,13 @@ def fuse(
     architecture for the bands of ``ms``, each of the shape that
     :meth:`GeneratorSpec.init_params` gives it.  The generator runs on square
     tiles of the PAN grid, each read with a halo of ``_FUSE_HALO`` pixels and
-    cut at the image border, so every kept pixel equals the whole-image pass:
-    inside, the halo holds every pixel it reads; at the border, conv2d pads
-    with the same zeros.  Each tile's bicubic input is upsampled from the MS
-    directly.
+    cut at the image border, so every kept pixel reads the same inputs as in
+    the whole-image pass: inside, the halo holds every pixel it reads; at the
+    border, conv2d pads with the same zeros.  Each tile's bicubic input is
+    upsampled from the MS directly.  The layers run in float32, as in
+    training, and the residual is added to the float64 upsample; a GEMM may
+    sum a tile in another order than the whole image, so a pixel can differ
+    from the whole-image pass in its last float32 bits.
     """
     r = int(r)
     k = ms.band_count

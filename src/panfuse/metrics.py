@@ -7,21 +7,30 @@ The windowed indices (UIQI, Q4, D_lambda, D_s) score every window at once.
 Each band is centred on its image mean.  The window sums of it, its square
 and of band products come from one kernel, run down the rows of the plane and
 then down the rows of its transposed result: rows are summed in blocks of
-gcd(window, stride), runs of 1, 2, 4, ... blocks are built by doubling, and
-each window combines one run per set bit of its length in blocks, whether
-windows overlap, tile or leave gaps.  The band products form one cross-sum
-table: the per-window covariance of each (band i of one image, band j of
-another) pair a metric asks for, each product formed once.  UIQI reads its
-diagonal, Q4 the Hamilton signed sums of the full 4 x 4 table, D_lambda its
-upper triangle within one image and D_s the column of each band against PAN.
-A window is flat when its max, from the same kernel, equals its min, so the
-degenerate-window conventions are exact.  A window whose one-pass variance is
-within rounding of zero (a small spread far from the image mean) has its
-mean, variance and covariances recomputed from its tile in two passes.
-The high-resolution side of D_lambda / D_s multiplies window and stride by
-the resolution ratio, so window statistics are invariant under pixel
-replication; :func:`evaluate_full` builds the statistics of each image once
-and shares them between D_lambda and D_s.
+g = gcd(window, stride), runs of 1, 2, 4, ... blocks are built by doubling,
+and each window combines one run per set bit of its length in blocks, whether
+windows overlap, tile or leave gaps.  The first step reads the image in row
+bands of whole blocks, ``_BAND_ELEMENTS`` elements or one block each: every
+plane the statistics need (band - centre, its square, the band itself for
+the max and the min, each band product) is formed for one band in a reused
+buffer and reduced at once, while it is in cache, into a g-times-smaller
+table of block sums, so no full-size temporary plane is formed.  Each window
+sum adds the same values in the same order as a whole-plane pass would.  CC
+and ERGAS sum dot products over the same row bands.
+
+The band products form one cross-sum table: the per-window covariance of
+each (band i of one image, band j of another) pair a metric asks for, each
+product formed once.  UIQI reads its diagonal, Q4 the Hamilton signed sums
+of the full 4 x 4 table, D_lambda its upper triangle within one image and
+D_s the column of each band against PAN.  A window is flat when its max,
+from the same kernel, equals its min, so the degenerate-window conventions
+are exact.  A window whose one-pass variance is within rounding of zero (a
+small spread far from the image mean) has its mean, variance and covariances
+recomputed from its tile in two passes.  The high-resolution side of
+D_lambda / D_s multiplies window and stride by the resolution ratio, so
+window statistics are invariant under pixel replication; :func:`evaluate_full`
+builds the statistics of each image once and shares them between D_lambda
+and D_s.
 """
 
 from __future__ import annotations
@@ -70,6 +79,26 @@ def _as_band(image) -> RasterBand:
     if isinstance(image, RasterBand):
         return image
     raise InvalidInputError(f"expected a single band, got {type(image).__name__}")
+
+
+# elements in one row band: CC, ERGAS and the window statistics read an image
+# one band of rows at a time, and form and reduce each plane of it while it
+# is in L2
+_BAND_ELEMENTS = 2**16
+
+
+def _row_bands(height: int, width: int, unit: int = 1) -> list:
+    """Slices of whole ``unit``-row blocks, about ``_BAND_ELEMENTS`` elements
+    each, that cover ``height`` rows."""
+    step = unit * max(1, _BAND_ELEMENTS // (unit * width))
+    return [slice(top, min(top + step, height)) for top in range(0, height, step)]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Sum of u * v over two 1-D arrays by numpy's own loop: np.dot's BLAS may
+    split a long sum across threads, and its last bits then depend on their
+    number."""
+    return float(np.einsum("i,i->", u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +179,20 @@ def sam_map(F, M) -> RasterBand:
 
 
 def _cc_band(f: np.ndarray, m: np.ndarray) -> float:
-    fc = f - f.mean()
-    mc = m - m.mean()
-    den = math.sqrt(float(np.sum(fc * fc)) * float(np.sum(mc * mc)))
+    mu_f, mu_m = f.mean(), m.mean()
+    bands = _row_bands(*f.shape)
+    fc, mc = np.empty((2, bands[0].stop, f.shape[1]))
+    ff = mm = fm = 0.0
+    for rows in bands:
+        a = np.subtract(f[rows], mu_f, out=fc[: rows.stop - rows.start]).ravel()
+        b = np.subtract(m[rows], mu_m, out=mc[: rows.stop - rows.start]).ravel()
+        ff += _dot(a, a)
+        mm += _dot(b, b)
+        fm += _dot(a, b)
+    den = math.sqrt(ff * mm)
     if den == 0.0:
         raise DegenerateInputError("correlation undefined for a constant image")
-    return float(np.sum(fc * mc)) / den
+    return fm / den
 
 
 def cc(F, M) -> float:
@@ -192,18 +229,20 @@ def _window_origins(h: int, w: int, window: int, stride: int) -> _WindowGrid:
     return _WindowGrid(*(np.arange(0, n - window + 1, stride) for n in (h, w)), window)
 
 
-def _window_rows(a: np.ndarray, starts: np.ndarray, window: int, ufunc) -> np.ndarray:
-    """``ufunc`` over rows s .. s + window - 1 of ``a``, for each s in ``starts``.
+def _block_rows(starts: np.ndarray, window: int) -> int:
+    """g = gcd(window, stride): a window is window / g whole blocks of g rows."""
+    return math.gcd(window, int(starts[1] - starts[0]) if starts.size > 1 else window)
 
-    Rows are first reduced in blocks of g = gcd(window, stride), so a window
-    is k = window / g consecutive blocks.  Runs of 1, 2, 4, ... blocks are
-    built by doubling, and each window combines one run per set bit of k.
+
+def _window_runs(run: np.ndarray, starts: np.ndarray, window: int, ufunc) -> np.ndarray:
+    """``ufunc`` over rows s .. s + window - 1, for each s in ``starts``, from
+    ``run``, the reductions of consecutive g-row blocks, which it overwrites.
+
+    Runs of 1, 2, 4, ... blocks are built by doubling, and each window combines
+    one run per set bit of k = window / g.
     """
-    step = int(starts[1] - starts[0]) if starts.size > 1 else window
-    g = math.gcd(window, step)
-    n = (int(starts[-1]) + window) // g
-    run = a[:n] if g == 1 else ufunc.reduce(a[: n * g].reshape(n, g, *a.shape[1:]), axis=1)
-    k, s = window // g, step // g
+    g = _block_rows(starts, window)
+    k, s = window // g, int(starts[1] - starts[0]) // g if starts.size > 1 else 1
     last = (starts.size - 1) * s
     out, offset, length = None, 0, 1
     while True:
@@ -213,23 +252,55 @@ def _window_rows(a: np.ndarray, starts: np.ndarray, window: int, ufunc) -> np.nd
             if offset == k:
                 return part if out is None else ufunc(out, part, out=out)
             out = part.copy() if out is None else ufunc(out, part, out=out)
-        # in place once the run is not a view of a: numpy gives overlapping
-        # operands copy semantics, and with the output ahead of the input it
-        # needs no temporary copy for that
-        shared = np.may_share_memory(run, a)
-        run = ufunc(run[:-length], run[length:], out=None if shared else run[:-length])
+        # in place: numpy gives overlapping operands copy semantics, and with
+        # the output ahead of the input it needs no temporary copy for that
+        run = ufunc(run[:-length], run[length:], out=run[:-length])
         length *= 2
 
 
-def _window_reduce(a: np.ndarray, grid: _WindowGrid, ufunc=np.add) -> np.ndarray:
-    """``ufunc`` over every window of a 2-D array: (ny, nx)."""
-    rows = np.ascontiguousarray(_window_rows(a, grid.ys, grid.window, ufunc).T)
-    return _window_rows(rows, grid.xs, grid.window, ufunc).T
+def _window_rows(a: np.ndarray, starts: np.ndarray, window: int, ufunc) -> np.ndarray:
+    """``ufunc`` over rows s .. s + window - 1 of ``a``, for each s in ``starts``."""
+    g = _block_rows(starts, window)
+    n = (int(starts[-1]) + window) // g
+    blocks = ufunc.reduce(a[: n * g].reshape(n, g, *a.shape[1:]), axis=1)
+    return _window_runs(blocks, starts, window, ufunc)
 
 
-def _flat(x: np.ndarray, grid: _WindowGrid) -> np.ndarray:
-    """Windows of one value: their max equals their min."""
-    return _window_reduce(x, grid, np.maximum) == _window_reduce(x, grid, np.minimum)
+def _window_tables(grid: _WindowGrid, width: int, jobs, plane, buffers: int = 1):
+    """``ufunc`` over every window of the plane of each (ufunc, key) job:
+    (len(jobs), ny, nx).
+
+    The row pass reads the image one band of whole g-row blocks at a time.
+    ``plane(rows, key, work)`` gives rows ``rows`` of the plane of ``key``,
+    read from an image or formed in the ``buffers`` (rows, width) arrays of
+    ``work``, which are the same arrays on every call, so a plane may use what
+    the last one left there; it is reduced into its table of g-row blocks
+    before the next is formed.  The doubling and the column pass then run on
+    these tables, g times smaller than a plane.  The jobs share a pass in
+    groups of g / 4, so a group's tables hold at most a quarter of a plane;
+    for g < 8 they go one at a time, each with one table, as a whole-plane
+    pass had.
+    """
+    g = _block_rows(grid.ys, grid.window)
+    n = (int(grid.ys[-1]) + grid.window) // g
+    bands = _row_bands(n * g, width, g)
+    size = max(1, min(len(jobs), g // 4))
+    # the result outlives the tables and buffers, so it is allocated first:
+    # freed last-in, they leave no hole under it in the heap
+    out = np.empty((len(jobs), grid.ys.size, grid.xs.size))
+    tables = np.empty((size, n, width))
+    work = np.empty((buffers, bands[0].stop, width))
+    for lo in range(0, len(jobs), size):
+        group = jobs[lo : lo + size]
+        for rows in bands:
+            blocks = slice(rows.start // g, rows.stop // g)
+            for table, (ufunc, key) in zip(tables, group):
+                formed = plane(rows, key, work[:, : rows.stop - rows.start])
+                ufunc.reduce(formed.reshape(-1, g, width), axis=1, out=table[blocks])
+        for t, (table, (ufunc, _)) in enumerate(zip(tables, group), lo):
+            runs = np.ascontiguousarray(_window_runs(table, grid.ys, grid.window, ufunc).T)
+            out[t] = _window_rows(runs, grid.xs, grid.window, ufunc).T
+    return out
 
 
 @dataclass(frozen=True)
@@ -264,16 +335,33 @@ def _moments(image, window: int, stride: int) -> _Moments:
     grid = _window_origins(*bands[0].shape, window, stride)
     n = window * window
     centre = [x.mean() for x in bands]
-    scratch = np.empty_like(bands[0])
-    dsum, square = [], []
-    for x, c in zip(bands, centre):
-        np.subtract(x, c, out=scratch)
-        dsum.append(_window_reduce(scratch, grid))
-        square.append(_window_reduce(np.multiply(scratch, scratch, out=scratch), grid))
-    dsum, square = np.stack(dsum), np.stack(square)
+
+    held = None  # (first row, band) of the centred rows in work[0]
+
+    # key (b, p): band b centred and raised to the power p, or as it is for p = 0
+    def plane(rows, key, work):
+        nonlocal held
+        b, p = key
+        x = bands[b, rows]
+        if p == 0:
+            return x
+        if held != (rows.start, b):
+            np.subtract(x, centre[b], out=work[0])
+        # the square comes after the first power of its band, so in place
+        held = (rows.start, b) if p == 1 else None
+        return work[0] if p == 1 else np.multiply(work[0], work[0], out=work[0])
+
+    jobs = [job for b in range(len(bands))
+            for job in ((np.add, (b, 1)), (np.add, (b, 2)), (np.maximum, (b, 0)),
+                        (np.minimum, (b, 0)))]
+    stats = _window_tables(grid, bands.shape[2], jobs, plane)
+    stats = stats.reshape(len(bands), 4, *stats.shape[1:])
+    # a copy, so that the other three statistics are freed when this returns
+    dsum, square = stats[:, 0].copy(), stats[:, 1]
     mean = np.asarray(centre)[:, None, None] + dsum / n
     var = _covariance(square, dsum, dsum, n)
-    flat = np.stack([_flat(x, grid) for x in bands])
+    # a window is flat when its max equals its min
+    flat = stats[:, 2] == stats[:, 3]
     # One pass forms (n - 1) var = S2 - dsum^2 / n, where S2 is the window sum
     # of (x - c)^2, with a rounding error below 2 n eps S2 (Chan, Golub and
     # LeVeque 1983).  A window whose (n - 1) var is under 2^20 times that bound
@@ -293,22 +381,24 @@ def _cross(a: _Moments, b: _Moments, pairs) -> np.ndarray:
     """Per-window covariance of band i of a with band j of b, for each (i, j) in
     ``pairs``: (len(pairs), ny, nx).
 
-    The bands are centred into two reused buffers; band i of a is centred
-    again only when i changes from one pair to the next.
+    Band i of a is centred again only when i or the rows change from one
+    pair to the next.
     """
-    # the table outlives the scratch buffers, so it is allocated before them:
-    # freed last-in, they leave no hole under a live array in the heap
-    table = np.empty((len(pairs), *a.dsum.shape[1:]))
-    ca, cb = np.empty_like(a.bands[0]), np.empty_like(a.bands[0])
+    held = None  # (first row, band i) of the centred rows in work[0]
+
+    def plane(rows, key, work):
+        nonlocal held
+        i, j = key
+        if held != (rows.start, i):
+            np.subtract(a.bands[i, rows], a.centre[i], out=work[0])
+            held = (rows.start, i)
+        np.subtract(b.bands[j, rows], b.centre[j], out=work[1])
+        return np.multiply(work[0], work[1], out=work[1])
+
+    table = _window_tables(a.grid, a.bands.shape[2], [(np.add, p) for p in pairs], plane, 2)
     n = a.grid.window ** 2
-    last = None
     for cov, (i, j) in zip(table, pairs):
-        if i != last:
-            np.subtract(a.bands[i], a.centre[i], out=ca)
-            last = i
-        np.subtract(b.bands[j], b.centre[j], out=cb)
-        cross = _window_reduce(np.multiply(ca, cb, out=cb), a.grid)
-        cov[...] = _covariance(cross, a.dsum[i], b.dsum[j], n)
+        cov[...] = _covariance(cov, a.dsum[i], b.dsum[j], n)
         for y, x in np.argwhere(a.redo[i] | b.redo[j]):
             ta, tb = _tile(a.bands[i], a.grid, y, x), _tile(b.bands[j], a.grid, y, x)
             cov[y, x] = np.sum((ta - ta.mean()) * (tb - tb.mean())) / (n - 1)
@@ -383,12 +473,18 @@ def ergas(F, M, cfg: MetricConfig | None = None) -> float:
     """Scaled RMS of band-relative errors: 100 (d_h/d_l) sqrt(mean_k (RMSE_k / mu_k)^2)."""
     cfg = cfg or MetricConfig()
     fi, mi = _check_pair(F, M)
+    bands = _row_bands(fi.height, fi.width)
+    diff = np.empty((bands[0].stop, fi.width))
     acc = 0.0
     for f, m in zip(fi.data, mi.data):
         mu = float(m.mean())
         if mu == 0.0:
             raise DegenerateInputError("ERGAS undefined for a zero-mean reference band")
-        rmse = math.sqrt(float(np.mean((f - m) ** 2)))
+        sq = 0.0
+        for rows in bands:
+            d = np.subtract(f[rows], m[rows], out=diff[: rows.stop - rows.start]).ravel()
+            sq += _dot(d, d)
+        rmse = math.sqrt(sq / f.size)
         acc += (rmse / mu) ** 2
     return 100.0 * float(cfg.ratio) * math.sqrt(acc / fi.band_count)
 

@@ -510,49 +510,56 @@ def load_raster(path):
     return MultispectralImage(vals)
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
+def _png_unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
+    """The (height, stride) uint8 samples of PNG scanlines, each a filter byte
+    and ``stride`` filtered bytes.
 
-
-def _png_unfilter(raw: bytes, height: int, stride: int, bpp: int) -> bytearray:
+    None, Sub and Up are whole-row array ops (uint8 sums wrap mod 256); Average
+    and Paeth read the byte to their left, so they loop over ints in a bytearray.
+    """
     need = height * (stride + 1)
     if len(raw) != need:
         raise FormatError(
             f"truncated PNG image data: expected {need} filtered bytes, got {len(raw)}"
         )
-    out = bytearray(height * stride)
-    prior = bytearray(stride)
-    for y in range(height):
-        row_off = y * (stride + 1)
-        ftype = raw[row_off]
-        line = bytearray(raw[row_off + 1 : row_off + 1 + stride])
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    out = np.empty((height, stride), dtype=np.uint8)
+    prior = np.zeros(stride, dtype=np.uint8)
+    for y, (ftype, line, dst) in enumerate(zip(raw[:: stride + 1], rows[:, 1:], out)):
         if ftype == 0:
-            pass
+            dst[:] = line
         elif ftype == 1:
-            for i in range(bpp, stride):
-                line[i] = (line[i] + line[i - bpp]) & 0xFF
+            for phase in range(bpp):
+                np.cumsum(line[phase::bpp], dtype=np.uint8, out=dst[phase::bpp])
         elif ftype == 2:
-            for i in range(stride):
-                line[i] = (line[i] + prior[i]) & 0xFF
-        elif ftype == 3:
-            for i in range(stride):
-                left = line[i - bpp] if i >= bpp else 0
-                line[i] = (line[i] + ((left + prior[i]) >> 1)) & 0xFF
-        elif ftype == 4:
-            for i in range(stride):
-                left = line[i - bpp] if i >= bpp else 0
-                up_left = prior[i - bpp] if i >= bpp else 0
-                line[i] = (line[i] + _paeth(left, prior[i], up_left)) & 0xFF
+            np.add(line, prior, out=dst)
+        elif ftype in (3, 4):
+            cur, up = bytearray(line), prior.tobytes()
+            # the first bpp bytes have no left neighbour: Average adds up / 2,
+            # and Paeth predicts up
+            for i in range(bpp):
+                cur[i] = (cur[i] + (up[i] >> 1 if ftype == 3 else up[i])) & 0xFF
+            if ftype == 3:
+                for i in range(bpp, stride):
+                    cur[i] = (cur[i] + ((cur[i - bpp] + up[i]) >> 1)) & 0xFF
+            else:
+                for i in range(bpp, stride):
+                    a, b, c = cur[i - bpp], up[i], up[i - bpp]
+                    # distances of a + b - c to a, b and c
+                    pa, pb = b - c, a - c
+                    pc = pa + pb
+                    if pa < 0:
+                        pa = -pa
+                    if pb < 0:
+                        pb = -pb
+                    if pc < 0:
+                        pc = -pc
+                    pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+                    cur[i] = (cur[i] + pred) & 0xFF
+            dst[:] = np.frombuffer(cur, dtype=np.uint8)
         else:
-            raise FormatError(f"unknown PNG filter type {ftype} at byte {row_off}")
-        out[y * stride : (y + 1) * stride] = line
-        prior = line
+            raise FormatError(f"unknown PNG filter type {ftype} at byte {y * (stride + 1)}")
+        prior = dst
     return out
 
 
@@ -624,6 +631,5 @@ def _load_png_gray(blob: bytes, path: str) -> RasterBand:
             f"corrupt PNG image data from byte {idat_pos} in {path}: truncated zlib stream"
         )
     samples = _png_unfilter(raw, height, width * bpp, bpp)
-    dtype = ">u2" if depth == 16 else np.uint8
-    arr = np.frombuffer(bytes(samples), dtype=dtype).reshape(height, width)
+    arr = samples.view(">u2") if depth == 16 else samples
     return RasterBand(arr.astype(np.float64) / float(2**depth - 1))

@@ -294,3 +294,45 @@ def max_relative_error(approx, exact, floor=1e-6):
     exact = np.asarray(exact, dtype=float)
     denom = np.maximum(floor, np.maximum(np.abs(approx), np.abs(exact)))
     return float(np.max(np.abs(approx - exact) / denom))
+
+
+
+def _paeth(a, b, c):
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    if pb <= pc:
+        return b
+    return c
+
+
+def naive_png_unfilter(raw, height, stride, bpp):
+    """PNG scanlines undone one byte at a time, each filter as the PNG
+    specification states it: ``bytes`` of height * stride samples."""
+    out = bytearray(height * stride)
+    prior = bytearray(stride)
+    for y in range(height):
+        row_off = y * (stride + 1)
+        ftype = raw[row_off]
+        line = bytearray(raw[row_off + 1 : row_off + 1 + stride])
+        if ftype == 1:
+            for i in range(bpp, stride):
+                line[i] = (line[i] + line[i - bpp]) & 0xFF
+        elif ftype == 2:
+            for i in range(stride):
+                line[i] = (line[i] + prior[i]) & 0xFF
+        elif ftype == 3:
+            for i in range(stride):
+                left = line[i - bpp] if i >= bpp else 0
+                line[i] = (line[i] + ((left + prior[i]) >> 1)) & 0xFF
+        elif ftype == 4:
+            for i in range(stride):
+                left = line[i - bpp] if i >= bpp else 0
+                up_left = prior[i - bpp] if i >= bpp else 0
+                line[i] = (line[i] + _paeth(left, prior[i], up_left)) & 0xFF
+        elif ftype != 0:
+            raise ValueError(f"unknown PNG filter type {ftype}")
+        out[y * stride : (y + 1) * stride] = line
+        prior = line
+    return bytes(out)

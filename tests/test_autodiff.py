@@ -202,9 +202,12 @@ class TestForward:
     def test_fused_conv2d_matches_composed_ops_bitwise(self, slope, k):
         # with a 1x1 identity kernel and no bias the pre-activation is the
         # input, so 0.0 and +-1e-300 reach the activation (the GEMM sums -0.0
-        # to 0.0); slope 0 turns every negative pre-activation into -0.0
+        # to 0.0); slope 0 turns every negative pre-activation into -0.0.  The
+        # signs are random, and a quarter of the samples are zeros of either sign
         rng = np.random.default_rng(14)
         x = rng.normal(size=(3, 17, 19))
+        x[rng.uniform(size=x.shape) < 0.25] = 0.0
+        x[rng.uniform(size=x.shape) < 0.125] = -0.0
         x.flat[:4] = [0.0, -0.0, 1e-300, -1e-300]
         if k == 1:
             arrays = (x, np.eye(3)[:, :, None, None])
@@ -224,7 +227,7 @@ class TestForward:
         for got, want in zip(run(True), run(False)):
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("slope", [-0.2, float("nan"), float("inf")])
+    @pytest.mark.parametrize("slope", [-0.2, 1.5, float("nan"), float("inf")])
     def test_fused_conv2d_rejects_bad_slope(self, slope):
         with pytest.raises(InvalidInputError, match=f"got {slope}"):
             ad.conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))), slope=slope)

@@ -376,15 +376,18 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [["--fused", "fused_exp.pfr", "--label", "a,b"],
-         ["--fused", "fused_exp.pfr", "--label", "a/b"], ["--fused", "fused_a,b.pfr"]],
-        ids=["comma", "slash", "comma_stem"],
+         ["--fused", "fused_exp.pfr", "--label", "a/b"], ["--fused", "fused_a,b.pfr"],
+         ["--fused", "fused_.pfr"]],
+        ids=["comma", "slash", "comma_stem", "empty_stem"],
     )
     def test_eval_label_with_separator_exits_2(self, tmp_path, capsys, flags):
-        # the label is a file name part and a report table cell
+        # the label is a file name part and a report table cell; report skips
+        # an eval file whose label is empty
         out = tmp_path / "run"
         run(synth_args(out, size=16))
         run(["fuse", "--method", "exp", "--out", str(out)])
-        (out / "fused_a,b.pfr").write_bytes((out / "fused_exp.pfr").read_bytes())
+        for name in ("fused_a,b.pfr", "fused_.pfr"):
+            (out / name).write_bytes((out / "fused_exp.pfr").read_bytes())
         before = sorted(p.name for p in out.rglob("*"))
         flags = [str(out / f) if f.endswith(".pfr") else f for f in flags]
         capsys.readouterr()

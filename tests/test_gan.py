@@ -423,7 +423,10 @@ class TestFuseTiles:
         want = spec.forward(frozen, Tensor(ms_up), Tensor(scene.pan.data[None])).data
         # the head moves the output well away from the bicubic input
         assert np.abs(want - ms_up).max() > 0.05
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # float32 GEMMs of another width may sum in another order: over these
+        # cases the tiles differ from the whole-image pass by at most 6.0e-7,
+        # five float32 steps at 1.0, in at most 11% of the samples
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("size", [256, 1024])
     def test_memory_is_set_by_the_tile(self, monkeypatch, size):
@@ -443,12 +446,13 @@ class TestFuseTiles:
 
     def test_numerical_error_names_the_tile(self, small_scene, monkeypatch):
         # PAN is zero but for a patch inside the tile at (32, 32) and outside
-        # the halos of the others; a huge PAN weight overflows only there
+        # the halos of the others; a PAN weight near the float32 limit overflows
+        # only there, and stays finite as a float32 weight
         scene = small_scene
         pan = np.zeros((scene.pan.height, scene.pan.width))
         pan[40:44, 40:44] = 1.0
         _spec, params = random_head_checkpoint(4, 25)
-        params["gen.conv1.weight"].data[:, 4] = 1e308
+        params["gen.conv1.weight"].data[:, 4] = 3e38
         monkeypatch.setattr(gan, "_FUSE_TILE", 32)
         with np.errstate(over="ignore"), pytest.raises(
             NumericalError, match=r"tile at \(32, 32\)"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -235,20 +235,26 @@ def tile_kinds(a, b, window, stride):
     return kinds
 
 
+def window_reduce(a, grid, ufunc=np.add):
+    """``ufunc`` over every window of a 2-D array, by the banded window kernel."""
+    return metrics._window_tables(grid, a.shape[1], [(ufunc, None)],
+                                  lambda rows, key, work: a[rows])[0]
+
+
 class TestWindowKernel:
-    """_window_reduce and _flat against the brute-force tile loop."""
+    """The window kernel and the flat flags against the brute-force tile loop."""
 
     @staticmethod
     def check(a, window, stride):
         grid = metrics._window_origins(*a.shape, window, stride)
         np.testing.assert_allclose(
-            metrics._window_reduce(a, grid),
+            window_reduce(a, grid),
             oracles.naive_window_reduce(a, window, stride, np.sum), rtol=0, atol=1e-12)
         for ufunc, fn in ((np.maximum, np.max), (np.minimum, np.min)):
-            np.testing.assert_array_equal(metrics._window_reduce(a, grid, ufunc),
+            np.testing.assert_array_equal(window_reduce(a, grid, ufunc),
                                           oracles.naive_window_reduce(a, window, stride, fn))
         np.testing.assert_array_equal(
-            metrics._flat(a, grid),
+            metrics._moments(RasterBand(a), window, stride).flat[0],
             oracles.naive_window_reduce(a, window, stride, lambda t: np.ptp(t) == 0))
 
     @settings(max_examples=80, deadline=None)
@@ -275,7 +281,7 @@ class TestWindowKernel:
         a[:4, :4] = 0.0
         a[1:4:2, ::3] = -0.0
         self.check(a, 4, 2)
-        assert metrics._flat(a, metrics._window_origins(8, 8, 4, 2))[0, 0]
+        assert metrics._moments(RasterBand(a), 4, 2).flat[0, 0, 0]
 
 
 class TestWindowedOracles:
@@ -555,6 +561,76 @@ class TestSharedStatistics:
         per_band = [uiqi(RasterBand(a), RasterBand(b), cfg) for a, b in zip(f, g)]
         assert report.entries["UIQI"] == float(np.mean(per_band))
         assert report.entries["Q4"] == q4(ms_of(f), ms_of(g), cfg)
+
+
+class TestRowBands:
+    """The metrics read each image in row bands; the band height moves no window
+    statistic, and the bands bound the memory."""
+
+    @staticmethod
+    def statistics(a, b, window, stride):
+        ma, mb = (metrics._moments(ms_of(x), window, stride) for x in (a, b))
+        pairs = [(i, j) for i in range(len(a)) for j in range(len(b))]
+        fields = ("dsum", "mean", "var", "flat", "level", "redo")
+        return [getattr(x, name) for x in (ma, mb) for name in fields] + [
+            metrics._cross(ma, mb, pairs)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=windowed_inputs(max_side=40))
+    @example(case=(1, 64, 64, 8, 2, 0, 5))  # overlapping
+    @example(case=(2, 64, 48, 8, 8, 2, 5))  # tiling
+    @example(case=(3, 50, 64, 8, 11, 0, 5))  # gapped
+    @example(case=(4, 64, 64, 16, 3, 2, 5))  # stride coprime to the window: blocks of one row
+    @example(case=(5, 64, 96, 28, 4, 1, 5))  # a window of 7 blocks
+    def test_one_block_per_band_is_bitwise_the_default(self, case):
+        seed, h, w, window, stride, levels, block = case
+        rng = np.random.default_rng(seed)
+        a, b = blocky(rng, (3, h, w), levels, block) - 0.5, blocky(rng, (4, h, w), levels, block)
+        default = self.statistics(a, b, window, stride)  # one band: the whole image
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_BAND_ELEMENTS", 1)
+            banded = self.statistics(a, b, window, stride)
+        for want, got in zip(default, banded, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_one_block_per_band_keeps_nearly_flat_windows(self, monkeypatch):
+        f = near_flat(5, (4, 64, 64), 1.0, (3, 37))
+        m = near_flat(6, (4, 64, 64), 0.7, (20, 50))
+        default = self.statistics(f, m, 32, 32)
+        assert default[5].any() and default[11].any()  # windows recomputed in two passes
+        monkeypatch.setattr(metrics, "_BAND_ELEMENTS", 1)
+        for want, got in zip(default, self.statistics(f, m, 32, 32), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_cc_and_ergas_over_one_row_bands(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        f, m = rng.uniform(size=(2, 3, 24, 20))
+        monkeypatch.setattr(metrics, "_BAND_ELEMENTS", 1)
+        assert abs(cc(ms_of(f), ms_of(m)) - np.mean(
+            [oracles.naive_cc(a, b) for a, b in zip(f, m)])) < 1e-12
+        assert abs(ergas(ms_of(f), ms_of(m)) - oracles.naive_ergas(f, m, 0.25)) < 1e-12
+
+    def test_evaluation_peak_at_512(self):
+        # 512^2, window 32 / stride 32.  Before the row bands, CC, ERGAS and the
+        # window statistics formed full-size planes, and the peaks were 6.00 MB
+        # (reduced) and 4.05 MB (full); with them, 1.75 and 1.15 MB
+        rng = np.random.default_rng(5)
+        ms = rng.uniform(size=(4, 128, 128))
+        up = np.repeat(np.repeat(ms, 4, axis=1), 4, axis=2)
+        fused, gt = (ms_of(up + 0.01 * rng.normal(size=up.shape)) for _ in range(2))
+        pan = RasterBand(up.mean(0) + 0.01 * rng.normal(size=up.shape[1:]))
+        pan_low = mtf_degrade(pan, 4)
+        tracemalloc.start()
+        try:
+            evaluate_reduced(fused, gt)
+            _, reduced_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            evaluate_full(fused, ms_of(ms), pan, pan_low)
+            _, full_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reduced_peak < 3.0 * 2**20, f"evaluate_reduced peak {reduced_peak / 2**20:.2f} MB"
+        assert full_peak < 2.0 * 2**20, f"evaluate_full peak {full_peak / 2**20:.2f} MB"
 
 
 class TestReports:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_conv2d_reflect, naive_covariance
+from oracles import naive_conv2d_reflect, naive_covariance, naive_png_unfilter
 from panfuse.errors import (
     DegenerateInputError,
     FormatError,
@@ -22,6 +22,7 @@ from panfuse.raster import (
     RasterBand,
     _bicubic_axis_taps,
     _bicubic_up,
+    _png_unfilter,
     detail_inject,
     estimate_gains,
     estimate_weights,
@@ -501,6 +502,31 @@ class TestIO:
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="IHDR at byte 8 has 12 bytes, expected 13"):
             load_raster(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(depth=st.sampled_from([8, 16]), width=st.integers(1, 9), data=st.data())
+    def test_png_unfilter_matches_the_byte_loop(self, depth, width, data):
+        # every filter type against the byte-by-byte definition; bytes are often
+        # small, so that the Paeth predictor meets its ties
+        bpp = depth // 8
+        stride = width * bpp
+        types = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+        row = st.lists(st.integers(0, 3) | st.integers(0, 255), min_size=stride, max_size=stride)
+        raw = b"".join(bytes([t, *data.draw(row)]) for t in types)
+        got = _png_unfilter(raw, len(types), stride, bpp)
+        assert got.shape == (len(types), stride)
+        assert got.tobytes() == naive_png_unfilter(raw, len(types), stride, bpp)
+
+    def test_png_paeth_tie_of_up_and_up_left_predicts_up(self):
+        # left 5, up 2, up-left 4: the distances to up and to up-left are both 1
+        raw = bytes([0, 4, 2, 4, 1, 0])
+        assert _png_unfilter(raw, 2, 2, 1).tobytes() == bytes([4, 2, 5, 2])
+        assert naive_png_unfilter(raw, 2, 2, 1) == bytes([4, 2, 5, 2])
+
+    def test_png_unknown_filter_names_its_byte(self):
+        raw = bytes([0, 1, 2, 4, 5, 6, 5, 7, 8])  # three 2-byte rows; the last has type 5
+        with pytest.raises(FormatError, match="unknown PNG filter type 5 at byte 6"):
+            _png_unfilter(raw, 3, 2, 1)
 
     def test_png_idat_inflating_past_ihdr_size(self, tmp_path):
         # a 2x2 8-bit image holds 2 * (1 + 2) = 6 filtered bytes; this inflates to 1 MB
