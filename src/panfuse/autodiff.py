@@ -2,7 +2,7 @@
 
 Sized for the tiny convolutional networks in :mod:`panfuse.gan`, whose hidden
 layers are fused conv-bias-leaky-ReLU ops (:func:`conv2d` with a ``slope``):
-no GPU, no general broadcasting (scalars only).  Tensors hold float64, or
+no GPU, and binary ops take equal shapes.  Tensors hold float64, or
 float32 where a caller asks for it with :func:`cast`; :func:`conv2d` runs in
 its input's dtype, so the training networks compute in single precision while
 parameters, gradients, losses and Adam stay in double.  Every op is
@@ -22,6 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    DegenerateInputError,
     FormatError,
     InvalidInputError,
     NumericalError,
@@ -79,33 +80,13 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # scalar-friendly operator sugar; heavy lifting stays in module functions
+    # operator sugar for the losses of panfuse.gan; heavy lifting stays in
+    # module functions
     def __add__(self, other):
         return add(self, _coerce(other))
 
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
     def __rsub__(self, other):
         return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _coerce(value) -> Tensor:
@@ -175,40 +156,22 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and scalar ops
+# elementwise ops
 
 
 def _check_shapes(op, a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
-        raise ShapeError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}")
-
-
-def _unbroadcast(g: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    """Cotangent ``g`` of a binary op's output, summed to ``operand``'s shape
-    where ``operand`` was a broadcast scalar."""
-    if g.shape == operand.shape:
-        return g
-    return np.asarray(g.sum(), dtype=np.float64).reshape(operand.shape)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_shapes("add", a, b)
-
-    def bw(g, needs):
-        return (_unbroadcast(g, a.data) if needs[0] else None,
-                _unbroadcast(g, b.data) if needs[1] else None)
-
-    return _track("add", a.data + b.data, (a, b), bw)
+    return _track("add", a.data + b.data, (a, b), lambda g, needs: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_shapes("sub", a, b)
-
-    def bw(g, needs):
-        return (_unbroadcast(g, a.data) if needs[0] else None,
-                -_unbroadcast(g, b.data) if needs[1] else None)
-
-    return _track("sub", a.data - b.data, (a, b), bw)
+    return _track("sub", a.data - b.data, (a, b), lambda g, needs: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -216,8 +179,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def bw(g, needs):
-        return (_unbroadcast(g * bd, ad) if needs[0] else None,
-                _unbroadcast(g * ad, bd) if needs[1] else None)
+        return (g * bd if needs[0] else None, g * ad if needs[1] else None)
 
     return _track("mul", ad * bd, (a, b), bw)
 
@@ -234,8 +196,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         # the divisor is squared in the quotient's dtype: squared in float32, a
         # float32 divisor under a float64 numerator underflows or overflows
         bd2 = bd.astype(out.dtype, copy=False)
-        return (_unbroadcast(g / bd, ad) if needs[0] else None,
-                _unbroadcast(-g * ad / (bd2 * bd2), bd) if needs[1] else None)
+        return (g / bd if needs[0] else None,
+                -g * ad / (bd2 * bd2) if needs[1] else None)
 
     return _track("div", out, (a, b), bw)
 
@@ -360,6 +322,59 @@ def covariance(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _track("covariance", out, (a, b), bw)
+
+
+def similarity(a: Tensor, b: Tensor) -> Tensor:
+    """Per-channel Wang-Bovik similarity index Q of two (C, H, W) tensors: (C,).
+
+    Q = 4 cov mu_a mu_b / (V M) over each channel's n pixels, with
+    V = var_a + var_b, M = mu_a^2 + mu_b^2 and sample (co)variances
+    (ddof = 1); bitwise the chain of mean, variance, covariance, mul, add and
+    div.  One tape node, whose pullback is the closed form, linear in the
+    centred channels: dQ/da = 4 mu_a mu_b / (V M (n-1)) (b - mu_b)
+    - 2Q / (V (n-1)) (a - mu_a) + (4 cov mu_b / (V M) - 2Q mu_a / M) / n,
+    and dQ/db the same with a and b swapped.
+    """
+    _require_chw("similarity", a)
+    _check_shapes("similarity", a, b)
+    c, h, w = a.data.shape
+    n = h * w
+    if c < 1 or n < 2:
+        raise ShapeError(f"similarity needs channels of two pixels or more, got {a.data.shape}")
+    stats = []
+    for x, y in zip(a.data, b.data):
+        mu_x, mu_y = x.mean(), y.mean()
+        cx, cy = x - mu_x, y - mu_y
+        stats.append((mu_x, mu_y, np.sum(cx * cx) / (n - 1), np.sum(cy * cy) / (n - 1),
+                      np.sum(cx * cy) / (n - 1)))
+    mu_a, mu_b, var_a, var_b, cov = np.array(stats, dtype=np.float64).T
+    # the order of the mul, add and div chain, so Q is bitwise that chain's; a
+    # value beyond the float64 range makes Q non-finite, which _track reports
+    with np.errstate(all="ignore"):
+        v, m = var_a + var_b, mu_a * mu_a + mu_b * mu_b
+        d = v * m
+        q = 4.0 * cov * mu_a * mu_b / d
+    degenerate = np.flatnonzero((v == 0.0) | (m == 0.0))
+    if degenerate.size:
+        i = degenerate[0]
+        kind = "constant" if v[i] == 0.0 else "zero-mean"
+        raise DegenerateInputError(
+            f"similarity index undefined for two {kind} images in channel {i}"
+        )
+
+    def bw(g, needs):
+        along = (g * 4.0 * mu_a * mu_b / (d * (n - 1)))[:, None, None]
+        own = (g * 2.0 * q / (v * (n - 1)))[:, None, None]
+        ca, cb = a.data - mu_a[:, None, None], b.data - mu_b[:, None, None]
+
+        def pull(c_own, c_other, mu_own, mu_other):
+            shift = g * (4.0 * cov * mu_other / d - 2.0 * q * mu_own / m) / n
+            return along * c_other - own * c_own + shift[:, None, None]
+
+        return (pull(ca, cb, mu_a, mu_b) if needs[0] else None,
+                pull(cb, ca, mu_b, mu_a) if needs[1] else None)
+
+    return _track("similarity", q, (a, b), bw)
 
 
 # ---------------------------------------------------------------------------

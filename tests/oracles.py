@@ -1,12 +1,16 @@
 """Independent brute-force reference implementations used to verify the fast paths.
 
 Everything here is written straight from the metric definitions with plain
-loops and explicit statistics; nothing is shared with the package internals.
+loops and explicit statistics; nothing is shared with the package internals,
+except that :func:`chain_q_index` composes the public elementwise and
+reduction ops of :mod:`panfuse.autodiff`.
 """
 
 import math
 
 import numpy as np
+
+from panfuse import autodiff as ad
 
 
 def window_origins(h, w, window, stride):
@@ -269,6 +273,22 @@ def naive_covariance(a, b):
     mu_a = sum(a) / a.size
     mu_b = sum(b) / b.size
     return sum((x - mu_a) * (y - mu_b) for x, y in zip(a, b)) / (a.size - 1)
+
+
+def chain_q_index(a, b):
+    """The per-channel Wang-Bovik Q of two (C, H, W) tensors as a chain of tape
+    ops, one scalar tensor per channel: two ``mean``, two ``variance``, one
+    ``covariance``, six ``mul``, two ``add`` and one ``div``, in the order
+    of the formula 4 cov mu_a mu_b / ((var_a + var_b)(mu_a^2 + mu_b^2))."""
+    out = []
+    for i in range(a.shape[0]):
+        x, y = ad.channel_slice(a, i), ad.channel_slice(b, i)
+        mu_x, mu_y = ad.mean(x), ad.mean(y)
+        num = ad.mul(ad.mul(ad.mul(ad.Tensor(4.0), ad.covariance(x, y)), mu_x), mu_y)
+        spread = ad.add(ad.variance(x), ad.variance(y))
+        level = ad.add(ad.mul(mu_x, mu_x), ad.mul(mu_y, mu_y))
+        out.append(ad.div(num, ad.mul(spread, level)))
+    return out
 
 
 def finite_difference_grads(fn, arrays, eps=1e-4):

@@ -147,13 +147,13 @@ class TestCriterion4HandValues:
 class TestCriterion5GradientChecks:
     def test_primitives_and_composite_losses(self):
         start = time.perf_counter()
-        from test_autodiff import PRIMITIVE_CASES
+        from test_autodiff import PRIMITIVE_CASES, TWO_INPUT_CASES
 
         worst = 0.0
         for seed in range(20):
             rng = np.random.default_rng(2000 + seed)
             for name, fn in sorted(PRIMITIVE_CASES.items()):
-                if name in ("add", "sub", "mul", "div", "covariance", "concat_channels"):
+                if name in TWO_INPUT_CASES:
                     arrays = [rng.uniform(0.5, 1.5, size=(3, 4, 4)) for _ in range(2)]
                 else:
                     arrays = [rng.uniform(0.5, 1.5, size=(3, 4, 4))]

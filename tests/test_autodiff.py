@@ -11,6 +11,7 @@ import oracles
 from panfuse import autodiff as ad
 from panfuse.autodiff import ParameterSet, Tensor
 from panfuse.errors import (
+    DegenerateInputError,
     FormatError,
     InvalidInputError,
     NumericalError,
@@ -275,7 +276,11 @@ PRIMITIVE_CASES = {
     "channel_weighted_sum": lambda ts: ad.variance(
         ad.channel_weighted_sum(ts[0], np.array([0.2, 0.5, 0.3]), 0.1)
     ),
+    "similarity": lambda ts: ad.mean(ad.similarity(ts[0], ts[1])),
 }
+
+# the cases of PRIMITIVE_CASES that take two inputs
+TWO_INPUT_CASES = ("add", "sub", "mul", "div", "covariance", "concat_channels", "similarity")
 
 
 class TestGradients:
@@ -284,52 +289,19 @@ class TestGradients:
         fn = PRIMITIVE_CASES[name]
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            if name in ("add", "sub", "mul", "div", "covariance", "concat_channels"):
+            if name in TWO_INPUT_CASES:
                 arrays = [rng.uniform(0.5, 1.5, size=(3, 4, 4)) for _ in range(2)]
             else:
                 arrays = [rng.uniform(0.5, 1.5, size=(3, 4, 4))]
             check_gradients(fn, *arrays)
 
-    def test_scalar_broadcast_gradients(self):
-        # one rule for every binary op: a size-1 operand of any shape, on either
-        # side, gets the cotangent summed into its own shape
-        rng = np.random.default_rng(42)
-        x = rng.uniform(0.5, 1.5, size=(2, 3, 3))
-        ops = (ad.add, ad.sub, ad.mul, ad.div)
-        for op in ops:
-            for s in (np.array(0.7), np.full((1, 1, 1), 0.7)):
-                for left, right in ((0, 1), (1, 0)):
-                    def fn(ts, op=op, left=left, right=right):
-                        return ad.mean(op(ts[left], ts[right]))
-
-                    auto, numeric = grad_of(fn, x, s)
-                    assert [g.shape for g in auto] == [x.shape, s.shape]
-                    for a, n in zip(auto, numeric):
-                        assert oracles.max_relative_error(a, n) < 1e-4
-        # a float32 tensor with a float64 scalar computes in float64, so its
-        # gradients are those of the float64 tensor holding the same values, up
-        # to the float32 square in div's pullback
-        x32 = x.astype(np.float32)
-        for op in ops:
-            for left, right in ((0, 1), (1, 0)):
-                grads = []
-                for data in (x32, x32.astype(np.float64)):
-                    ts = [Tensor(data, requires_grad=True), Tensor(0.7, requires_grad=True)]
-                    ad.backward(ad.mean(op(ts[left], ts[right])))
-                    grads.append([t.grad for t in ts])
-                (g32, s32), (g64, s64) = grads
-                assert g32.shape == x.shape
-                np.testing.assert_allclose(g32, g64, rtol=1e-6, atol=0)
-                assert s32.shape == () and s32.dtype == np.float64 and s32 == s64
-        # two size-1 operands of different shapes: each gradient keeps its own
-        for op in ops:
-            a = Tensor(np.full((1, 1, 1), 0.6), requires_grad=True)
-            b = Tensor(0.7, requires_grad=True)
-            ad.backward(ad.mean(op(a, b)))
-            assert a.grad.shape == (1, 1, 1) and b.grad.shape == ()
-        for op in ops:
-            with pytest.raises(ShapeError, match=r"\(2, 3\) and \(3, 2\)"):
-                op(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+    def test_binary_ops_reject_a_scalar_operand(self):
+        # binary ops take equal shapes: a scalar is not broadcast, on either side
+        x, s = Tensor(np.ones((2, 3, 3))), Tensor(0.7)
+        for op in (ad.add, ad.sub, ad.mul, ad.div):
+            for left, right in ((x, s), (s, x)):
+                with pytest.raises(ShapeError, match=r"\(2, 3, 3\)"):
+                    op(left, right)
 
     @CONV_FD_CASES
     def test_conv2d_gradients(self, stride, k):
@@ -401,6 +373,48 @@ class TestGradients:
         x3 = Tensor(base.copy(), requires_grad=True)
         ad.backward(g(x3))
         np.testing.assert_allclose(x1.grad, a_w * x2.grad + b_w * x3.grad, atol=1e-10)
+
+
+class TestSimilarity:
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.integers(1, 4), h=st.integers(2, 16), w=st.integers(2, 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_chain_oracle(self, c, h, w, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.uniform(0.1, 0.9, size=(c, h, w)) for _ in range(2))
+        g = rng.uniform(-1.0, 1.0, size=c)
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        q = ad.similarity(ta, tb)
+        grads = q.node.backward_fn(g, (True, True))
+        ca, cb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        chain = oracles.chain_q_index(ca, cb)
+        assert q.data.tobytes() == np.array([t.item() for t in chain]).tobytes()
+        loss = ad.scalar_mul(chain[0], g[0])
+        for t, gi in zip(chain[1:], g[1:]):
+            loss = ad.add(loss, ad.scalar_mul(t, gi))
+        ad.backward(loss)
+        for got, want in zip(grads, (ca.grad, cb.grad)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind, fill", [("constant", 0.3), ("zero-mean", None)])
+    def test_degenerate_channel_is_named(self, kind, fill):
+        rng = np.random.default_rng(3)
+        a, b = (rng.uniform(0.1, 0.9, size=(4, 4, 4)) for _ in range(2))
+        if fill is None:
+            # non-constant, and its mean is exactly zero
+            a[2] = b[2] = np.where(np.indices((4, 4)).sum(axis=0) % 2, 0.5, -0.5)
+        else:
+            a[2] = b[2] = fill
+        with pytest.raises(DegenerateInputError, match=f"{kind} images in channel 2"):
+            ad.similarity(Tensor(a), Tensor(b))
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((2, 4, 4), (2, 4, 5)), ((4, 4), (4, 4)), ((0, 4, 4), (0, 4, 4)), ((2, 1, 1), (2, 1, 1))],
+    )
+    def test_rejects_bad_shapes(self, shapes):
+        with pytest.raises(ShapeError):
+            ad.similarity(*(Tensor(np.ones(s)) for s in shapes))
 
 
 @pytest.fixture(params=[1, 60], ids=["one-row", "partial-last"])

@@ -22,7 +22,6 @@ from panfuse.gan import (
     discriminator_loss,
     generator_adversarial_loss,
     generator_total_loss,
-    q_index,
     spatial_loss,
     spectral_loss,
 )
@@ -50,13 +49,30 @@ class TestQIndex:
         rng = np.random.default_rng(0)
         a = rng.uniform(size=(8, 8))
         b = rng.uniform(size=(8, 8))
-        q_diff = q_index(Tensor(a), Tensor(b)).item()
+        q_diff = ad.similarity(Tensor(a[None]), Tensor(b[None])).item()
         q_metric = uiqi(RasterBand(a), RasterBand(b), MetricConfig(window=8, stride=8))
         assert abs(q_diff - q_metric) < 1e-12
 
     def test_rejects_two_constants(self):
         with pytest.raises(DegenerateInputError):
-            q_index(Tensor(np.full((4, 4), 0.3)), Tensor(np.full((4, 4), 0.3)))
+            ad.similarity(Tensor(np.full((1, 4, 4), 0.3)), Tensor(np.full((1, 4, 4), 0.3)))
+
+
+def tape_ops(loss):
+    """The op of every node on the tape of ``loss``."""
+    return [t.node.op for t in ad._topological_order(loss) if t.node is not None]
+
+
+def test_losses_hold_one_similarity_node(fixture_scene):
+    # each similarity-index loss is one op on the tape, not a chain of
+    # elementwise ops and reductions
+    scene = fixture_scene
+    fused = Tensor(upsample(scene.ms, scene.ratio).data, requires_grad=True)
+    w = IntensityWeights(np.full(scene.ms.band_count, 1.0 / scene.ms.band_count), 0.0)
+    for loss in (spectral_loss(fused, scene.ms, scene.ratio), spatial_loss(fused, scene.pan, w)):
+        ops = tape_ops(loss)
+        assert ops.count("similarity") == 1
+        assert not {"variance", "covariance", "channel_slice", "mul", "div"} & set(ops)
 
 
 class TestSpectralLoss:
