@@ -692,10 +692,6 @@ class ParameterSet:
     def items(self):
         return [(name, self._params[name]) for name in self.names()]
 
-    def set_trainable(self, flag: bool) -> None:
-        for _, p in self.items():
-            p.requires_grad = bool(flag)
-
 
 # Adam's decay rates of the first and second moments, and its denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

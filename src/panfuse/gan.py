@@ -34,6 +34,7 @@ from .raster import (
     RasterBand,
     _bicubic_up,
     check_pan_scale,
+    csv_format,
     estimate_weights,
     histogram_match,
     parse_csv_table,
@@ -135,30 +136,25 @@ class DiscriminatorSpec:
         return ad.sigmoid(ad.cast(ad.mean(h), np.float64))
 
 
+# Adam's learning rates of the generator and of both critics
+LR_G, LR_D = 5e-3, 1e-3
+# the weight of each adversarial term of the generator loss; both consistency
+# terms weigh 1
+ADV_WEIGHT = 0.01
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Iteration budget, learning rates and loss weights for :func:`train`."""
+    """Iteration budget, seed and PAN-to-MS ratio of :func:`train`; the learning
+    rates and loss weights are the constants ``LR_G``, ``LR_D`` and ``ADV_WEIGHT``."""
 
     iterations: int = 500
-    lr_g: float = 5e-3
-    lr_d: float = 1e-3
-    lambda_spec: float = 1.0
-    lambda_spat: float = 1.0
-    lambda_adv_spec: float = 0.01
-    lambda_adv_spat: float = 0.01
     seed: int = 0
     ratio: int = 4
 
     def __post_init__(self):
         if self.iterations < 1:
             raise InvalidInputError("iterations must be >= 1")
-        for name in ("lr_g", "lr_d", "lambda_spec", "lambda_spat", "lambda_adv_spec",
-                     "lambda_adv_spat"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
-        if self.lr_g <= 0 or self.lr_d <= 0:
-            raise InvalidInputError("learning rates must be positive")
         if self.ratio < 1:
             raise InvalidInputError("ratio must be >= 1")
         if self.seed < 0:
@@ -191,11 +187,9 @@ class TrainingLog:
         return np.array([row[idx] for row in self.rows])
 
     def to_csv(self) -> str:
-        lines = [",".join(LOG_COLUMNS)]
-        for row in self.rows:
-            cells = [f"{int(row[0])}"] + [repr(v) for v in row[1:]]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_format(
+            LOG_COLUMNS, ([f"{int(row[0])}"] + [repr(v) for v in row[1:]] for row in self.rows)
+        )
 
     @staticmethod
     def parse_csv(text: str) -> "TrainingLog":
@@ -266,29 +260,28 @@ def discriminator_loss(real_score: Tensor, fake_score: Tensor, critic: str = "cr
     return ad.neg(ad.log(real_score)) + ad.neg(ad.log(1.0 - fake_score))
 
 
-def generator_adversarial_loss(
-    score_spec: Tensor, score_spat: Tensor, cfg: TrainingConfig
+def generator_loss(
+    l1: Tensor, l2: Tensor, score_spec: Tensor, score_spat: Tensor
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Weighted non-saturating generator terms: -lambda * log D(fake), per critic.
+    """The generator objective l1 + l2 + ADV_WEIGHT * (-log D(fake)), per critic.
 
-    Returns the weighted sum and the two unweighted terms -log D(fake).
+    Returns the total and the two unweighted adversarial terms -log D(fake).
     """
     _check_score(score_spec, "spectral critic fake")
     _check_score(score_spat, "spatial critic fake")
     adv_spec = ad.neg(ad.log(score_spec))
     adv_spat = ad.neg(ad.log(score_spat))
-    weighted = ad.scalar_mul(adv_spec, cfg.lambda_adv_spec) + ad.scalar_mul(
-        adv_spat, cfg.lambda_adv_spat
-    )
-    return weighted, adv_spec, adv_spat
-
-
-def generator_total_loss(l1: Tensor, l2: Tensor, adv: Tensor, cfg: TrainingConfig) -> Tensor:
-    return ad.scalar_mul(l1, cfg.lambda_spec) + ad.scalar_mul(l2, cfg.lambda_spat) + adv
+    weighted = ad.scalar_mul(adv_spec, ADV_WEIGHT) + ad.scalar_mul(adv_spat, ADV_WEIGHT)
+    return l1 + l2 + weighted, adv_spec, adv_spat
 
 
 # ---------------------------------------------------------------------------
 # training and inference
+
+
+def _frozen(params) -> dict:
+    """``params`` by value: tensors that no gradient reaches."""
+    return {name: Tensor(p.data) for name, p in params.items()}
 
 
 def train(
@@ -322,46 +315,41 @@ def train(
     # one iteration; its tapes are freed when it returns, before the next
     def iteration(it: int) -> None:
         fused = gen.forward_from(g_params, gen_input, ms_up_t)
-        fused_const = fused.detach()
+        degraded = ad.block_mean(fused, r)
+        intensity = intensity_of(fused, weights)
 
         # spectral critic: original MS vs degraded generator output
         d_spec_loss = discriminator_loss(
             disc_spec.forward(ds_params, ms_real, "dspec"),
-            disc_spec.forward(ds_params, ad.block_mean(fused_const, r), "dspec"),
+            disc_spec.forward(ds_params, degraded.detach(), "dspec"),
             "spectral critic",
         )
         ad.backward(d_spec_loss)
-        ad.adam_step(ds_params, cfg.lr_d)
+        ad.adam_step(ds_params, LR_D)
 
         # spatial critic: original PAN vs intensity of the generator output
         d_spat_loss = discriminator_loss(
             disc_spat.forward(dt_params, pan_t, "dspat"),
-            disc_spat.forward(dt_params, intensity_of(fused_const, weights), "dspat"),
+            disc_spat.forward(dt_params, intensity.detach(), "dspat"),
             "spatial critic",
         )
         ad.backward(d_spat_loss)
-        ad.adam_step(dt_params, cfg.lr_d)
+        ad.adam_step(dt_params, LR_D)
 
-        # generator: consistency losses plus adversarial terms with frozen critics
+        # generator: consistency losses plus adversarial terms of the updated
+        # critics, frozen by value
         l1 = spectral_loss(fused, ms, r)
-        intensity = intensity_of(fused, weights)
         l2 = _spatial_loss_from_intensity(intensity, pan)
-        ds_params.set_trainable(False)
-        dt_params.set_trainable(False)
-        try:
-            adv, adv_spec, adv_spat = generator_adversarial_loss(
-                disc_spec.forward(ds_params, ad.block_mean(fused, r), "dspec"),
-                disc_spat.forward(dt_params, intensity, "dspat"),
-                cfg,
-            )
-            total = generator_total_loss(l1, l2, adv, cfg)
-            if not math.isfinite(total.item()):
-                raise TrainingDivergenceError("generator loss is non-finite", iteration=it)
-            ad.backward(total)
-        finally:
-            ds_params.set_trainable(True)
-            dt_params.set_trainable(True)
-        ad.adam_step(g_params, cfg.lr_g)
+        total, adv_spec, adv_spat = generator_loss(
+            l1,
+            l2,
+            disc_spec.forward(_frozen(ds_params), degraded, "dspec"),
+            disc_spat.forward(_frozen(dt_params), intensity, "dspat"),
+        )
+        if not math.isfinite(total.item()):
+            raise TrainingDivergenceError("generator loss is non-finite", iteration=it)
+        ad.backward(total)
+        ad.adam_step(g_params, LR_G)
 
         log.append(
             iteration=it,
@@ -424,7 +412,7 @@ def fuse(
                 f"checkpoint parameter {name!r} has shape {got}, expected {shape} for {k} bands"
             )
     check_pan_scale(ms, pan, r)
-    frozen = {name: Tensor(p.data) for name, p in params.items()}
+    frozen = _frozen(params)
     h, w = pan.height, pan.width
     out = np.empty((k, h, w))
     for top in range(0, h, _FUSE_TILE):

@@ -33,6 +33,7 @@ from .raster import (
     MultispectralImage,
     RasterBand,
     check_pan_scale,
+    csv_format,
     detail_inject,
     estimate_gains,
     estimate_weights,
@@ -53,7 +54,9 @@ IDEAL_ROW = {
 
 
 def worker_threads() -> int:
-    """Worker cap of :func:`run_experiment`'s pool: every core."""
+    """Worker cap of :func:`run_experiment`'s pool: every core this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -265,15 +268,13 @@ def run_experiment(
 def results_table_csv(results, mode: str) -> str:
     """Comparison table for one mode: method column plus metric columns."""
     metric_names = REDUCED_METRICS if mode == "reduced" else FULL_METRICS
-    lines = ["method," + ",".join(metric_names)]
-    for res in results:
-        if res.mode != mode or res.report is None:
-            continue
-        cells = [res.method] + [repr(res.report.entries[m]) for m in metric_names]
-        lines.append(",".join(cells))
-    ideal = IDEAL_ROW[mode]
-    lines.append("Ideal," + ",".join(repr(ideal[m]) for m in metric_names))
-    return "\n".join(lines) + "\n"
+    rows = [
+        [res.method] + [repr(res.report.entries[m]) for m in metric_names]
+        for res in results
+        if res.mode == mode and res.report is not None
+    ]
+    rows.append(["Ideal"] + [repr(IDEAL_ROW[mode][m]) for m in metric_names])
+    return csv_format(("method", *metric_names), rows)
 
 
 def parse_results_table(text: str, mode: str):

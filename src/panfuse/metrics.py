@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .raster import MultispectralImage, RasterBand, kv_format, kv_parse, kv_value
+from .raster import MultispectralImage, RasterBand, csv_format, kv_format, kv_parse, kv_value
 
 REDUCED_METRICS = ("SAM", "CC", "UIQI", "Q4", "ERGAS")
 FULL_METRICS = ("D_lambda", "D_s", "QNR")
@@ -603,9 +603,7 @@ class QualityReport:
 
     def to_csv(self) -> str:
         names = self.metric_names()
-        head = ",".join(names)
-        row = ",".join(f"{self.entries[n]:.6g}" for n in names)
-        return f"{head}\n{row}\n"
+        return csv_format(names, [[f"{self.entries[n]:.6g}" for n in names]])
 
     def to_kv(self) -> str:
         c = self.config

@@ -423,6 +423,19 @@ def kv_format(pairs) -> str:
     return "".join(lines)
 
 
+def csv_format(header, rows) -> str:
+    """``header`` and ``rows`` of string cells as comma-separated lines; a cell
+    that :func:`parse_csv_table` would not read back raises InvalidInputError."""
+    lines = []
+    for cells in (header, *rows):
+        for cell in cells:
+            # a line break is any boundary of str.splitlines, which the reader splits at
+            if "," in cell or len((cell + "x").splitlines()) > 1:
+                raise InvalidInputError(f"cannot write cell {cell!r} in a CSV line")
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
 def parse_csv_table(text: str, header: tuple, what: str, text_columns: int = 0) -> list:
     """Rows under ``header`` as tuples: ``text_columns`` strings, then floats.
 

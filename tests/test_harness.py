@@ -262,3 +262,14 @@ class TestRunExperiment:
 class TestWorkerThreads:
     def test_default_positive(self):
         assert worker_threads() >= 1
+
+    def test_counts_only_the_cores_this_process_may_run_on(self, monkeypatch):
+        # as under `taskset -c 0` on a machine of more cores
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        assert worker_threads() == 1
+
+    def test_every_core_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        assert worker_threads() == 3

@@ -23,6 +23,7 @@ from panfuse.raster import (
     _bicubic_axis_taps,
     _bicubic_up,
     _png_unfilter,
+    csv_format,
     detail_inject,
     estimate_gains,
     estimate_weights,
@@ -33,6 +34,7 @@ from panfuse.raster import (
     mtf_degrade,
     mtf_degrade_ms,
     mtf_sigma,
+    parse_csv_table,
     save_raster,
     upsample,
     upsample_band,
@@ -541,3 +543,27 @@ class TestIO:
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="from byte 33 inflates past the 6 bytes"):
             load_raster(path)
+
+
+# a cell parse_csv_table reads back: no comma and no line boundary of str.splitlines
+_CSV_CELL = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8).filter(
+    lambda t: "," not in t and len((t + "x").splitlines()) == 1
+)
+
+
+class TestCsvFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_written_rows_read_back(self, data):
+        header = tuple(data.draw(st.lists(_CSV_CELL, min_size=2, max_size=5)))
+        numbers = st.lists(st.floats(allow_nan=False), min_size=len(header) - 1,
+                           max_size=len(header) - 1)
+        rows = [(label, *values) for label, values in
+                data.draw(st.lists(st.tuples(_CSV_CELL, numbers), max_size=5))]
+        text = csv_format(header, [[label, *map(repr, values)] for label, *values in rows])
+        assert parse_csv_table(text, header, "table", text_columns=1) == rows
+
+    @pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\r", "\u2028"])
+    def test_cell_that_would_not_read_back_rejected(self, cell):
+        with pytest.raises(InvalidInputError, match="cannot write cell"):
+            csv_format(("method", "SAM"), [[cell, "1.0"]])
