@@ -10,7 +10,10 @@ deterministic and easy to verify against finite differences.
 
 Each operation that touches a gradient-tracked tensor records a
 :class:`TapeNode` on its output; :func:`backward` orders the reachable
-tensors topologically and visits each node exactly once in reverse.
+tensors topologically and visits each node exactly once in reverse.  It frees
+the tape as it walks it: once a node's pullback has run, the node and the
+arrays it saved are dropped, so a tape can be used once, and only leaves
+(tensors without a node, such as parameters) get a ``.grad``.
 """
 
 from __future__ import annotations
@@ -102,12 +105,21 @@ def _track(op, out_data, inputs, backward_fn) -> Tensor:
     return out
 
 
+# the node of a tensor whose pullback has run: the closure and the arrays it
+# saved are gone, and the tape behind the tensor cannot be walked again
+_SPENT = TapeNode("spent", (), None)
+
+
 def _relevant(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
 def _topological_order(root: Tensor):
-    """Tensors reachable from ``root``; inputs precede every op that consumes them."""
+    """Tensors reachable from ``root``; inputs precede every op that consumes them.
+
+    Raises :class:`InvalidInputError` on reaching a spent node, before any
+    pullback runs.
+    """
     order = []
     seen = set()
     stack = [(root, False)]
@@ -118,6 +130,11 @@ def _topological_order(root: Tensor):
             continue
         if id(t) in seen:
             continue
+        if t.node is _SPENT:
+            raise InvalidInputError(
+                f"backward reached the output of an op whose tape a backward pass "
+                f"has already used ({t!r}); a tape can be used once"
+            )
         seen.add(id(t))
         stack.append((t, True))
         if t.node is not None:
@@ -127,32 +144,51 @@ def _topological_order(root: Tensor):
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dt into ``t.grad`` for every grad-tracked tensor.
+def _accumulate(pending: dict, inputs, grads, needs) -> None:
+    """Add each needed cotangent of ``grads`` to its input's entry in ``pending``.
 
-    Repeated calls without zeroing add up.  The loss must be scalar.
+    A function of its own so that, once it returns, no local of
+    :func:`backward` holds a cotangent that ``pending`` hands on later.
+    """
+    for parent, pg, need in zip(inputs, grads, needs):
+        if not need or pg is None:
+            continue
+        key = id(parent)
+        pending[key] = pending[key] + pg if key in pending else pg
+
+
+def backward(loss: Tensor) -> None:
+    """Accumulate dLoss/dt into ``t.grad`` for every leaf ``t`` the loss reaches.
+
+    A leaf is a grad-tracked tensor without a node, such as a parameter;
+    repeated calls without zeroing add up there.  The output of an op gets no
+    ``.grad``.  The loss must be scalar.
+
+    The tape is freed as it is walked: each tensor is popped off the order,
+    its node is replaced by a spent marker, and its cotangent goes to the
+    pullback with no other reference, so each activation, closure and
+    cotangent is freed as soon as it has been used.  So a tape can be used once: a second call on the same loss, or on
+    a new loss built on an op output whose tape is spent, raises
+    :class:`InvalidInputError`.
     """
     if loss.data.size != 1:
         raise InvalidInputError(f"backward needs a scalar loss, got shape {loss.shape}")
+    order = _topological_order(loss)
     pending = {id(loss): np.ones_like(loss.data)}
-    for t in reversed(_topological_order(loss)):
-        g = pending.pop(id(t), None)
-        if g is None:
+    while order:
+        t = order.pop()
+        key = id(t)
+        if key not in pending:
             continue
-        if t.requires_grad:
-            t.grad = g.copy() if t.grad is None else t.grad + g
         node = t.node
         if node is None:
+            g = pending.pop(key)
+            if t.requires_grad:
+                t.grad = g.copy() if t.grad is None else t.grad + g
             continue
+        t.node = _SPENT
         needs = tuple(_relevant(p) for p in node.inputs)
-        for parent, pg in zip(node.inputs, node.backward_fn(g, needs)):
-            if pg is None:
-                continue
-            key = id(parent)
-            if key in pending:
-                pending[key] = pending[key] + pg
-            else:
-                pending[key] = pg
+        _accumulate(pending, node.inputs, node.backward_fn(pending.pop(key), needs), needs)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +305,18 @@ def clamp_smooth(a: Tensor) -> Tensor:
     out = x.copy()
     out[lo] = m + m * t_lo
     out[hi] = (1.0 - m) + m * t_hi
-    deriv = np.ones_like(x)
-    deriv[lo] = 1.0 - t_lo * t_lo  # sech^2 via tanh, overflow-free
-    deriv[hi] = 1.0 - t_hi * t_hi
-    return _track("clamp_smooth", out, (a,), lambda g, needs: (g * deriv,))
+    # the derivative is 1 between the tails, and g * 1 is g: the tape keeps
+    # the two masks and the tails' sech^2, via tanh, overflow-free
+    d_lo = 1.0 - t_lo * t_lo
+    d_hi = 1.0 - t_hi * t_hi
+
+    def bw(g, needs):
+        gx = g.astype(np.result_type(g, d_lo))
+        gx[lo] *= d_lo
+        gx[hi] *= d_hi
+        return (gx,)
+
+    return _track("clamp_smooth", out, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +489,8 @@ def block_mean(a: Tensor, r: int) -> Tensor:
     out = a.data.reshape(c, h // r, r, w // r, r).mean(axis=(2, 4))
 
     def bw(g, needs):
-        return (np.repeat(np.repeat(g, r, axis=1), r, axis=2) / (r * r),)
+        share = (g / (r * r))[:, :, None, :, None]
+        return (np.broadcast_to(share, (c, h // r, r, w // r, r)).reshape(c, h, w),)
 
     return _track("block_mean", out, (a,), bw)
 
@@ -634,8 +679,8 @@ def conv2d(
             masked = np.where(out > 0.0, dt.type(1.0), dt.type(slope))
             masked *= g
             g = masked
-        if needs[0]:
-            gx = _conv_grad_x(g, wd, stride, h_in, w_in)
+        # grad_w and grad_b first, so the padded copy of x is freed before
+        # grad_x pads g and allocates gx
         if needs[1]:
             g_mat = g.reshape(c_out, h_out * w_out)
             gw_t = np.zeros((c_in * k * k, c_out), dtype=weight.data.dtype)
@@ -643,11 +688,11 @@ def conv2d(
             for r0, r1, cols in _unfold_rows(x_windows()):
                 gw_t += cols @ g_mat[:, r0 * w_out : r1 * w_out].T
             gw = gw_t.T.reshape(wd.shape)
-        if bias is None:
-            return gx, gw
-        if needs[2]:
+        if bias is not None and needs[2]:
             gb = g.reshape(c_out, -1).sum(axis=1, dtype=bias.data.dtype)
-        return gx, gw, gb
+        if needs[0]:
+            gx = _conv_grad_x(g, wd, stride, h_in, w_in)
+        return (gx, gw) if bias is None else (gx, gw, gb)
 
     return _track("conv2d", out, inputs, bw)
 

@@ -3,7 +3,8 @@
 Everything here is written straight from the metric definitions with plain
 loops and explicit statistics; nothing is shared with the package internals,
 except that :func:`chain_q_index` composes the public elementwise and
-reduction ops of :mod:`panfuse.autodiff`.
+reduction ops of :mod:`panfuse.autodiff`, and :func:`tape_keeping_backward`
+walks the tape that those ops record.
 """
 
 import math
@@ -289,6 +290,56 @@ def chain_q_index(a, b):
         level = ad.add(ad.mul(mu_x, mu_x), ad.mul(mu_y, mu_y))
         out.append(ad.div(num, ad.mul(spread, level)))
     return out
+
+
+def tape_keeping_backward(loss):
+    """Reverse-mode pass that keeps the whole tape until it returns.
+
+    The reference for :func:`panfuse.autodiff.backward`, which frees the tape
+    as it walks it: it visits the same tensors in the same order and sums the
+    same cotangents in the same order, so the gradients it leaves on the
+    leaves are bitwise the same.  It also stores ``.grad`` on every
+    grad-tracked op output, and leaves every node in place.
+    """
+    if loss.data.size != 1:
+        raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
+
+    def relevant(t):
+        return t.requires_grad or t.node is not None
+
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            order.append(t)
+            continue
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        stack.append((t, True))
+        if t.node is not None:
+            for parent in t.node.inputs:
+                if id(parent) not in seen and relevant(parent):
+                    stack.append((parent, False))
+    pending = {id(loss): np.ones_like(loss.data)}
+    for t in reversed(order):
+        g = pending.pop(id(t), None)
+        if g is None:
+            continue
+        if t.requires_grad:
+            t.grad = g.copy() if t.grad is None else t.grad + g
+        node = t.node
+        if node is None:
+            continue
+        needs = tuple(relevant(p) for p in node.inputs)
+        for parent, pg in zip(node.inputs, node.backward_fn(g, needs)):
+            if pg is None:
+                continue
+            key = id(parent)
+            if key in pending:
+                pending[key] = pending[key] + pg
+            else:
+                pending[key] = pg
 
 
 def finite_difference_grads(fn, arrays, eps=1e-4):

@@ -242,6 +242,37 @@ class TestForward:
         with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3, 3\)"):
             ad.add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 3))))
 
+    @pytest.mark.parametrize("x_dtype, g_dtype", [
+        (np.float64, np.float64), (np.float32, np.float64), (np.float64, np.float32),
+        (np.float32, np.float32),
+    ])
+    def test_clamp_smooth_pullback_is_the_full_plane_formula(self, x_dtype, g_dtype):
+        # the pullback scales only the tails; the formula it replaced
+        # multiplied g by a whole derivative plane, 1 between the tails
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-0.3, 1.3, size=(3, 9, 11)).astype(x_dtype)
+        g = rng.uniform(-2.0, 2.0, size=x.shape).astype(g_dtype)
+        m = ad.CLAMP_MARGIN
+        lo, hi = x < m, x > 1.0 - m
+        assert lo.any() and hi.any() and (~lo & ~hi).any()
+        t_lo, t_hi = np.tanh((x[lo] - m) / m), np.tanh((x[hi] - (1.0 - m)) / m)
+        deriv = np.ones_like(x)
+        deriv[lo] = 1.0 - t_lo * t_lo
+        deriv[hi] = 1.0 - t_hi * t_hi
+        want = g * deriv
+        (got,) = ad.clamp_smooth(Tensor(x, requires_grad=True)).node.backward_fn(g, (True,))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_block_mean_pullback_is_the_repeat_formula(self, r, dtype):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.uniform(size=(2, 3 * r, 5 * r)), requires_grad=True)
+        g = rng.uniform(-1.0, 1.0, size=(2, 3, 5)).astype(dtype)
+        want = np.repeat(np.repeat(g, r, axis=1), r, axis=2) / (r * r)
+        (got,) = ad.block_mean(x, r).node.backward_fn(g, (True,))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_clamp_smooth_range_and_identity(self):
         x = np.linspace(-3.0, 4.0, 101)
         out = ad.clamp_smooth(Tensor(x)).data
@@ -341,6 +372,24 @@ class TestGradients:
         loss2 = ad.mean(ad.mul(x, x))
         ad.backward(loss2)
         np.testing.assert_allclose(x.grad, 2.0 * first)
+
+    def test_a_tape_is_used_once(self):
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        loss = ad.mean(ad.mul(x, x))
+        ad.backward(loss)
+        with pytest.raises(InvalidInputError, match="used once"):
+            ad.backward(loss)
+        np.testing.assert_allclose(x.grad, [4.0])
+
+    def test_a_loss_on_a_spent_op_output_is_rejected(self):
+        # walked again, y would pass for a leaf and send x nothing
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        y = ad.mul(x, x)
+        ad.backward(ad.mean(y))
+        with pytest.raises(InvalidInputError, match="used once"):
+            ad.backward(ad.mean(ad.mul(y, x)))
+        # rejected before any pullback ran: x got nothing more
+        np.testing.assert_allclose(x.grad, [4.0])
 
     def test_backward_rejects_non_scalar(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
