@@ -26,8 +26,10 @@ from .metrics import (
     REDUCED_METRICS,
     MetricConfig,
     QualityReport,
-    evaluate_full,
-    evaluate_reduced,
+    _full,
+    _full_refs,
+    _moments,
+    _reduced,
 )
 from .raster import (
     MultispectralImage,
@@ -190,6 +192,19 @@ def wald_reduce(ms: MultispectralImage, pan: RasterBand, r: int):
 BASELINE_METHODS = ("cs", "exp", "glp")
 
 
+def _fuse(method: str, ms_up: MultispectralImage, pan: RasterBand, pan_low: RasterBand | None,
+          r: int) -> MultispectralImage:
+    """Fuse from ``ms_up``, the MS image upsampled by r; only glp reads
+    ``pan_low``, the PAN image degraded by r."""
+    if method == "exp":
+        return ms_up
+    if method == "cs":
+        low = intensity_component(ms_up, estimate_weights(ms_up, pan))
+    else:
+        low = upsample_band(pan_low, r)
+    return detail_inject(ms_up, pan, estimate_gains(ms_up, low), low)
+
+
 def baseline_fuse(
     method: str, ms: MultispectralImage, pan: RasterBand, r: int
 ) -> MultispectralImage:
@@ -199,13 +214,7 @@ def baseline_fuse(
         raise InvalidInputError(f"unknown fusion method {method!r}")
     r = int(r)
     ms_up = upsample(ms, r)
-    if method == "exp":
-        return ms_up
-    if method == "cs":
-        low = intensity_component(ms_up, estimate_weights(ms_up, pan))
-    else:
-        low = upsample_band(mtf_degrade(pan, r), r)
-    return detail_inject(ms_up, pan, estimate_gains(ms_up, low), low)
+    return _fuse(method, ms_up, pan, mtf_degrade(pan, r) if method == "glp" else None, r)
 
 
 @dataclass
@@ -228,38 +237,45 @@ def run_experiment(
     modes, rows sorted by (method, mode).  Failures are recorded per row and
     the run continues.  Window and stride come from ``cfg``; the pixel-size
     ratio that ERGAS reads comes from the scene.
+
+    What every method starts from or is scored against (the upsampled MS
+    image, the degraded PAN, the window statistics of the ground truth and
+    the no-reference side of MS and PAN) is built once, by the first tasks of
+    the pool; a method that reads a build that failed fails with its error.
     """
     cfg = replace(cfg or MetricConfig(), ratio=Fraction(1, scene.ratio))
     names = sorted(set(methods))
     for name in names:
         if name not in BASELINE_METHODS:
             raise InvalidInputError(f"unknown fusion method {name!r}")
-    pan_low = mtf_degrade(scene.pan, scene.ratio)
+    r = scene.ratio
+    with ThreadPoolExecutor(max_workers=max(1, min(worker_threads(), len(names)))) as pool:
+        # a task waits only on tasks submitted before it, which the pool has
+        # started by then, so no wait can deadlock
+        pan_low = pool.submit(mtf_degrade, scene.pan, r)
+        ms_up = pool.submit(upsample, scene.ms, r)
+        gt_moments = pool.submit(_moments, scene.gt_hrms, cfg.window, cfg.stride)
+        refs = pool.submit(lambda: _full_refs(scene.ms, scene.pan, pan_low.result(), r, cfg))
 
-    def run_one(name: str) -> list:
-        start = time.perf_counter()
-        try:
-            product = baseline_fuse(name, scene.ms, scene.pan, scene.ratio)
-            reduced = evaluate_reduced(product, scene.gt_hrms, cfg)
-            full = evaluate_full(product, scene.ms, scene.pan, pan_low, cfg)
-        except PanfuseError as exc:
+        def run_one(name: str) -> list:
+            start = time.perf_counter()
+            try:
+                product = _fuse(name, ms_up.result(), scene.pan, pan_low.result(), r)
+                reduced = _reduced(product, scene.gt_hrms, gt_moments.result(), cfg)
+                full = _full(product, refs.result(), r, cfg)
+            except PanfuseError as exc:
+                elapsed = time.perf_counter() - start
+                return [
+                    ExperimentResult(name, mode, None, elapsed, error=str(exc))
+                    for mode in ("reduced", "full")
+                ]
             elapsed = time.perf_counter() - start
             return [
-                ExperimentResult(name, mode, None, elapsed, error=str(exc))
-                for mode in ("reduced", "full")
+                ExperimentResult(name, "reduced", reduced, elapsed),
+                ExperimentResult(name, "full", full, elapsed),
             ]
-        elapsed = time.perf_counter() - start
-        return [
-            ExperimentResult(name, "reduced", reduced, elapsed),
-            ExperimentResult(name, "full", full, elapsed),
-        ]
 
-    max_workers = min(worker_threads(), len(names))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = list(pool.map(run_one, names))
-    else:
-        chunks = [run_one(name) for name in names]
+        chunks = list(pool.map(run_one, names))
     results = [res for chunk in chunks for res in chunk]
     results.sort(key=lambda res: (res.method, res.mode))
     return results

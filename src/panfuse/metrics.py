@@ -18,19 +18,25 @@ table of block sums, so no full-size temporary plane is formed.  Each window
 sum adds the same values in the same order as a whole-plane pass would.  CC
 and ERGAS sum dot products over the same row bands.
 
-The band products form one cross-sum table: the per-window covariance of
-each (band i of one image, band j of another) pair a metric asks for, each
-product formed once.  UIQI reads its diagonal, Q4 the Hamilton signed sums
-of the full 4 x 4 table, D_lambda its upper triangle within one image and
-D_s the column of each band against PAN.  A window is flat when its max,
+Per-window covariances come from window sums of products of centred bands.
+UIQI reads the covariance of each band of one image with the same band of the
+other, D_lambda that of each pair of bands within one image and D_s that of
+each band with PAN.  Q4 reads the four covariances UIQI reads, whose sum is
+Hamilton part 0 of (f - mu_f) conj(m - mu_m), and one window table for each
+of parts 1-3 (Alparone et al. 2004): the eight bands are centred once per row
+band, each part is formed per pixel as the signed sum of its four band
+products, and its window sums are corrected by the same signed sum of the
+products of the window sums of the factors.  A window is flat when its max,
 from the same kernel, equals its min, so the degenerate-window conventions
 are exact.  A window whose one-pass variance is within rounding of zero (a
-small spread far from the image mean) has its mean, variance and covariances
-recomputed from its tile in two passes.  The high-resolution side of
-D_lambda / D_s multiplies window and stride by the resolution ratio, so
-window statistics are invariant under pixel replication; :func:`evaluate_full`
-builds the statistics of each image once and shares them between D_lambda
-and D_s.
+small spread far from the image mean) has its mean and variance, and every
+covariance or part it enters, recomputed from its tiles in two passes.  The
+high-resolution side of D_lambda / D_s multiplies window and stride by the
+resolution ratio, so window statistics are invariant under pixel
+replication.  What D_lambda and D_s read of the MS image and of PAN at both
+scales is built once per call (``_full_refs``), so that
+:func:`harness.run_experiment` can score every method against one build, as
+it does against one set of window statistics of the ground truth.
 """
 
 from __future__ import annotations
@@ -101,6 +107,17 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
+def _signed_products(terms, a, b, out=None, tmp=None) -> np.ndarray:
+    """Sum of s * a[i] * b[j] over the (s, i, j) of ``terms``, added in their
+    order into ``out``, with ``tmp`` holding each later product (new arrays
+    where None).  The first sign must be +1."""
+    (_, i, j), *rest = terms
+    out = np.multiply(a[i], b[j], out=out)
+    for s, i, j in rest:
+        (np.add if s > 0 else np.subtract)(out, np.multiply(a[i], b[j], out=tmp), out=out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # spectral angle
 
@@ -125,22 +142,23 @@ _SAM_ROWS = 64
 def _angle_blocks(fi: MultispectralImage, mi: MultispectralImage):
     """Per-pixel spectral angles in degrees, as (rows, angles) for blocks of rows.
 
-    Every block is written into one reused buffer, so the caller must use it
-    before taking the next.
+    Every block is formed in the same four reused buffers, so the caller must
+    use it before taking the next.
     """
     if fi.band_count < 2:
         raise InvalidInputError("spectral angle needs at least two bands")
-    buf = np.empty((min(_SAM_ROWS, fi.height), fi.width))
+    work = np.empty((4, min(_SAM_ROWS, fi.height), fi.width))
+    same = [(1, k, k) for k in range(fi.band_count)]
     for top in range(0, fi.height, _SAM_ROWS):
         rows = slice(top, top + _SAM_ROWS)
         f, m = fi.data[:, rows], mi.data[:, rows]
-        dot = sum(a * b for a, b in zip(f, m))
-        sf = sum(a * a for a in f)
-        sm = sum(b * b for b in m)
+        dot, sf, sm, ang = work[:, : f.shape[1]]
+        _signed_products(same, f, m, dot, ang)
+        _signed_products(same, f, f, sf, ang)
+        _signed_products(same, m, m, sm, ang)
         # single sqrt of the product keeps cos exactly 1 for identical vectors
-        norm = np.sqrt(sf * sm)
+        norm = np.sqrt(np.multiply(sf, sm, out=sf), out=sf)
         # a zero spectral vector keeps cos = 1, so its angle is exactly 0
-        ang = buf[: len(dot)]
         ang.fill(1.0)
         np.divide(dot, norm, out=ang, where=norm > 0.0)
         np.clip(ang, -1.0, 1.0, out=ang)
@@ -277,14 +295,15 @@ def _window_tables(grid: _WindowGrid, width: int, jobs, plane, buffers: int = 1)
     the last one left there; it is reduced into its table of g-row blocks
     before the next is formed.  The doubling and the column pass then run on
     these tables, g times smaller than a plane.  The jobs share a pass in
-    groups of g / 4, so a group's tables hold at most a quarter of a plane;
-    for g < 8 they go one at a time, each with one table, as a whole-plane
-    pass had.
+    groups whose tables hold at most a quarter of a plane or, if more, about
+    two bands of ``_BAND_ELEMENTS``: for g < 8 on a large image they go one
+    at a time, each with one table, as a whole-plane pass had.
     """
     g = _block_rows(grid.ys, grid.window)
     n = (int(grid.ys[-1]) + grid.window) // g
-    bands = _row_bands(n * g, width, g)
-    size = max(1, min(len(jobs), g // 4))
+    # each pair of buffers gets about _BAND_ELEMENTS elements of a band
+    bands = _row_bands(n * g, width * max(1, buffers // 2), g)
+    size = max(1, min(len(jobs), max(g // 4, 2 * _BAND_ELEMENTS // (n * width))))
     # the result outlives the tables and buffers, so it is allocated first:
     # freed last-in, they leave no hole under it in the heap
     out = np.empty((len(jobs), grid.ys.size, grid.xs.size))
@@ -324,9 +343,10 @@ def _tile(a: np.ndarray, grid: _WindowGrid, iy: int, ix: int) -> np.ndarray:
     return a[y : y + grid.window, x : x + grid.window]
 
 
-def _covariance(cross, dsum_a, dsum_b, n: int) -> np.ndarray:
-    """ddof = 1 covariance from the window sums of the centred product and factors."""
-    return (cross - dsum_a * dsum_b / n) / (n - 1)
+def _covariance(cross, dsum_product, n: int) -> np.ndarray:
+    """ddof = 1 covariance from the window sum of the centred product and the
+    product of the window sums of its centred factors."""
+    return (cross - dsum_product / n) / (n - 1)
 
 
 def _moments(image, window: int, stride: int) -> _Moments:
@@ -359,7 +379,7 @@ def _moments(image, window: int, stride: int) -> _Moments:
     # a copy, so that the other three statistics are freed when this returns
     dsum, square = stats[:, 0].copy(), stats[:, 1]
     mean = np.asarray(centre)[:, None, None] + dsum / n
-    var = _covariance(square, dsum, dsum, n)
+    var = _covariance(square, dsum * dsum, n)
     # a window is flat when its max equals its min
     flat = stats[:, 2] == stats[:, 3]
     # One pass forms (n - 1) var = S2 - dsum^2 / n, where S2 is the window sum
@@ -377,6 +397,32 @@ def _moments(image, window: int, stride: int) -> _Moments:
                     np.stack([x[np.ix_(grid.ys, grid.xs)] for x in bands]), redo)
 
 
+def _centred_tile(x: _Moments, b: int, iy: int, ix: int) -> np.ndarray:
+    tile = _tile(x.bands[b], x.grid, iy, ix)
+    return tile - tile.mean()
+
+
+def _signed_cross(a: _Moments, b: _Moments, sums, plane, buffers: int) -> np.ndarray:
+    """Per-window covariance of each signed sum of products in ``sums``, a list
+    of (s, i, j) terms for s (band i of a - mean) (band j of b - mean):
+    (len(sums), ny, nx).
+
+    ``plane`` forms the centred sum of a row band in ``buffers`` work arrays
+    (see _window_tables).  A window that either image recomputed in two passes
+    in any band of the sum takes the sum from its tiles in two passes too.
+    """
+    table = _window_tables(a.grid, a.bands.shape[2], [(np.add, t) for t in sums], plane, buffers)
+    n = a.grid.window ** 2
+    for cov, terms in zip(table, sums):
+        cov[...] = _covariance(cov, _signed_products(terms, a.dsum, b.dsum), n)
+        redo = np.logical_or.reduce([a.redo[i] | b.redo[j] for _, i, j in terms])
+        for y, x in np.argwhere(redo):
+            ta = {i: _centred_tile(a, i, y, x) for _, i, _ in terms}
+            tb = {j: _centred_tile(b, j, y, x) for _, _, j in terms}
+            cov[y, x] = np.sum(_signed_products(terms, ta, tb)) / (n - 1)
+    return table
+
+
 def _cross(a: _Moments, b: _Moments, pairs) -> np.ndarray:
     """Per-window covariance of band i of a with band j of b, for each (i, j) in
     ``pairs``: (len(pairs), ny, nx).
@@ -386,23 +432,16 @@ def _cross(a: _Moments, b: _Moments, pairs) -> np.ndarray:
     """
     held = None  # (first row, band i) of the centred rows in work[0]
 
-    def plane(rows, key, work):
+    def plane(rows, terms, work):
         nonlocal held
-        i, j = key
+        ((_, i, j),) = terms
         if held != (rows.start, i):
             np.subtract(a.bands[i, rows], a.centre[i], out=work[0])
             held = (rows.start, i)
         np.subtract(b.bands[j, rows], b.centre[j], out=work[1])
         return np.multiply(work[0], work[1], out=work[1])
 
-    table = _window_tables(a.grid, a.bands.shape[2], [(np.add, p) for p in pairs], plane, 2)
-    n = a.grid.window ** 2
-    for cov, (i, j) in zip(table, pairs):
-        cov[...] = _covariance(cov, a.dsum[i], b.dsum[j], n)
-        for y, x in np.argwhere(a.redo[i] | b.redo[j]):
-            ta, tb = _tile(a.bands[i], a.grid, y, x), _tile(b.bands[j], a.grid, y, x)
-            cov[y, x] = np.sum((ta - ta.mean()) * (tb - tb.mean())) / (n - 1)
-    return table
+    return _signed_cross(a, b, [((1, i, j),) for i, j in pairs], plane, 2)
 
 
 def _q_map(mu_a, mu_b, var_a, var_b, cov, flat_a, flat_b, same) -> np.ndarray:
@@ -424,24 +463,41 @@ def _uiqi_means(a: _Moments, b: _Moments, pairs) -> list:
     return [_uiqi_map(a, i, b, j, cov).mean() for (i, j), cov in zip(pairs, _cross(a, b, pairs))]
 
 
-# (sign, f band, m band) terms of the four parts of (f - mu_f) conj(m - mu_m)
+# (sign, f band, m band) terms of the four parts of (f - mu_f) conj(m - mu_m),
+# each term next to its transpose, so that the parts of an image with itself
+# cancel exactly
 _HAMILTON = (((1, 0, 0), (1, 1, 1), (1, 2, 2), (1, 3, 3)),
-             ((-1, 0, 1), (1, 1, 0), (-1, 2, 3), (1, 3, 2)),
-             ((-1, 0, 2), (1, 1, 3), (1, 2, 0), (-1, 3, 1)),
-             ((-1, 0, 3), (-1, 1, 2), (1, 2, 1), (1, 3, 0)))
+             ((1, 1, 0), (-1, 0, 1), (1, 3, 2), (-1, 2, 3)),
+             ((1, 1, 3), (-1, 3, 1), (1, 2, 0), (-1, 0, 2)),
+             ((1, 2, 1), (-1, 1, 2), (1, 3, 0), (-1, 0, 3)))
 
 
-def _q4_table(f: _Moments, m: _Moments) -> np.ndarray:
-    """Covariance of every (f band, m band) pair: (4, 4, ny, nx)."""
+def _q4_tables(f: _Moments, m: _Moments) -> np.ndarray:
+    """Per-window covariances (7, ny, nx): of band b of f with band b of m, for
+    b = 0..3, then Hamilton parts 1-3; part 0 is the sum of the first four.
+
+    Band b of f is centred into work[b] and band b of m into work[4 + b] once
+    per row band and group of tables, and each part is formed as one plane.
+    """
     if len(f.bands) != 4:
         raise InvalidInputError(f"Q4 requires exactly 4 bands, got {len(f.bands)}")
-    table = _cross(f, m, [(i, j) for i in range(4) for j in range(4)])
-    return table.reshape(4, 4, *table.shape[1:])
+    bands, centres = (*f.bands, *m.bands), (*f.centre, *m.centre)
+    held = [None] * 8  # first row of the centred band in each of work[0:8]
+
+    def plane(rows, terms, work):
+        for k in {i for _, i, _ in terms} | {4 + j for _, _, j in terms}:
+            if held[k] != rows.start:
+                np.subtract(bands[k][rows], centres[k], out=work[k])
+                held[k] = rows.start
+        return _signed_products(terms, work[:4], work[4:8], work[8], work[9])
+
+    sums = [(term,) for term in _HAMILTON[0]] + list(_HAMILTON[1:])
+    return _signed_cross(f, m, sums, plane, 10)
 
 
-def _q4_value(f: _Moments, m: _Moments, table: np.ndarray) -> float:
+def _q4_value(f: _Moments, m: _Moments, covs: np.ndarray) -> float:
     """Window mean of quaternion Q; a window is flat when it is flat in all four bands."""
-    parts = [sum(s * table[i, j] for s, i, j in terms) for terms in _HAMILTON]
+    parts = [sum(covs[:4]), *covs[4:]]
     q = _q_map(*(np.linalg.norm(x.mean, axis=0) for x in (f, m)), f.var.sum(0), m.var.sum(0),
                np.linalg.norm(parts, axis=0), f.flat.all(0), m.flat.all(0),
                (f.level == m.level).all(0))
@@ -462,7 +518,7 @@ def q4(F, M, cfg: MetricConfig | None = None) -> float:
     """Quaternion-valued UIQI for exactly four bands, averaged over windows."""
     cfg = cfg or MetricConfig()
     f, m = (_moments(x, cfg.window, cfg.stride) for x in _check_pair(F, M))
-    return _q4_value(f, m, _q4_table(f, m))
+    return _q4_value(f, m, _q4_tables(f, m))
 
 
 # ---------------------------------------------------------------------------
@@ -493,57 +549,64 @@ def ergas(F, M, cfg: MetricConfig | None = None) -> float:
 # no-reference distortions
 
 
-def _scale_factor(low: MultispectralImage, high_h: int, high_w: int) -> int:
-    if high_h % low.height or high_w % low.width:
+def _ratio(M, F) -> int:
+    """The resolution ratio of F over M, which must have as many bands."""
+    mi, fi = _as_ms(M), _as_ms(F)
+    if mi.band_count != fi.band_count:
+        raise InvalidInputError("band counts differ")
+    if fi.height % mi.height or fi.width % mi.width:
         raise InvalidInputError(
-            f"high-resolution size {high_h}x{high_w} is not an integer multiple "
-            f"of {low.height}x{low.width}"
+            f"high-resolution size {fi.height}x{fi.width} is not an integer multiple "
+            f"of {mi.height}x{mi.width}"
         )
-    r_h = high_h // low.height
-    r_w = high_w // low.width
+    r_h = fi.height // mi.height
+    r_w = fi.width // mi.width
     if r_h != r_w:
         raise InvalidInputError(f"anisotropic scale factors {r_h} vs {r_w}")
     return r_h
 
 
-def _scaled_moments(M, F, cfg: MetricConfig):
-    """Window statistics of M, and of F with window and stride scaled by the
-    resolution ratio r; returns them with r."""
-    mi, fi = _as_ms(M), _as_ms(F)
-    if mi.band_count != fi.band_count:
-        raise InvalidInputError("band counts differ")
-    r = _scale_factor(mi, fi.height, fi.width)
-    return _moments(mi, cfg.window, cfg.stride), _moments(fi, cfg.window * r, cfg.stride * r), r
+def _scaled_moments(image, r: int, cfg: MetricConfig) -> _Moments:
+    """Window statistics at PAN scale: window and stride times the ratio r."""
+    return _moments(image, cfg.window * r, cfg.stride * r)
 
 
-def _full_moments(M, F, P: RasterBand, P_L: RasterBand, cfg: MetricConfig):
-    """Window statistics of M and P_L, and of F and P on windows and strides
-    scaled by the resolution ratio."""
-    m, f, r = _scaled_moments(M, F, cfg)
-    if P.data.shape != f.bands.shape[1:]:
-        raise InvalidInputError("PAN and fused dimensions differ")
-    if P_L.data.shape != m.bands.shape[1:]:
-        raise InvalidInputError("degraded PAN and MS dimensions differ")
-    return m, f, _moments(P_L, cfg.window, cfg.stride), _moments(P, cfg.window * r, cfg.stride * r)
-
-
-def _d_lambda(m: _Moments, f: _Moments) -> float:
-    k = len(m.bands)
-    if k < 2:
-        raise InvalidInputError("spectral distortion needs at least two bands")
+def _band_pairs(k: int) -> list:
     # Q is symmetric, so each unordered pair stands for both orders
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    total = sum(abs(qm - qf)
-                for qm, qf in zip(_uiqi_means(m, m, pairs), _uiqi_means(f, f, pairs)))
-    return total / len(pairs)
+    return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
-def _d_s(m: _Moments, f: _Moments, low: _Moments, high: _Moments) -> float:
-    k = len(m.bands)
-    pairs = [(b, 0) for b in range(k)]
-    total = sum(abs(ql - qh)
-                for ql, qh in zip(_uiqi_means(m, low, pairs), _uiqi_means(f, high, pairs)))
-    return total / k
+def _full_refs(M, P: RasterBand, P_L: RasterBand, r: int, cfg: MetricConfig) -> tuple:
+    """What D_lambda and D_s read of the MS image M, of PAN P at r times its
+    scale and of P_L, PAN degraded to the scale of M, the same for every fused
+    image: the window statistics of P on windows and strides scaled by r, the
+    UIQI of each _band_pairs pair of bands of M, and that of each band of M
+    with P_L."""
+    m = _moments(M, cfg.window, cfg.stride)
+    k, h, w = m.bands.shape
+    if P.data.shape != (h * r, w * r):
+        raise InvalidInputError("PAN and fused dimensions differ")
+    if P_L.data.shape != (h, w):
+        raise InvalidInputError("degraded PAN and MS dimensions differ")
+    low = _moments(P_L, cfg.window, cfg.stride)
+    return (_scaled_moments(P, r, cfg), _uiqi_means(m, m, _band_pairs(k)),
+            _uiqi_means(m, low, [(b, 0) for b in range(k)]))
+
+
+def _distortion(reference: list, fused: list) -> float:
+    """Mean absolute gap between matching UIQI values."""
+    return sum(abs(a - b) for a, b in zip(reference, fused)) / len(reference)
+
+
+def _d_lambda(f: _Moments, q_bands: list) -> float:
+    if not q_bands:
+        raise InvalidInputError("spectral distortion needs at least two bands")
+    return _distortion(q_bands, _uiqi_means(f, f, _band_pairs(len(f.bands))))
+
+
+def _d_s(f: _Moments, high: _Moments, q_low: list) -> float:
+    pairs = [(b, 0) for b in range(len(f.bands))]
+    return _distortion(q_low, _uiqi_means(f, high, pairs))
 
 
 def d_lambda(M, F, cfg: MetricConfig | None = None) -> float:
@@ -554,15 +617,19 @@ def d_lambda(M, F, cfg: MetricConfig | None = None) -> float:
     the resolution ratio.
     """
     cfg = cfg or MetricConfig()
-    m, f, _ = _scaled_moments(M, F, cfg)
-    return _d_lambda(m, f)
+    r = _ratio(M, F)
+    m = _moments(M, cfg.window, cfg.stride)
+    f = _scaled_moments(F, r, cfg)
+    return _d_lambda(f, _uiqi_means(m, m, _band_pairs(len(m.bands))))
 
 
 def d_s(M, F, P: RasterBand, P_L: RasterBand, cfg: MetricConfig | None = None) -> float:
     """Spatial distortion: mean gap between UIQI(band, PAN) at the two scales
     over bands."""
     cfg = cfg or MetricConfig()
-    return _d_s(*_full_moments(M, F, P, P_L, cfg))
+    r = _ratio(M, F)
+    high, _, q_low = _full_refs(M, P, P_L, r, cfg)
+    return _d_s(_scaled_moments(F, r, cfg), high, q_low)
 
 
 def qnr(dl: float, ds: float) -> float:
@@ -627,31 +694,45 @@ class QualityReport:
         return QualityReport(mode=get("mode", str), entries=entries, config=cfg)
 
 
+def _reduced(fi: MultispectralImage, gi: MultispectralImage, g: _Moments,
+             cfg: MetricConfig) -> QualityReport:
+    """Full-reference scoring of fi against gi, whose window statistics are g."""
+    # the window statistics of fi are built after SAM and CC, so their memory peaks do not add
+    entries = {"SAM": sam_global(fi, gi), "CC": cc(fi, gi)}
+    f = _moments(fi, cfg.window, cfg.stride)
+    # UIQI reads the first four of Q4's covariance tables
+    covs = _q4_tables(f, g)
+    entries["UIQI"] = float(np.mean([_uiqi_map(f, b, g, b, covs[b]).mean()
+                                     for b in range(fi.band_count)]))
+    entries["Q4"] = _q4_value(f, g, covs)
+    entries["ERGAS"] = ergas(fi, gi, cfg)
+    return QualityReport(mode="reduced", entries=entries, config=cfg)
+
+
 def evaluate_reduced(F, GT, cfg: MetricConfig | None = None) -> QualityReport:
     """Full-reference scoring of a fused image against ground truth."""
     cfg = cfg or MetricConfig()
     fi, gi = _check_pair(F, GT)
-    # the window statistics are built after SAM and CC, so their memory peaks do not add
-    entries = {"SAM": sam_global(fi, gi), "CC": cc(fi, gi)}
-    f, g = (_moments(x, cfg.window, cfg.stride) for x in (fi, gi))
-    # UIQI reads the diagonal of Q4's table of band-pair covariances
-    table = _q4_table(f, g)
-    entries["UIQI"] = float(np.mean([_uiqi_map(f, b, g, b, table[b, b]).mean()
-                                     for b in range(fi.band_count)]))
-    entries["Q4"] = _q4_value(f, g, table)
-    entries["ERGAS"] = ergas(fi, gi, cfg)
-    return QualityReport(mode="reduced", entries=entries, config=cfg)
+    return _reduced(fi, gi, _moments(gi, cfg.window, cfg.stride), cfg)
+
+
+def _full(F, refs: tuple, r: int, cfg: MetricConfig) -> QualityReport:
+    """No-reference scoring of F, at r times the scale of the MS image of
+    ``refs``, the _full_refs of the scene."""
+    high, q_bands, q_low = refs
+    f = _scaled_moments(F, r, cfg)
+    dl = _d_lambda(f, q_bands)
+    ds = _d_s(f, high, q_low)
+    entries = {"D_lambda": dl, "D_s": ds, "QNR": qnr(dl, ds)}
+    return QualityReport(mode="full", entries=entries, config=cfg)
 
 
 def evaluate_full(F, M, P: RasterBand, P_L: RasterBand,
                   cfg: MetricConfig | None = None) -> QualityReport:
     """No-reference scoring of a fused image against its MS/PAN inputs.
 
-    D_lambda and D_s share the window statistics of M and F.
+    D_lambda and D_s share the window statistics of F.
     """
     cfg = cfg or MetricConfig()
-    m, f, low, high = _full_moments(M, F, P, P_L, cfg)
-    dl = _d_lambda(m, f)
-    ds = _d_s(m, f, low, high)
-    entries = {"D_lambda": dl, "D_s": ds, "QNR": qnr(dl, ds)}
-    return QualityReport(mode="full", entries=entries, config=cfg)
+    r = _ratio(M, F)
+    return _full(F, _full_refs(M, P, P_L, r, cfg), r, cfg)

@@ -198,18 +198,55 @@ class TestRunExperiment:
         assert full["QNR"] > 0.9
 
     def test_failure_recorded_and_run_continues(self, small_scene, monkeypatch):
+        fuse = harness._fuse
+
         def broken_cs(method, *args):
             if method == "cs":
                 raise InvalidInputError("deliberately broken")
-            return baseline_fuse(method, *args)
+            return fuse(method, *args)
 
-        monkeypatch.setattr(harness, "baseline_fuse", broken_cs)
+        monkeypatch.setattr(harness, "_fuse", broken_cs)
         results = run_experiment(small_scene, ["cs", "exp"], MetricConfig(window=8, stride=8))
         ok = [r for r in results if r.method == "exp"]
         bad = [r for r in results if r.method == "cs"]
         assert len(ok) == len(bad) == 2
         assert all(r.report is not None for r in ok)
         assert all(r.report is None and "broken" in r.error for r in bad)
+
+    @pytest.mark.parametrize("window, stride", [(8, 8), (16, 4)])
+    def test_any_worker_count_scores_as_the_public_functions(self, small_scene, monkeypatch,
+                                                              window, stride):
+        scene = small_scene
+        cfg = MetricConfig(window=window, stride=stride, ratio=Fraction(1, scene.ratio))
+        pan_low = mtf_degrade(scene.pan, scene.ratio)
+        expected = {}
+        for method in harness.BASELINE_METHODS:
+            product = baseline_fuse(method, scene.ms, scene.pan, scene.ratio)
+            expected[method, "reduced"] = evaluate_reduced(product, scene.gt_hrms, cfg)
+            expected[method, "full"] = evaluate_full(product, scene.ms, scene.pan, pan_low, cfg)
+        for workers in (1, 3):
+            monkeypatch.setattr(harness, "worker_threads", lambda: workers)
+            results = run_experiment(scene, harness.BASELINE_METHODS, cfg)
+            assert len(results) == len(expected)
+            for res in results:
+                want = expected[res.method, res.mode].entries
+                assert {k: v.hex() for k, v in res.report.entries.items()} == {
+                    k: v.hex() for k, v in want.items()}, (workers, res.method, res.mode)
+
+    @pytest.mark.parametrize("window", [128, 32])
+    def test_a_failing_reference_fails_every_row(self, small_scene, window):
+        # 128 is larger than the 64 x 64 scene; 32 fits the scene but not its 16 x 16 MS
+        # image, which only the no-reference scoring reads
+        scene = small_scene
+        cfg = MetricConfig(window=window, stride=window)
+        product = baseline_fuse("exp", scene.ms, scene.pan, scene.ratio)
+        pan_low = mtf_degrade(scene.pan, scene.ratio)
+        with pytest.raises(InvalidInputError) as caught:
+            evaluate_reduced(product, scene.gt_hrms, cfg)
+            evaluate_full(product, scene.ms, scene.pan, pan_low, cfg)
+        results = run_experiment(scene, ["cs", "exp", "glp"], cfg)
+        assert len(results) == 6
+        assert all(r.report is None and r.error == str(caught.value) for r in results)
 
     def test_table_round_trip_and_qnr_consistency(self, small_scene):
         results = run_experiment(small_scene, ["exp", "cs"], MetricConfig(window=8, stride=8))

@@ -99,10 +99,24 @@ class TestSamMap:
             _, map_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert global_peak <= 12 * block, f"sam_global peak {global_peak} B"
+        # four reused block buffers and the mask of nonzero norms: 4.9 blocks,
+        # where a temporary per band product took sam_global to 8.7
+        assert global_peak <= 6 * block, f"sam_global peak {global_peak} B"
         assert map_peak <= out.data.nbytes + 12 * block, f"sam_map peak {map_peak} B"
         np.testing.assert_array_equal(out.data, whole_map.data)
         assert abs(mean - whole_mean) < 1e-12
+
+    def test_angles_are_bitwise_those_of_the_plain_sums(self):
+        # the buffers add the band products in band order, as these sums do
+        rng = np.random.default_rng(10)
+        f, m = rng.uniform(-1.0, 1.0, size=(2, 5, 70, 33))
+        f[:, 3, 4] = 0.0  # a zero spectral vector
+        dot, sf, sm = (sum(a * b for a, b in zip(x, y)) for x, y in ((f, m), (f, f), (m, m)))
+        norm = np.sqrt(sf * sm)
+        cos = np.divide(dot, norm, out=np.ones_like(dot), where=norm > 0.0)
+        want = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+        got = np.concatenate([a.copy() for _, a in metrics._angle_blocks(ms_of(f), ms_of(m))])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCc:
@@ -403,6 +417,68 @@ class TestNearlyFlatWindows:
         assert -1.0 <= fast <= 1.0
 
 
+@st.composite
+def q4_pairs(draw):
+    """(f, m, window, stride, near) of 4-band images over windowed_inputs.
+    Where ``near``, the window at the origin is nearly flat in every band of
+    both: one float32 step of spread at a level far from the image mean, a
+    window whose statistics are recomputed from its tile in two passes."""
+    seed, h, w, window, stride, levels, block = draw(windowed_inputs(max_side=12))
+    rng = np.random.default_rng(seed)
+    f, m = (blocky(rng, (4, h, w), levels, block) for _ in range(2))
+    near = 2 * window * window <= h * w and draw(st.booleans())
+    if near:
+        level = np.float32(draw(st.sampled_from([1.0, 0.9])))
+        for x in (f, m):
+            x[:] = rng.uniform(size=x.shape).astype(np.float32)
+            x[:, :window, :window] = level
+            x[:, draw(st.integers(0, window - 1)), draw(st.integers(0, window - 1))] = (
+                np.nextafter(level, np.float32(0.0)))
+    return f, m, window, stride, near
+
+
+class TestQ4Properties:
+    """Q4 and UIQI over random shapes, windows and overlapping, tiling or gapped
+    strides, nearly flat windows included."""
+
+    @staticmethod
+    def cfg_of(window, stride, near, *images):
+        cfg = MetricConfig(window=window, stride=stride)
+        if near:  # the case takes the two-pass path it was built for
+            for x in images:
+                assert metrics._moments(ms_of(x), window, stride).redo[:, 0, 0].all()
+        return cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=q4_pairs())
+    def test_an_image_against_itself_scores_one(self, case):
+        # exact: the covariance of a band with itself is its variance, bit for bit,
+        # and Hamilton parts 1-3 cancel term by term
+        f, _, window, stride, near = case
+        cfg = self.cfg_of(window, stride, near, f)
+        assert q4(ms_of(f), ms_of(f), cfg) == 1.0
+        for band in f:
+            assert uiqi(RasterBand(band), RasterBand(band), cfg) == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=q4_pairs())
+    def test_symmetric(self, case):
+        # UIQI exactly; Q4 up to the rounding of the order in which each
+        # Hamilton part adds its four products
+        f, m, window, stride, near = case
+        cfg = self.cfg_of(window, stride, near, f, m)
+        assert abs(q4(ms_of(f), ms_of(m), cfg) - q4(ms_of(m), ms_of(f), cfg)) < 1e-12
+        for a, b in zip(map(RasterBand, f), map(RasterBand, m)):
+            assert uiqi(a, b, cfg) == uiqi(b, a, cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=q4_pairs())
+    def test_q4_matches_the_oracle(self, case):
+        f, m, window, stride, near = case
+        cfg = self.cfg_of(window, stride, near, f, m)
+        assert abs(q4(ms_of(f), ms_of(m), cfg) - oracles.naive_q4(f, m, window, stride)) < 1e-10
+
+
 class TestErgas:
     def test_identical_images(self):
         m = rand_ms(14)
@@ -592,6 +668,20 @@ class TestRowBands:
             banded = self.statistics(a, b, window, stride)
         for want, got in zip(default, banded, strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=windowed_inputs(max_side=40))
+    @example(case=(4, 64, 64, 16, 3, 2, 5))  # blocks of one row: the tables go one at a time
+    def test_q4_tables_over_one_block_bands_are_bitwise_the_default(self, case):
+        # each row band and each group of tables centres the bands it reads afresh
+        seed, h, w, window, stride, levels, block = case
+        rng = np.random.default_rng(seed)
+        ma, mb = (metrics._moments(ms_of(blocky(rng, (4, h, w), levels, block)), window, stride)
+                  for _ in range(2))
+        default = metrics._q4_tables(ma, mb)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_BAND_ELEMENTS", 1)
+            assert metrics._q4_tables(ma, mb).tobytes() == default.tobytes()
 
     def test_one_block_per_band_keeps_nearly_flat_windows(self, monkeypatch):
         f = near_flat(5, (4, 64, 64), 1.0, (3, 37))
