@@ -3,8 +3,10 @@
 Subcommands: ``synth``, ``degrade``, ``fuse``, ``train``, ``eval``, ``report``.
 All stages read and write conventional file names under ``--out`` so they can
 be chained; re-running a stage with identical inputs overwrites its outputs
-with byte-identical files.  Exit codes: 0 success, 2 validation error,
-3 numerical or training error.
+with byte-identical files.  A stage only computes and returns its outputs;
+:func:`main` then writes all of them or none, a guarantee that covers a failed
+or killed process but not a power loss (see :func:`_write_outputs`).  Exit
+codes: 0 success, 2 validation error, 3 numerical or training error.
 """
 
 from __future__ import annotations
@@ -81,9 +83,8 @@ class RunConfig:
             flag = getattr(args, key, None)
             if flag is not None:
                 values[key] = flag
-        if values["ratio"] < 1:
-            raise ConfigError(f"key 'ratio' must be >= 1, got {values['ratio']}")
         self.values = values
+        self.ratio_flag = getattr(args, "ratio", None) is not None
 
     def __getattr__(self, key):
         try:
@@ -128,19 +129,17 @@ def _resolve_input(cfg: RunConfig, key: str, candidates) -> str:
     )
 
 
-def _resolve_ratio(cfg: RunConfig, args) -> int:
-    # explicit flag wins; otherwise the scene metadata; otherwise config default
-    if getattr(args, "ratio", None) is not None:
-        return int(args.ratio)
+def _resolve_ratio(cfg: RunConfig) -> int:
+    """--ratio wins; otherwise the ratio of scene.meta under --out; otherwise the config's."""
+    ratio, source = cfg.ratio, ""
     path = _out_path(cfg, "scene.meta")
-    if os.path.exists(path):
+    if not cfg.ratio_flag and os.path.exists(path):
         meta = kv_parse(Path(path).read_bytes(), path)
         if "ratio" in meta:
-            ratio = kv_value(meta, "ratio", int, path)
-            if ratio < 1:
-                raise ConfigError(f"{path}: key 'ratio' must be >= 1, got {ratio}")
-            return ratio
-    return cfg.ratio
+            ratio, source = kv_value(meta, "ratio", int, path), f"{path}: "
+    if ratio < 1:
+        raise ConfigError(f"{source}key 'ratio' must be >= 1, got {ratio}")
+    return ratio
 
 
 def _load_ms_pan(cfg: RunConfig, suffixes=("",)):
@@ -157,8 +156,7 @@ def _load_ms_pan(cfg: RunConfig, suffixes=("",)):
     return ms, pan
 
 
-def cmd_synth(args) -> int:
-    cfg = RunConfig(args)
+def cmd_synth(cfg: RunConfig):
     scene = synth_scene(
         seed=cfg.seed,
         width=cfg.size,
@@ -166,40 +164,30 @@ def cmd_synth(args) -> int:
         bands=cfg.bands,
         ratio=cfg.ratio,
     )
-    os.makedirs(cfg.out, exist_ok=True)
-    save_raster(scene.gt_hrms, _out_path(cfg, "gt.pfr"))
-    save_raster(scene.ms, _out_path(cfg, "ms.pfr"))
-    save_raster(scene.pan, _out_path(cfg, "pan.pfr"))
     gt = scene.gt_hrms
     meta = kv_format([
         ("seed", scene.seed), ("ratio", scene.ratio), ("bands", gt.band_count),
         ("width", gt.width), ("height", gt.height), ("nyquist_gain", NYQUIST_GAIN),
         ("pan_weights", ",".join(repr(w) for w in scene.pan_weights)),
     ])
-    Path(_out_path(cfg, "scene.meta")).write_text(meta, encoding="utf-8")
-    print(f"wrote scene (seed={scene.seed}) to {cfg.out}")
-    return 0
+    outputs = {"gt.pfr": gt, "ms.pfr": scene.ms, "pan.pfr": scene.pan, "scene.meta": meta}
+    return outputs, f"wrote scene (seed={scene.seed}) to {cfg.out}\n"
 
 
-def cmd_degrade(args) -> int:
-    cfg = RunConfig(args)
-    ratio = _resolve_ratio(cfg, args)
+def cmd_degrade(cfg: RunConfig):
+    ratio = _resolve_ratio(cfg)
     ms, pan = _load_ms_pan(cfg)
     ms_lo, pan_lo, reference = wald_reduce(ms, pan, ratio)
-    os.makedirs(cfg.out, exist_ok=True)
-    save_raster(ms_lo, _out_path(cfg, "ms_lo.pfr"))
-    save_raster(pan_lo, _out_path(cfg, "pan_lo.pfr"))
-    save_raster(reference, _out_path(cfg, "reference.pfr"))  # float32 round trip: same bytes
-    print(f"wrote ms_lo/pan_lo/reference to {cfg.out}")
-    return 0
+    # reference is the ms input: its float32 round trip writes the same bytes
+    outputs = {"ms_lo.pfr": ms_lo, "pan_lo.pfr": pan_lo, "reference.pfr": reference}
+    return outputs, f"wrote ms_lo/pan_lo/reference to {cfg.out}\n"
 
 
-def cmd_fuse(args) -> int:
-    cfg = RunConfig(args)
+def cmd_fuse(cfg: RunConfig):
     method = cfg.method
     if not method:
         raise ConfigError("missing required key 'method' (--method exp|cs|glp|gan)")
-    ratio = _resolve_ratio(cfg, args)
+    ratio = _resolve_ratio(cfg)
     ms, pan = _load_ms_pan(cfg, ("_lo", ""))
     if method == "gan":
         if not cfg.checkpoint:
@@ -208,25 +196,20 @@ def cmd_fuse(args) -> int:
         product = gan.fuse(params, ms, pan, ratio)
     else:
         product = baseline_fuse(method, ms, pan, ratio)
-    os.makedirs(cfg.out, exist_ok=True)
-    out_path = _out_path(cfg, f"fused_{method}.pfr")
-    save_raster(product, out_path)
-    print(f"wrote {out_path}")
-    return 0
+    name = f"fused_{method}.pfr"
+    return {name: product}, f"wrote {_out_path(cfg, name)}\n"
 
 
-def cmd_train(args) -> int:
-    cfg = RunConfig(args)
-    ratio = _resolve_ratio(cfg, args)
+def cmd_train(cfg: RunConfig):
+    ratio = _resolve_ratio(cfg)
+    ckpt = cfg.checkpoint or _out_path(cfg, "checkpoint.pfck")
+    if os.path.realpath(ckpt) == os.path.realpath(_out_path(cfg, "train_log.csv")):
+        raise ConfigError(f"key 'checkpoint' names the training log {ckpt!r}")
     ms, pan = _load_ms_pan(cfg)
     params, log = gan.train(ms, pan, cfg.training_config(ratio))
-    os.makedirs(cfg.out, exist_ok=True)
-    ckpt = cfg.checkpoint or _out_path(cfg, "checkpoint.pfck")
-    save_checkpoint(params, ckpt)
-    Path(_out_path(cfg, "train_log.csv")).write_text(log.to_csv(), encoding="utf-8")
-    final = log.rows[-1]
-    print(f"wrote {ckpt} (final total_G = {final[-1]:.6g})")
-    return 0
+    # absolute, since --checkpoint is a path of its own, not a name under --out
+    outputs = {os.path.abspath(ckpt): params, "train_log.csv": log.to_csv()}
+    return outputs, f"wrote {ckpt} (final total_G = {log.rows[-1][-1]:.6g})\n"
 
 
 def _eval_label(cfg: RunConfig, fused_path: str) -> str:
@@ -262,12 +245,11 @@ def _find_fused(cfg: RunConfig) -> str:
     )
 
 
-def cmd_eval(args) -> int:
-    cfg = RunConfig(args)
+def cmd_eval(cfg: RunConfig):
     mode = cfg.mode
     if mode not in ("reduced", "full"):
         raise ConfigError("missing or bad key 'mode' (--mode reduced|full)")
-    ratio = _resolve_ratio(cfg, args)
+    ratio = _resolve_ratio(cfg)
     mcfg = cfg.metric_config(ratio)
     fused_path = _find_fused(cfg)
     label = _eval_label(cfg, fused_path)
@@ -284,16 +266,12 @@ def cmd_eval(args) -> int:
         ms, pan = _load_ms_pan(cfg, ("_lo", ""))
         pan_low = mtf_degrade(pan, ratio)
         report = evaluate_full(fused, ms, pan, pan_low, mcfg)
-    kv_text = report.to_kv() + cfg.echo(ratio=ratio)
-    os.makedirs(cfg.out, exist_ok=True)
-    Path(_out_path(cfg, f"eval_{mode}_{label}.csv")).write_text(report.to_csv(), encoding="utf-8")
-    Path(_out_path(cfg, f"eval_{mode}_{label}.kv")).write_text(kv_text, encoding="utf-8")
-    sys.stdout.write(report.to_csv())
-    return 0
+    stem = f"eval_{mode}_{label}"
+    outputs = {f"{stem}.csv": report.to_csv(), f"{stem}.kv": report.to_kv() + cfg.echo(ratio)}
+    return outputs, report.to_csv()
 
 
-def cmd_report(args) -> int:
-    cfg = RunConfig(args)
+def cmd_report(cfg: RunConfig):
     results = []
     for name in sorted(os.listdir(cfg.out)):
         if not (name.startswith("eval_") and name.endswith(".kv")):
@@ -309,14 +287,42 @@ def cmd_report(args) -> int:
         raise ConfigError(f"no eval_*.kv files under {cfg.out!r}; run `eval` first")
     results.sort(key=lambda res: res.method)
     modes = [m for m in ("reduced", "full") if any(res.mode == m for res in results)]
-    for mode in modes:
-        Path(_out_path(cfg, f"report_{mode}.csv")).write_text(
-            results_table_csv(results, mode), encoding="utf-8"
-        )
-    text = results_table_text(results, modes)
-    Path(_out_path(cfg, "report.txt")).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
-    return 0
+    outputs = {f"report_{mode}.csv": results_table_csv(results, mode) for mode in modes}
+    text = outputs["report.txt"] = results_table_text(results, modes)
+    return outputs, text
+
+
+# Each flag once: its argparse keywords.  A flag of a config key parses to the
+# type of that key's default.
+_FLAGS = {
+    "config": dict(help="key = value config file"),
+    "seed": dict(help="seed for all stochastic behavior"),
+    "ratio": dict(help="PAN pixels per MS pixel per axis"),
+    "out": dict(help="workspace directory (default: current)"),
+    "size": dict(help="PAN-scale width and height"),
+    "bands": dict(help="number of spectral bands"),
+    "ms": dict(help="input multispectral .pfr"),
+    "pan": dict(help="input pan .pfr"),
+    "method": dict(choices=["exp", "cs", "glp", "gan"]),
+    "checkpoint": dict(help="checkpoint path: written by train, read by fuse gan"),
+    "iterations": dict(help="training iterations"),
+    "mode": dict(choices=["reduced", "full"]),
+    "fused": dict(help="fused .pfr to score"),
+    "gt": dict(help="reference .pfr for reduced mode"),
+    "label": dict(help="method label used in report files"),
+}
+_COMMON_FLAGS = ("config", "seed", "ratio", "out")
+# Each stage: its help and the flags it takes beyond the common ones; its handler
+# is the module's cmd_<stage>.
+_STAGES = {
+    "synth": ("write a synthetic scene as .pfr files", ("size", "bands")),
+    "degrade": ("Wald reduction: degrade ms/pan by the ratio", ("ms", "pan")),
+    "fuse": ("run a fusion method", ("method", "checkpoint", "ms", "pan")),
+    "train": ("train the generative fuser, write a checkpoint",
+              ("ms", "pan", "iterations", "checkpoint")),
+    "eval": ("score a fused product", ("mode", "fused", "gt", "ms", "pan", "label")),
+    "report": ("aggregate eval outputs into one table", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,69 +331,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pansharpening toolkit: synthetic scenes, fusion, training, evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, help="seed for all stochastic behavior")
-        p.add_argument("--ratio", type=int, help="PAN pixels per MS pixel per axis")
-        p.add_argument("--out", help="workspace directory (default: current)")
-
-    p = sub.add_parser("synth", help="write a synthetic scene as .pfr files")
-    common(p)
-    p.add_argument("--size", type=int, help="PAN-scale width and height")
-    p.add_argument("--bands", type=int, help="number of spectral bands")
-    p.set_defaults(handler=cmd_synth)
-
-    p = sub.add_parser("degrade", help="Wald reduction: degrade ms/pan by the ratio")
-    common(p)
-    p.add_argument("--ms", help="input multispectral .pfr")
-    p.add_argument("--pan", help="input pan .pfr")
-    p.set_defaults(handler=cmd_degrade)
-
-    p = sub.add_parser("fuse", help="run a fusion method")
-    common(p)
-    p.add_argument("--method", choices=["exp", "cs", "glp", "gan"])
-    p.add_argument("--checkpoint", help="trained checkpoint (required for gan)")
-    p.add_argument("--ms", help="input multispectral .pfr")
-    p.add_argument("--pan", help="input pan .pfr")
-    p.set_defaults(handler=cmd_fuse)
-
-    p = sub.add_parser("train", help="train the generative fuser, write a checkpoint")
-    common(p)
-    p.add_argument("--ms", help="input multispectral .pfr")
-    p.add_argument("--pan", help="input pan .pfr")
-    p.add_argument("--iterations", type=int, help="training iterations")
-    p.add_argument("--checkpoint", help="checkpoint output path")
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("eval", help="score a fused product")
-    common(p)
-    p.add_argument("--mode", choices=["reduced", "full"])
-    p.add_argument("--fused", help="fused .pfr to score")
-    p.add_argument("--gt", help="reference .pfr for reduced mode")
-    p.add_argument("--ms", help="ms input for full mode")
-    p.add_argument("--pan", help="pan input for full mode")
-    p.add_argument("--label", help="method label used in report files")
-    p.set_defaults(handler=cmd_eval)
-
-    p = sub.add_parser("report", help="aggregate eval outputs into one table")
-    common(p)
-    p.set_defaults(handler=cmd_report)
-
+    for stage, (help_text, flags) in _STAGES.items():
+        p = sub.add_parser(stage, help=help_text)
+        for flag in (*_COMMON_FLAGS, *flags):
+            p.add_argument(f"--{flag}", type=_CONFIG_TYPES.get(flag, str), **_FLAGS[flag])
+        # looked up when the parser is built, so that a patched cmd_<stage> is called
+        p.set_defaults(handler=globals()[f"cmd_{stage}"])
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _write_outputs(out: str, outputs: dict) -> None:
+    """Write a stage's ``{path: image | ParameterSet | text}`` outputs, all or none.
+    A path is relative to ``out``, unless it is absolute.
+
+    Makes ``out``, writes each output to ``.<name>.<pid>.tmp`` beside its target
+    (a name that no stage reads and no search of --out matches), and only after
+    every write succeeded moves each into place with ``os.replace``, in the given
+    order.  On an error it removes its temporary files and re-raises, and every
+    target keeps its previous bytes.  Nothing is fsynced: the guarantee holds for
+    a process that fails or is killed, not for a power loss.
+    """
+    os.makedirs(out, exist_ok=True)
+    paths = [os.path.join(out, path) for path in outputs]
+    temps = []
     try:
-        return args.handler(args)
+        for path, value in zip(paths, outputs.values()):
+            head, name = os.path.split(path)
+            temps.append(os.path.join(head, f".{name}.{os.getpid()}.tmp"))
+            if isinstance(value, str):
+                Path(temps[-1]).write_text(value, encoding="utf-8")
+            elif isinstance(value, (RasterBand, MultispectralImage)):
+                save_raster(value, temps[-1])
+            else:
+                save_checkpoint(value, temps[-1])
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            if os.path.isfile(temp):
+                os.remove(temp)
+        raise
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        cfg = RunConfig(args)
+        outputs, text = args.handler(cfg)
+        _write_outputs(cfg.out, outputs)
     except NumericalError as exc:
         print(f"panfuse: numerical error: {exc}", file=sys.stderr)
         return 3
     except (PanfuseError, OSError) as exc:
         print(f"panfuse: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

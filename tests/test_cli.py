@@ -661,3 +661,121 @@ class TestDeterminism:
         first = (out / "ms.pfr").read_bytes()
         run(synth_args(out))
         assert (out / "ms.pfr").read_bytes() == first
+
+
+def _temp_name(name, pid=None):
+    """The name a stage writes ``name`` under before it puts it in place."""
+    return f".{name}.{os.getpid() if pid is None else pid}.tmp"
+
+
+def _scene(tmp_path):
+    """A 16 x 16, 4-band, ratio-2 scene under tmp_path/scene, with an eval report."""
+    scene = tmp_path / "scene"
+    assert run(synth_args(scene, size=16, ratio=2)) == 0
+    assert run(["eval", "--mode", "reduced", "--fused", str(scene / "gt.pfr"), "--label", "self",
+                "--config", str(_window_cfg(tmp_path, 8)), "--out", str(scene)]) == 0
+    return scene
+
+
+# each multi-output stage: its arguments beyond --out, given a scene from _scene,
+# and its outputs in the order they are put in place
+ATOMIC_STAGES = {
+    "synth": (lambda sc, tmp: ["synth", "--size", "16", "--ratio", "2", "--bands", "2"],
+              ["gt.pfr", "ms.pfr", "pan.pfr", "scene.meta"]),
+    "degrade": (lambda sc, tmp: ["degrade", "--ms", str(sc / "ms.pfr"), "--pan", str(sc / "pan.pfr"),
+                                 "--ratio", "2"],
+                ["ms_lo.pfr", "pan_lo.pfr", "reference.pfr"]),
+    "train": (lambda sc, tmp: ["train", "--ms", str(sc / "ms.pfr"), "--pan", str(sc / "pan.pfr"),
+                               "--ratio", "2", "--iterations", "1"],
+              ["checkpoint.pfck", "train_log.csv"]),
+    "eval": (lambda sc, tmp: ["eval", "--mode", "reduced", "--fused", str(sc / "gt.pfr"),
+                              "--gt", str(sc / "gt.pfr"), "--label", "self", "--ratio", "2",
+                              "--config", str(_window_cfg(tmp, 8))],
+             ["eval_reduced_self.csv", "eval_reduced_self.kv"]),
+    "report": (lambda sc, tmp: ["report"], ["report_reduced.csv", "report.txt"]),
+}
+
+
+class TestAtomicOutputs:
+    """A stage writes all its outputs or none: a failed write leaves every output as it was."""
+
+    @staticmethod
+    def workspace(tmp_path, stage, scene):
+        # report reads its eval reports from --out, the other stages read the scene
+        out = tmp_path / "out"
+        out.mkdir()
+        if stage == "report":
+            (out / "eval_reduced_self.kv").write_bytes((scene / "eval_reduced_self.kv").read_bytes())
+        return out
+
+    @pytest.mark.parametrize("stage", sorted(ATOMIC_STAGES))
+    def test_failed_second_write_keeps_every_output(self, tmp_path, capsys, stage):
+        scene = _scene(tmp_path)
+        out = self.workspace(tmp_path, stage, scene)
+        argv, names = ATOMIC_STAGES[stage]
+        argv = [*argv(scene, tmp_path), "--out", str(out)]
+        assert run(argv) == 0
+        for name in names:  # marks, so that a rewrite in place of the same bytes shows
+            (out / name).write_bytes(b"previous " + name.encode())
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / _temp_name(names[1])).mkdir()
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and len(err.splitlines()) == 1
+        (out / _temp_name(names[1])).rmdir()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("stage", sorted(ATOMIC_STAGES))
+    def test_failed_second_write_on_a_fresh_out_leaves_no_output(self, tmp_path, stage):
+        scene = _scene(tmp_path)
+        out = self.workspace(tmp_path, stage, scene)
+        before = sorted(p.name for p in out.iterdir())
+        argv, names = ATOMIC_STAGES[stage]
+        (out / _temp_name(names[1])).mkdir()
+        assert run([*argv(scene, tmp_path), "--out", str(out)]) == 2
+        (out / _temp_name(names[1])).rmdir()
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_checkpoint_path_is_not_under_out(self, tmp_path, monkeypatch):
+        # --checkpoint names a path of its own; only the log goes under --out
+        monkeypatch.chdir(tmp_path)
+        assert run(synth_args("sub", size=16, ratio=2, bands=2)) == 0
+        train = ["train", "--iterations", "1", "--out", "sub"]
+        assert run([*train, "--checkpoint", "ck.pfck"]) == 0
+        assert (tmp_path / "ck.pfck").is_file() and (tmp_path / "sub" / "train_log.csv").is_file()
+        assert not (tmp_path / "sub" / "ck.pfck").exists()
+        before = {p.name: p.read_bytes() for p in (tmp_path / "sub").iterdir()}
+        train[2] = "2"  # a run that would write another log
+        assert run([*train, "--checkpoint", "missing/ck.pfck"]) == 2
+        assert {p.name: p.read_bytes() for p in (tmp_path / "sub").iterdir()} == before
+        assert not (tmp_path / "missing").exists()
+
+    def test_checkpoint_onto_the_log_exits_2(self, tmp_path, capsys, monkeypatch):
+        # two outputs of one file would leave one of them, not both or none
+        monkeypatch.chdir(tmp_path)
+        assert run(synth_args("sub", size=16, ratio=2, bands=2)) == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "sub").iterdir()}
+        capsys.readouterr()
+        for ckpt in ("sub/train_log.csv", str(tmp_path / "sub" / "train_log.csv")):
+            assert run(["train", "--iterations", "1", "--checkpoint", ckpt, "--out", "sub"]) == 2
+            assert "'checkpoint'" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (tmp_path / "sub").iterdir()} == before
+
+    def test_leftover_temporaries_are_ignored(self, tmp_path):
+        # a killed stage leaves its temporaries; no search of --out may take them
+        out = tmp_path / "run"
+        run(synth_args(out, size=16, ratio=2))
+        run(["fuse", "--method", "exp", "--out", str(out)])
+        (out / _temp_name("fused_x.pfr", pid=1)).write_bytes((out / "fused_exp.pfr").read_bytes())
+        (out / _temp_name("eval_reduced_x.kv", pid=1)).write_text(_REDUCED_KV)
+        # a temporary of this process's own name, as if its pid were reused
+        (out / _temp_name("eval_reduced_exp.kv")).write_text("stale")
+        evaluate = ["eval", "--mode", "reduced", "--config", str(_window_cfg(tmp_path, 8)),
+                    "--out", str(out)]
+        for _ in range(2):
+            assert run(evaluate) == 0
+            assert not (out / _temp_name("eval_reduced_exp.kv")).exists()
+            assert run(["report", "--out", str(out)]) == 0
+            table = parse_results_table((out / "report_reduced.csv").read_text(), "reduced")
+            assert list(table) == ["exp", "Ideal"]

@@ -30,3 +30,16 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(getattr(mod, name) is fn for (mod, name), fn in originals.items())
+
+
+def test_tracer_times_the_cli_stages(tmp_path):
+    # the parser looks each handler up by its module name, so a patched cmd_<stage> runs
+    probes = load_probes()
+    tracer = probes.Tracer()
+    tracer.install(panfuse)
+    try:
+        assert cli.main(["synth", "--size", "16", "--ratio", "2", "--bands", "2",
+                         "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.totals["cli.synth.ms"] > 0

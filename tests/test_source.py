@@ -1,9 +1,12 @@
 """Source checks that need no linter: only the standard library's ``ast``."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from panfuse.cli import build_parser
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "panfuse"
 
@@ -63,3 +66,38 @@ def test_every_private_name_is_read():
         f"{name}.{n}" for name, tree in trees.items() for n in private_definitions(tree) - read
     )
     assert not unread, f"defined under src/panfuse and never read: {unread}"
+
+
+COMMON_FLAGS = ["--config", "--seed", "--ratio", "--out"]
+STAGE_FLAGS = {
+    "synth": COMMON_FLAGS + ["--size", "--bands"],
+    "degrade": COMMON_FLAGS + ["--ms", "--pan"],
+    "fuse": COMMON_FLAGS + ["--method", "--checkpoint", "--ms", "--pan"],
+    "train": COMMON_FLAGS + ["--ms", "--pan", "--iterations", "--checkpoint"],
+    "eval": COMMON_FLAGS + ["--mode", "--fused", "--gt", "--ms", "--pan", "--label"],
+    "report": COMMON_FLAGS,
+}
+
+
+def test_cli_stages_write_no_file():
+    # the runner in cli.main puts every output in place; a stage only returns them
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    writers = {"save_raster", "save_checkpoint", "write_text", "write_bytes", "open", "makedirs"}
+    calls = {
+        (fn.name, node.func.id if isinstance(node.func, ast.Name) else node.func.attr)
+        for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert {call for call in calls if call[1] in writers} == set()
+    assert {name for name, _ in calls} == {f"cmd_{stage}" for stage in STAGE_FLAGS}
+
+
+def test_each_stage_takes_its_flags():
+    parser = build_parser()
+    (stages,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    taken = {
+        stage: [a.option_strings[0] for a in sub._actions if a.option_strings != ["-h", "--help"]]
+        for stage, sub in stages.choices.items()
+    }
+    assert taken == STAGE_FLAGS
