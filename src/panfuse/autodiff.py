@@ -32,6 +32,7 @@ from .errors import (
     ShapeError,
     TrainingDivergenceError,
 )
+from .raster import row_bands
 
 
 class TapeNode:
@@ -498,12 +499,6 @@ def block_mean(a: Tensor, r: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# elements in one block of unfolded taps (512 KiB in float64, 256 KiB in
-# float32, to stay in L2): a block holds as many whole output rows as fit,
-# and at least one
-_UNFOLD_BLOCK = 1 << 16
-
-
 def _zero_pad(a, top, left, height, width):
     """(C, h, w) ``a`` at (top, left) on a zero (C, height, width) canvas.
 
@@ -521,15 +516,17 @@ def _unfold_rows(win):
     of every output pixel.  ``cols`` is the (C * kh * kw, (r1 - r0) * w_out)
     matrix of the taps of rows r0..r1-1, ordered like
     ``weight.reshape(C_out, C * kh * kw)``, copied into one buffer that every
-    block reuses.
+    block reuses.  The blocks are the ``raster.row_bands`` of the taps: as
+    many whole output rows as fit in ``raster._BAND_ELEMENTS`` taps (256 KiB
+    in float32, to stay in L2), and at least one.
     """
     c, h_out, w_out, kh, kw = win.shape
     win = win.transpose(0, 3, 4, 1, 2)
     depth = c * kh * kw
-    rows = max(1, min(h_out, _UNFOLD_BLOCK // (depth * w_out)))
-    buf = np.empty(depth * rows * w_out, dtype=win.dtype)
-    for r0 in range(0, h_out, rows):
-        r1 = min(r0 + rows, h_out)
+    bands = row_bands(h_out, depth * w_out)
+    buf = np.empty(depth * bands[0].stop * w_out, dtype=win.dtype)
+    for band in bands:
+        r0, r1 = band.start, band.stop
         cols = buf[: depth * (r1 - r0) * w_out].reshape(c, kh, kw, r1 - r0, w_out)
         np.copyto(cols, win[:, :, :, r0:r1])
         yield r0, r1, cols.reshape(depth, (r1 - r0) * w_out)
@@ -612,8 +609,8 @@ def conv2d(
     sums ``g_block @ cols.T`` over the same blocks (as its transpose, which
     BLAS runs faster); ``grad_x`` is the transposed convolution, gathered the
     same way from the zero-padded gradient with the flipped kernel, once per
-    stride phase.  A block holds a bounded number of taps, so the whole
-    unfolded matrix is never built.
+    stride phase.  A block holds at most ``raster._BAND_ELEMENTS`` taps or
+    one output row, so the whole unfolded matrix is never built.
 
     It computes in ``x``'s dtype: the weight, the bias and the incoming
     gradient are cast to it, ``grad_x`` comes back in it, and ``grad_w`` and

@@ -38,6 +38,7 @@ from .raster import (
     estimate_weights,
     histogram_match,
     parse_csv_table,
+    row_bands,
     upsample,
 )
 
@@ -376,9 +377,6 @@ def checkpoint_hash(params: ParameterSet) -> str:
     return hashlib.sha256(ad.checkpoint_bytes(params)).hexdigest()[:16]
 
 
-# PAN pixels along each side of one tile of :func:`fuse`, halo not counted:
-# its activations, not the scene's, bound the memory of inference
-_FUSE_TILE = 256
 # the generator's receptive-field radius: KERNEL // 2 for each of its 3 layers
 _FUSE_HALO = 3 * (KERNEL // 2)
 
@@ -390,15 +388,17 @@ def fuse(
 
     ``params`` must hold the six ``gen.*`` parameters of the one generator
     architecture for the bands of ``ms``, each of the shape that
-    :meth:`GeneratorSpec.init_params` gives it.  The generator runs on square
-    tiles of the PAN grid, each read with a halo of ``_FUSE_HALO`` pixels and
-    cut at the image border, so every kept pixel reads the same inputs as in
-    the whole-image pass: inside, the halo holds every pixel it reads; at the
-    border, conv2d pads with the same zeros.  Each tile's bicubic input is
-    upsampled from the MS directly.  The layers run in float32, as in
-    training, and the residual is added to the float64 upsample; a GEMM may
-    sum a tile in another order than the whole image, so a pixel can differ
-    from the whole-image pass in its last float32 bits.
+    :meth:`GeneratorSpec.init_params` gives it.  The generator runs on the
+    full-width ``raster.row_bands`` of the PAN grid, so a band's activations,
+    not the scene's, bound the memory of inference.  Each band is read with a
+    halo of ``_FUSE_HALO`` rows, cut at the image border, so every kept pixel
+    reads the same inputs as in the whole-image pass: inside, the halo holds
+    every row it reads; at the border, conv2d pads with the same zeros.  Each
+    band's bicubic input is upsampled from the MS directly.  The layers run
+    in float32, as in training, and the residual is added to the float64
+    upsample.  A band keeps the whole width, so every GEMM of conv2d sums
+    each pixel's taps as the whole-image pass does, and the output is bitwise
+    that of the whole-image pass.
     """
     r = int(r)
     k = ms.band_count
@@ -415,17 +415,12 @@ def fuse(
     frozen = _frozen(params)
     h, w = pan.height, pan.width
     out = np.empty((k, h, w))
-    for top in range(0, h, _FUSE_TILE):
-        for left in range(0, w, _FUSE_TILE):
-            rows = slice(max(top - _FUSE_HALO, 0), min(top + _FUSE_TILE + _FUSE_HALO, h))
-            cols = slice(max(left - _FUSE_HALO, 0), min(left + _FUSE_TILE + _FUSE_HALO, w))
-            ms_up = _bicubic_up(ms.data, r, rows, cols)
-            try:
-                tile = gen.forward(frozen, Tensor(ms_up), Tensor(pan.data[None, rows, cols]))
-            except NumericalError as exc:
-                raise NumericalError(f"{exc} in the tile at ({top}, {left})") from exc
-            bottom, right = min(top + _FUSE_TILE, h), min(left + _FUSE_TILE, w)
-            out[:, top:bottom, left:right] = tile.data[
-                :, top - rows.start : bottom - rows.start, left - cols.start : right - cols.start
-            ]
+    for band in row_bands(h, w):
+        rows = slice(max(band.start - _FUSE_HALO, 0), min(band.stop + _FUSE_HALO, h))
+        ms_up = _bicubic_up(ms.data, r, rows)
+        try:
+            part = gen.forward(frozen, Tensor(ms_up), Tensor(pan.data[None, rows]))
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} in PAN rows {band.start}-{band.stop - 1}") from exc
+        out[:, band] = part.data[:, band.start - rows.start : band.stop - rows.start]
     return MultispectralImage(out)

@@ -9,14 +9,16 @@ and of band products come from one kernel, run down the rows of the plane and
 then down the rows of its transposed result: rows are summed in blocks of
 g = gcd(window, stride), runs of 1, 2, 4, ... blocks are built by doubling,
 and each window combines one run per set bit of its length in blocks, whether
-windows overlap, tile or leave gaps.  The first step reads the image in row
-bands of whole blocks, ``_BAND_ELEMENTS`` elements or one block each: every
+windows overlap, tile or leave gaps.  The first step reads the image in the
+row bands of whole blocks of ``raster.row_bands``: ``raster._BAND_ELEMENTS``
+elements, the one budget of every blocked loop, or one block each.  Every
 plane the statistics need (band - centre, its square, the band itself for
 the max and the min, each band product) is formed for one band in a reused
 buffer and reduced at once, while it is in cache, into a g-times-smaller
 table of block sums, so no full-size temporary plane is formed.  Each window
 sum adds the same values in the same order as a whole-plane pass would.  CC
-and ERGAS sum dot products over the same row bands.
+and ERGAS sum dot products over the same row bands, and SAM forms its angles
+in bands whose four work arrays share one band's budget.
 
 Per-window covariances come from window sums of products of centred bands.
 UIQI reads the covariance of each band of one image with the same band of the
@@ -47,6 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import raster
 from .errors import DegenerateInputError, InvalidInputError
 from .raster import MultispectralImage, RasterBand, csv_format, kv_format, kv_parse, kv_value
 
@@ -87,19 +90,6 @@ def _as_band(image) -> RasterBand:
     raise InvalidInputError(f"expected a single band, got {type(image).__name__}")
 
 
-# elements in one row band: CC, ERGAS and the window statistics read an image
-# one band of rows at a time, and form and reduce each plane of it while it
-# is in L2
-_BAND_ELEMENTS = 2**16
-
-
-def _row_bands(height: int, width: int, unit: int = 1) -> list:
-    """Slices of whole ``unit``-row blocks, about ``_BAND_ELEMENTS`` elements
-    each, that cover ``height`` rows."""
-    step = unit * max(1, _BAND_ELEMENTS // (unit * width))
-    return [slice(top, min(top + step, height)) for top in range(0, height, step)]
-
-
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
     """Sum of u * v over two 1-D arrays by numpy's own loop: np.dot's BLAS may
     split a long sum across threads, and its last bits then depend on their
@@ -135,22 +125,18 @@ def _check_pair(F, M):
     return fi, mi
 
 
-# rows of the angle map computed at a time; bounds the working arrays of SAM
-_SAM_ROWS = 64
-
-
 def _angle_blocks(fi: MultispectralImage, mi: MultispectralImage):
-    """Per-pixel spectral angles in degrees, as (rows, angles) for blocks of rows.
+    """Per-pixel spectral angles in degrees, as (rows, angles) for row bands.
 
-    Every block is formed in the same four reused buffers, so the caller must
-    use it before taking the next.
+    Every band is formed in the same four reused buffers, which share one
+    band's budget of elements, so the caller must use it before taking the next.
     """
     if fi.band_count < 2:
         raise InvalidInputError("spectral angle needs at least two bands")
-    work = np.empty((4, min(_SAM_ROWS, fi.height), fi.width))
+    bands = raster.row_bands(fi.height, 4 * fi.width)
+    work = np.empty((4, bands[0].stop, fi.width))
     same = [(1, k, k) for k in range(fi.band_count)]
-    for top in range(0, fi.height, _SAM_ROWS):
-        rows = slice(top, top + _SAM_ROWS)
+    for rows in bands:
         f, m = fi.data[:, rows], mi.data[:, rows]
         dot, sf, sm, ang = work[:, : f.shape[1]]
         _signed_products(same, f, m, dot, ang)
@@ -198,7 +184,7 @@ def sam_map(F, M) -> RasterBand:
 
 def _cc_band(f: np.ndarray, m: np.ndarray) -> float:
     mu_f, mu_m = f.mean(), m.mean()
-    bands = _row_bands(*f.shape)
+    bands = raster.row_bands(*f.shape)
     fc, mc = np.empty((2, bands[0].stop, f.shape[1]))
     ff = mm = fm = 0.0
     for rows in bands:
@@ -296,14 +282,14 @@ def _window_tables(grid: _WindowGrid, width: int, jobs, plane, buffers: int = 1)
     before the next is formed.  The doubling and the column pass then run on
     these tables, g times smaller than a plane.  The jobs share a pass in
     groups whose tables hold at most a quarter of a plane or, if more, about
-    two bands of ``_BAND_ELEMENTS``: for g < 8 on a large image they go one
-    at a time, each with one table, as a whole-plane pass had.
+    two bands of ``raster._BAND_ELEMENTS``: for g < 8 on a large image they go
+    one at a time, each with one table, as a whole-plane pass had.
     """
     g = _block_rows(grid.ys, grid.window)
     n = (int(grid.ys[-1]) + grid.window) // g
     # each pair of buffers gets about _BAND_ELEMENTS elements of a band
-    bands = _row_bands(n * g, width * max(1, buffers // 2), g)
-    size = max(1, min(len(jobs), max(g // 4, 2 * _BAND_ELEMENTS // (n * width))))
+    bands = raster.row_bands(n * g, width * max(1, buffers // 2), g)
+    size = max(1, min(len(jobs), max(g // 4, 2 * raster._BAND_ELEMENTS // (n * width))))
     # the result outlives the tables and buffers, so it is allocated first:
     # freed last-in, they leave no hole under it in the heap
     out = np.empty((len(jobs), grid.ys.size, grid.xs.size))
@@ -529,7 +515,7 @@ def ergas(F, M, cfg: MetricConfig | None = None) -> float:
     """Scaled RMS of band-relative errors: 100 (d_h/d_l) sqrt(mean_k (RMSE_k / mu_k)^2)."""
     cfg = cfg or MetricConfig()
     fi, mi = _check_pair(F, M)
-    bands = _row_bands(fi.height, fi.width)
+    bands = raster.row_bands(fi.height, fi.width)
     diff = np.empty((bands[0].stop, fi.width))
     acc = 0.0
     for f, m in zip(fi.data, mi.data):

@@ -131,6 +131,23 @@ def check_pan_scale(ms: MultispectralImage, pan: RasterBand, r: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# row bands
+
+# elements in one row band: every blocked loop (CC, ERGAS, SAM and the window
+# statistics of metrics, conv2d's unfolded taps, the bands of gan.fuse) takes
+# its rows from row_bands, so that it forms and reduces each piece of an image
+# while it is in L2
+_BAND_ELEMENTS = 2**16
+
+
+def row_bands(height: int, width: int, unit: int = 1) -> list:
+    """Slices of whole ``unit``-row blocks, about ``_BAND_ELEMENTS`` elements
+    of ``width`` each, or one block, that cover ``height`` rows."""
+    step = unit * max(1, _BAND_ELEMENTS // (unit * width))
+    return [slice(top, min(top + step, height)) for top in range(0, height, step)]
+
+
+# ---------------------------------------------------------------------------
 # resampling
 
 
@@ -158,28 +175,24 @@ def _bicubic_axis_taps(n_in: int, r: int):
     return idx, w
 
 
-def _bicubic_up(
-    a: np.ndarray, r: int, rows: slice = slice(None), cols: slice = slice(None)
-) -> np.ndarray:
-    """Bicubic upsample of the ``(..., H, W)`` stack ``a`` by ``r``, or its
-    ``rows`` x ``cols`` window of the output grid.
+def _bicubic_up(a: np.ndarray, r: int, rows: slice = slice(None)) -> np.ndarray:
+    """Bicubic upsample of the ``(..., H, W)`` stack ``a`` by ``r``, or the
+    ``rows`` window of the output grid.
 
-    A window slices the tap tables of the whole output and reads only the
-    source pixels they name, so it is bitwise the same crop of the whole result.
+    A window slices the row tap table of the whole output and reads only the
+    source rows it names, so it is bitwise the same crop of the whole result.
     The row pass runs on the whole stack, 1/r of the output; the column pass
     adds its four taps into the output band by band, through one band of scratch.
     """
     idx, w = (t[:, rows] for t in _bicubic_axis_taps(a.shape[-2], r))
-    cidx, cw = (t[:, cols] for t in _bicubic_axis_taps(a.shape[-1], r))
-    lo = cidx.min()
-    a = a[..., lo : cidx.max() + 1]
+    cidx, cw = _bicubic_axis_taps(a.shape[-1], r)
     a = sum(a[..., idx[k], :] * w[k][:, None] for k in range(4))
     out = np.zeros(a.shape[:-1] + cw.shape[1:])  # from +0.0, as sum() starts: -0.0 taps sum to +0.0
     tap = np.empty(out.shape[-2:])
     for src, dest in zip(a.reshape(-1, *a.shape[-2:]), out.reshape(-1, *out.shape[-2:])):
         for k in range(4):
             # the indices are in range; mode "raise" would copy through a second buffer
-            np.take(src, cidx[k] - lo, axis=-1, out=tap, mode="clip")
+            np.take(src, cidx[k], axis=-1, out=tap, mode="clip")
             tap *= cw[k]
             dest += tap
     return out

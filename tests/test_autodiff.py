@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from panfuse import autodiff as ad
+from panfuse import raster
 from panfuse.autodiff import ParameterSet, Tensor
 from panfuse.errors import (
     DegenerateInputError,
@@ -468,10 +469,11 @@ class TestSimilarity:
 
 @pytest.fixture(params=[1, 60], ids=["one-row", "partial-last"])
 def small_unfold_blocks(request, monkeypatch):
-    """Shrink conv2d's unfold block so that the small test shapes span many
-    blocks.  A budget of 1 element gives one output row per block; 60 gives
-    a few rows on narrow images, so that the last block is often partial."""
-    monkeypatch.setattr(ad, "_UNFOLD_BLOCK", request.param)
+    """Shrink the row-band budget, and with it conv2d's unfold block, so that
+    the small test shapes span many blocks.  A budget of 1 element gives one
+    output row per block; 60 gives a few rows on narrow images, so that the
+    last block is often partial."""
+    monkeypatch.setattr(raster, "_BAND_ELEMENTS", request.param)
 
 
 # the block budget holds for every example, so the function-scoped fixture is safe

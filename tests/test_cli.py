@@ -466,7 +466,7 @@ class TestExitCodes:
         capsys.readouterr()
         argv = ["fuse", "--method", "gan", "--checkpoint", str(tmp_path / "nan.pfck")]
         assert run(argv + ["--out", str(out)]) == 3
-        assert "tile at (0, 0)" in capsys.readouterr().err
+        assert "in PAN rows 0-15\n" in capsys.readouterr().err
 
 _REDUCED_KV = QualityReport(
     "reduced", {"SAM": 0.0, "CC": 1.0, "UIQI": 1.0, "Q4": 1.0, "ERGAS": 0.0}

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from panfuse import autodiff as ad
-from panfuse import gan
+from panfuse import gan, raster
 from panfuse.autodiff import Tensor
 from panfuse.errors import (
     DegenerateInputError,
@@ -508,9 +508,9 @@ def random_head_checkpoint(bands, seed):
 
 
 class TestFuseTiles:
-    # (PAN width, height, ratio, tile); the generator's halo is 3 pixels
+    # (PAN width, height, ratio, rows of a band); the generator's halo is 3 rows
     @pytest.mark.parametrize(
-        "width, height, ratio, tile",
+        "width, height, ratio, band_rows",
         [
             pytest.param(256, 256, 4, 64, id="divisor"),
             pytest.param(256, 256, 4, 40, id="non-divisor-40"),
@@ -518,30 +518,33 @@ class TestFuseTiles:
             pytest.param(24, 24, 4, 2, id="tile-below-halo"),
             pytest.param(128, 128, 2, 40, id="ratio-2"),
             pytest.param(160, 96, 4, 40, id="non-square"),
+            # four bands of the whole width: square tiles would run some GEMMs
+            # at another width, and could sum in another order
+            pytest.param(1024, 64, 4, 16, id="1024x64"),
+            pytest.param(64, 48, 4, 1, id="one-row"),
         ],
     )
-    def test_tiles_match_the_whole_image_pass(self, monkeypatch, width, height, ratio, tile):
+    def test_bands_match_the_whole_image_pass(self, monkeypatch, width, height, ratio, band_rows):
         scene = synth_scene(seed=21, width=width, height=height, bands=4, ratio=ratio)
         spec, params = random_head_checkpoint(4, 22)
-        monkeypatch.setattr(gan, "_FUSE_TILE", tile)
+        monkeypatch.setattr(raster, "_BAND_ELEMENTS", band_rows * width)
         got = gan.fuse(params, scene.ms, scene.pan, ratio).data
         frozen = {name: Tensor(p.data) for name, p in params.items()}
         ms_up = upsample(scene.ms, ratio).data
         want = spec.forward(frozen, Tensor(ms_up), Tensor(scene.pan.data[None])).data
         # the head moves the output well away from the bicubic input
         assert np.abs(want - ms_up).max() > 0.05
-        # float32 GEMMs of another width may sum in another order: over these
-        # cases the tiles differ from the whole-image pass by at most 6.0e-7,
-        # five float32 steps at 1.0, in at most 11% of the samples
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+        # a band keeps the whole width, so each GEMM sums as the whole image's
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("size", [256, 1024])
     def test_memory_is_set_by_the_tile(self, monkeypatch, size):
-        # 64^2 tiles: a 16-channel activation of one tile and its halo is
-        # 0.6 MB; the whole-image pass holds 128 MB per activation at 1024^2
+        # bands of 64 * 64 PAN pixels, 4 rows at 1024 wide: a 16-channel
+        # activation of one band and its halo is 0.6 MB there; the whole-image
+        # pass holds 64 MB per activation at 1024^2
         scene = synth_scene(seed=23, width=size, height=size, bands=4, ratio=4)
         _spec, params = random_head_checkpoint(4, 24)
-        monkeypatch.setattr(gan, "_FUSE_TILE", 64)
+        monkeypatch.setattr(raster, "_BAND_ELEMENTS", 64 * 64)
         tracemalloc.start()
         try:
             product = gan.fuse(params, scene.ms, scene.pan, 4)
@@ -552,17 +555,17 @@ class TestFuseTiles:
         assert peak - result < 8 * 2**20, f"{(peak - result) / 2**20:.1f} MB beyond the result"
 
     def test_numerical_error_names_the_tile(self, small_scene, monkeypatch):
-        # PAN is zero but for a patch inside the tile at (32, 32) and outside
-        # the halos of the others; a PAN weight near the float32 limit overflows
+        # PAN is zero but for a patch inside the band of rows 32-63 and outside
+        # the halo of the other; a PAN weight near the float32 limit overflows
         # only there, and stays finite as a float32 weight
         scene = small_scene
         pan = np.zeros((scene.pan.height, scene.pan.width))
         pan[40:44, 40:44] = 1.0
         _spec, params = random_head_checkpoint(4, 25)
         params["gen.conv1.weight"].data[:, 4] = 3e38
-        monkeypatch.setattr(gan, "_FUSE_TILE", 32)
+        monkeypatch.setattr(raster, "_BAND_ELEMENTS", 32 * scene.pan.width)
         with np.errstate(over="ignore"), pytest.raises(
-            NumericalError, match=r"tile at \(32, 32\)"
+            NumericalError, match="in PAN rows 32-63$"
         ):
             gan.fuse(params, scene.ms, RasterBand(pan), scene.ratio)
 
@@ -570,5 +573,5 @@ class TestFuseTiles:
         scene = small_scene
         _spec, params = random_head_checkpoint(4, 26)
         params["gen.conv2.bias"].data[3] = np.nan
-        with pytest.raises(NumericalError, match=r"'conv2d' in the tile at \(0, 0\)"):
+        with pytest.raises(NumericalError, match="'conv2d' in PAN rows 0-63$"):
             gan.fuse(params, scene.ms, scene.pan, scene.ratio)

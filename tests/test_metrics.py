@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from panfuse import metrics
+from panfuse import metrics, raster
 from panfuse.errors import DegenerateInputError, InvalidInputError
 from panfuse.metrics import (
     MetricConfig,
@@ -88,7 +88,7 @@ class TestSamMap:
         rng = np.random.default_rng(9)
         f, m = ms_of(rng.uniform(size=(4, 64, 256))), ms_of(rng.uniform(size=(4, 64, 256)))
         whole_map, whole_mean = sam_map(f, m), sam_global(f, m)  # one block of 64 rows
-        monkeypatch.setattr(metrics, "_SAM_ROWS", 4)
+        monkeypatch.setattr(raster, "_BAND_ELEMENTS", 4 * 4 * 256)  # blocks of 4 rows
         block = 4 * 256 * 8  # bytes of one band-sized array of a block
         tracemalloc.start()
         try:
@@ -664,7 +664,7 @@ class TestRowBands:
         a, b = blocky(rng, (3, h, w), levels, block) - 0.5, blocky(rng, (4, h, w), levels, block)
         default = self.statistics(a, b, window, stride)  # one band: the whole image
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(metrics, "_BAND_ELEMENTS", 1)
+            patch.setattr(raster, "_BAND_ELEMENTS", 1)
             banded = self.statistics(a, b, window, stride)
         for want, got in zip(default, banded, strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -680,7 +680,7 @@ class TestRowBands:
                   for _ in range(2))
         default = metrics._q4_tables(ma, mb)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(metrics, "_BAND_ELEMENTS", 1)
+            patch.setattr(raster, "_BAND_ELEMENTS", 1)
             assert metrics._q4_tables(ma, mb).tobytes() == default.tobytes()
 
     def test_one_block_per_band_keeps_nearly_flat_windows(self, monkeypatch):
@@ -688,14 +688,14 @@ class TestRowBands:
         m = near_flat(6, (4, 64, 64), 0.7, (20, 50))
         default = self.statistics(f, m, 32, 32)
         assert default[5].any() and default[11].any()  # windows recomputed in two passes
-        monkeypatch.setattr(metrics, "_BAND_ELEMENTS", 1)
+        monkeypatch.setattr(raster, "_BAND_ELEMENTS", 1)
         for want, got in zip(default, self.statistics(f, m, 32, 32), strict=True):
             assert got.tobytes() == want.tobytes()
 
     def test_cc_and_ergas_over_one_row_bands(self, monkeypatch):
         rng = np.random.default_rng(17)
         f, m = rng.uniform(size=(2, 3, 24, 20))
-        monkeypatch.setattr(metrics, "_BAND_ELEMENTS", 1)
+        monkeypatch.setattr(raster, "_BAND_ELEMENTS", 1)
         assert abs(cc(ms_of(f), ms_of(m)) - np.mean(
             [oracles.naive_cc(a, b) for a, b in zip(f, m)])) < 1e-12
         assert abs(ergas(ms_of(f), ms_of(m)) - oracles.naive_ergas(f, m, 0.25)) < 1e-12

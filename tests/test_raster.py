@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_conv2d_reflect, naive_covariance, naive_png_unfilter
+from panfuse import raster
 from panfuse.errors import (
     DegenerateInputError,
     FormatError,
@@ -35,6 +36,7 @@ from panfuse.raster import (
     mtf_degrade_ms,
     mtf_sigma,
     parse_csv_table,
+    row_bands,
     save_raster,
     upsample,
     upsample_band,
@@ -97,32 +99,27 @@ class TestUpsample:
         assert out.data.shape == (8, 8)
         np.testing.assert_allclose(out.data, 0.5, atol=1e-12)
 
-    # the examples: the whole grid, the top-right pixel, the bottom-left
-    # pixel, and a window on the top and right edges
+    # the examples: the whole grid, the top row, the bottom row, and a window
+    # on the top edge
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, 9), st.integers(1, 9), st.integers(2, 5),
         st.tuples(st.floats(0, 1), st.floats(0, 1)),
-        st.tuples(st.floats(0, 1), st.floats(0, 1)),
         st.integers(0, 2**32 - 1),
     )
-    @example(5, 7, 4, (0.0, 1.0), (0.0, 1.0), 0)
-    @example(5, 7, 4, (0.0, 0.0), (1.0, 1.0), 1)
-    @example(1, 1, 2, (1.0, 1.0), (0.0, 0.0), 2)
-    @example(6, 3, 3, (0.0, 0.4), (0.6, 1.0), 3)
-    def test_bicubic_window_is_the_crop_bitwise(self, h, w, r, rows_at, cols_at, seed):
+    @example(5, 7, 4, (0.0, 1.0), 0)
+    @example(5, 7, 4, (0.0, 0.0), 1)
+    @example(1, 1, 2, (1.0, 1.0), 2)
+    @example(6, 3, 3, (0.0, 0.4), 3)
+    def test_bicubic_window_is_the_crop_bitwise(self, h, w, r, rows_at, seed):
         a = np.random.default_rng(seed).uniform(0.0, 1.0, size=(3, h, w))
-
-        def window(at, n):
-            # a non-empty [start, stop) of n output pixels from two fractions
-            start = min(int(min(at) * n), n - 1)
-            return slice(start, max(start + 1, int(max(at) * n)))
-
-        rows, cols = window(rows_at, h * r), window(cols_at, w * r)
+        # a non-empty [start, stop) of the h * r output rows from two fractions
+        start = min(int(min(rows_at) * h * r), h * r - 1)
+        rows = slice(start, max(start + 1, int(max(rows_at) * h * r)))
         whole = upsample(MultispectralImage(a), r).data
         # one band, and the stack of all three bands in one call
-        for got, want in ((_bicubic_up(a[0], r, rows, cols), whole[0, rows, cols]),
-                          (_bicubic_up(a, r, rows, cols), whole[:, rows, cols])):
+        for got, want in ((_bicubic_up(a[0], r, rows), whole[0, rows]),
+                          (_bicubic_up(a, r, rows), whole[:, rows])):
             assert got.shape == want.shape
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -134,6 +131,35 @@ def bicubic_by_sums(a: np.ndarray, r: int) -> np.ndarray:
     cidx, cw = _bicubic_axis_taps(a.shape[1], r)
     rows = sum(a[idx[k], :] * w[k][:, None] for k in range(4))
     return sum(rows[:, cidx[k]] * cw[k] for k in range(4))
+
+
+class TestRowBands:
+    def test_default_budget(self):
+        # 64 rows at 1024 wide, and SAM's four buffers of 256 wide share it in
+        # 64-row bands
+        assert row_bands(1024, 1024)[:2] == [slice(0, 64), slice(64, 128)]
+        assert row_bands(256, 4 * 256)[0] == slice(0, 64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 300), st.integers(1, 300), st.integers(1, 40),
+        st.one_of(st.just(raster._BAND_ELEMENTS), st.integers(1, 2**14)),
+    )
+    @example(7, 5, 3, 1)  # bands of one 3-row block, the last of 1 row
+    def test_bands_cover_the_rows_in_whole_units_within_the_budget(
+        self, height, width, unit, budget
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(raster, "_BAND_ELEMENTS", budget)
+            bands = row_bands(height, width, unit)
+        # contiguous, non-empty and so disjoint, and covering [0, height)
+        assert [b.start for b in bands] == [0] + [b.stop for b in bands[:-1]]
+        assert bands[-1].stop == height
+        sizes = [b.stop - b.start for b in bands]
+        assert min(sizes) > 0 and max(sizes) * width <= max(budget, unit * width)
+        assert all(b.start % unit == 0 for b in bands)
+        if height % unit == 0:
+            assert all(n % unit == 0 for n in sizes)
 
 
 class TestStackOps:

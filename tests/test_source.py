@@ -40,8 +40,8 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
-def private_definitions(tree: ast.Module) -> set:
-    """The module-level names the module defines with one leading underscore."""
+def module_definitions(tree: ast.Module) -> set:
+    """The names the module binds at module level by def, class or assignment."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -49,7 +49,12 @@ def private_definitions(tree: ast.Module) -> set:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def private_definitions(tree: ast.Module) -> set:
+    """The module-level names the module defines with one leading underscore."""
+    return {n for n in module_definitions(tree) if n.startswith("_") and not n.startswith("__")}
 
 
 def test_every_private_name_is_read():
@@ -66,6 +71,18 @@ def test_every_private_name_is_read():
         f"{name}.{n}" for name, tree in trees.items() for n in private_definitions(tree) - read
     )
     assert not unread, f"defined under src/panfuse and never read: {unread}"
+
+
+def test_only_raster_sizes_blocks():
+    # raster._BAND_ELEMENTS is the one budget of every blocked loop, and
+    # raster.row_bands cuts the rows from it; no module keeps a size of its own
+    sizes = sorted(
+        f"{path.name}:{name}"
+        for path in PACKAGE.glob("*.py") if path.name != "raster.py"
+        for name in module_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name.endswith(("_ROWS", "_BLOCK", "_TILE", "_ELEMENTS"))
+    )
+    assert not sizes, f"block sizes outside raster: {sizes}"
 
 
 COMMON_FLAGS = ["--config", "--seed", "--ratio", "--out"]
