@@ -26,13 +26,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateInputError,
-    FormatError,
     InvalidInputError,
     NumericalError,
     ShapeError,
     TrainingDivergenceError,
 )
-from .raster import row_bands
+from .raster import ByteReader, row_bands
 
 
 class TapeNode:
@@ -788,53 +787,29 @@ def save_checkpoint(params: ParameterSet, path) -> None:
 
 def load_checkpoint(path) -> ParameterSet:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(
-            f"bad checkpoint magic at byte 0: expected {CHECKPOINT_MAGIC!r}, "
-            f"got {blob[:4]!r}"
-        )
-    (count,) = struct.unpack_from("<I", blob, 4)
-    pos = 8
+        ck = ByteReader(fh.read(), str(path))
+    magic = bytes(ck.take(4, "magic"))
+    if magic != CHECKPOINT_MAGIC:
+        raise ck.error("magic", f"expected {CHECKPOINT_MAGIC!r}, got {magic!r}", at=0)
+    (count,) = ck.unpack("<I", "count")
     params = ParameterSet()
     for _ in range(count):
-        if pos + 2 > len(blob):
-            raise FormatError(f"truncated checkpoint at byte {pos}: missing name length")
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        if pos + name_len > len(blob):
-            raise FormatError(
-                f"truncated checkpoint at byte {pos}: name of {name_len} bytes, "
-                f"{len(blob) - pos} left"
-            )
+        (name_len,) = ck.unpack("<H", "name length")
+        name_at = ck.pos
         try:
-            name = blob[pos : pos + name_len].decode("utf-8")
+            name = str(ck.take(name_len, "name"), "utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"parameter name at byte {pos} is not UTF-8: {exc.reason} "
-                f"at byte {pos + exc.start}"
-            ) from exc
-        pos += name_len
-        if pos + 1 > len(blob):
-            raise FormatError(f"truncated checkpoint at byte {pos}: missing rank")
-        rank = blob[pos]
-        pos += 1
+            raise ck.error("name", f"not UTF-8: {exc.reason} at byte {name_at + exc.start}",
+                           at=name_at) from exc
+        if name in params:
+            raise ck.error("name", f"repeats parameter {name!r}", at=name_at)
+        rank_at = ck.pos
+        (rank,) = ck.unpack("<B", "rank")
         if rank > 4:
-            raise FormatError(f"checkpoint rank {rank} exceeds 4 at byte {pos - 1}")
-        if pos + 4 * rank > len(blob):
-            raise FormatError(f"truncated checkpoint at byte {pos}: missing dims")
-        dims = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
+            raise ck.error("rank", f"{rank} exceeds 4", at=rank_at)
+        dims = ck.unpack(f"<{rank}I", "dims")
         n = math.prod(dims)  # exact: dims from the file may overflow int64
-        nbytes = n * 8
-        if pos + nbytes > len(blob):
-            raise FormatError(
-                f"truncated checkpoint payload at byte {pos}: expected {nbytes} bytes, "
-                f"got {len(blob) - pos}"
-            )
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=pos).reshape(dims)
-        pos += nbytes
-        params.add(name, arr.copy())
-    if pos != len(blob):
-        raise FormatError(f"trailing bytes in checkpoint at byte {pos}")
+        data = np.frombuffer(ck.take(n * 8, "payload"), dtype="<f8")
+        params.add(name, data.reshape(dims))
+    ck.close()
     return params

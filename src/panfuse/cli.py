@@ -6,7 +6,8 @@ be chained; re-running a stage with identical inputs overwrites its outputs
 with byte-identical files.  A stage only computes and returns its outputs;
 :func:`main` then writes all of them or none, a guarantee that covers a failed
 or killed process but not a power loss (see :func:`_write_outputs`).  Exit
-codes: 0 success, 2 validation error, 3 numerical or training error.
+codes: 0 success, 2 validation error or out of memory, 3 numerical or training
+error.
 """
 
 from __future__ import annotations
@@ -384,6 +385,9 @@ def main(argv=None) -> int:
         return 3
     except (PanfuseError, OSError) as exc:
         print(f"panfuse: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"panfuse: out of memory in {args.command}", file=sys.stderr)
         return 2
     sys.stdout.write(text)
     return 0

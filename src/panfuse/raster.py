@@ -496,6 +496,42 @@ def save_raster(image, path) -> None:
             fh.write(band.astype("<f4"))
 
 
+class ByteReader:
+    """A bounds-checked cursor over the bytes of a file, read front to back.
+
+    Every failure is a :class:`FormatError` that names the source, the byte
+    offset and the field.  A length is compared with the bytes left before
+    anything is sliced, so a header that claims any size allocates nothing.
+    """
+
+    def __init__(self, data, source: str):
+        self.data = memoryview(data)
+        self.source = source
+        self.pos = 0
+
+    def error(self, field: str, detail: str, at: int | None = None) -> FormatError:
+        """The error for ``field`` at byte ``at``, by default the position."""
+        return FormatError(f"{self.source}: {field} at byte {self.pos if at is None else at}: "
+                           f"{detail}")
+
+    def take(self, n: int, field: str) -> memoryview:
+        """The next ``n`` bytes, not copied."""
+        left = len(self.data) - self.pos
+        if n > left:
+            raise self.error(field, f"truncated, expected {n} bytes, {left} left")
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        """The struct ``fmt`` from the next bytes."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
+
+    def close(self) -> None:
+        """Reject bytes after the last field."""
+        if self.pos != len(self.data):
+            raise self.error("trailing bytes", f"{len(self.data) - self.pos} after the last field")
+
+
 def load_raster(path):
     """Read a .pfr container (or a grayscale PNG) back into image objects.
 
@@ -504,32 +540,25 @@ def load_raster(path):
     sample-type maximum.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        reader = ByteReader(fh.read(), str(path))
     if str(path).lower().endswith(".png"):
-        return _load_png_gray(blob, str(path))
-    if len(blob) < 4 or blob[:4] != PFR_MAGIC:
-        raise FormatError(
-            f"bad magic at byte 0: expected {PFR_MAGIC!r}, got {blob[:4]!r}"
-        )
-    if len(blob) < 16:
-        raise FormatError(f"truncated header: expected 16 bytes, got {len(blob)}")
-    w, h, k = struct.unpack_from("<III", blob, 4)
+        return _load_png_gray(reader)
+    magic = bytes(reader.take(4, "magic"))
+    if magic != PFR_MAGIC:
+        raise reader.error("magic", f"expected {PFR_MAGIC!r}, got {magic!r}", at=0)
+    w, h, k = reader.unpack("<III", "header")
     if w == 0 or h == 0 or k == 0:
-        raise FormatError(f"zero dimension in header at byte 4: {w}x{h}x{k}")
+        raise reader.error("dimensions", f"zero in {w}x{h}x{k}", at=4)
     if w * h * k > 2**34:
-        raise FormatError(
-            f"dimension overflow in header at byte 4: {w}x{h}x{k} samples"
-        )
-    expected = 16 + w * h * k * 4
-    if len(blob) != expected:
-        raise FormatError(
-            f"truncated payload: expected {expected} bytes, got {len(blob)} "
-            "(samples begin at byte 16)"
-        )
-    samples = np.frombuffer(blob, dtype="<f4", offset=16)
+        raise reader.error("dimensions", f"{w}x{h}x{k} samples overflow", at=4)
+    samples = np.frombuffer(reader.take(w * h * k * 4, "payload"), dtype="<f4")
+    reader.close()
     # checked before the cast: a signalling NaN makes the cast warn
     if not np.isfinite(samples).all():
-        raise FormatError("payload contains non-finite samples (from byte 16)")
+        first = int(np.argmin(np.isfinite(samples)))
+        b, y, x = np.unravel_index(first, (k, h, w))
+        raise reader.error("payload", f"non-finite samples, the first in band {b}, row {y}, "
+                           f"column {x}", at=16 + 4 * first)
     vals = samples.astype(np.float64).reshape(k, h, w)
     if k == 1:
         return RasterBand(vals[0])
@@ -589,73 +618,62 @@ def _png_unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
     return out
 
 
-def _load_png_gray(blob: bytes, path: str) -> RasterBand:
-    if blob[:8] != _PNG_SIGNATURE:
-        raise FormatError(f"bad PNG signature at byte 0 in {path}")
-    pos = 8
-    ihdr = None
+def _load_png_gray(png: ByteReader) -> RasterBand:
+    if png.take(8, "signature") != _PNG_SIGNATURE:
+        raise png.error("signature", "not a PNG", at=0)
+    ihdr = idat_at = None
     idat = bytearray()
-    idat_pos = None
-    seen_end = False
-    while pos < len(blob):
-        if pos + 8 > len(blob):
-            raise FormatError(f"truncated PNG chunk header at byte {pos}")
-        length, ctype = struct.unpack_from(">I4s", blob, pos)
-        data_start = pos + 8
-        data_end = data_start + length
-        if data_end + 4 > len(blob):
-            raise FormatError(f"truncated PNG chunk {ctype!r} at byte {pos}")
-        chunk = blob[data_start:data_end]
-        (crc,) = struct.unpack_from(">I", blob, data_end)
-        if crc != zlib.crc32(ctype + chunk) & 0xFFFFFFFF:
-            raise FormatError(f"bad CRC for PNG chunk {ctype!r} at byte {data_end}")
+    while True:
+        at = png.pos
+        length, ctype = png.unpack(">I4s", "chunk header (no IEND yet)")
+        chunk_at = png.pos
+        chunk = png.take(length, f"{ctype!r} chunk")
+        crc_at = png.pos
+        (crc,) = png.unpack(">I", f"{ctype!r} CRC")
+        if crc != zlib.crc32(chunk, zlib.crc32(ctype)):
+            raise png.error(f"{ctype!r} CRC", "does not match the chunk", at=crc_at)
         if ctype == b"IHDR":
             if length != 13:
-                raise FormatError(f"PNG IHDR at byte {pos} has {length} bytes, expected 13")
-            ihdr = struct.unpack(">IIBBBBB", chunk)
+                raise png.error("IHDR", f"has {length} bytes, expected 13", at=at)
+            ihdr = chunk_at, ByteReader(chunk, png.source).unpack(">IIBBBBB", "IHDR")
         elif ctype == b"IDAT":
-            if not idat:
-                idat_pos = pos
+            idat_at = at if idat_at is None else idat_at
             idat.extend(chunk)
         elif ctype == b"IEND":
-            seen_end = True
             break
-        pos = data_end + 4
     if ihdr is None:
-        raise FormatError(f"missing IHDR chunk in {path}")
-    if not seen_end:
-        raise FormatError(f"missing IEND chunk in {path}")
-    width, height, depth, color, comp, filt, interlace = ihdr
+        raise png.error("IHDR", "missing before IEND", at=at)
+    ihdr_at, (width, height, depth, color, comp, filt, interlace) = ihdr
     if color != 0:
-        raise FormatError(f"only grayscale PNG is supported, got color type {color}")
+        raise png.error("IHDR color type", f"only grayscale PNG is supported, got {color}",
+                        at=ihdr_at + 9)
     if depth not in (8, 16):
-        raise FormatError(f"only 8/16-bit PNG is supported, got depth {depth}")
+        raise png.error("IHDR bit depth", f"only 8/16-bit PNG is supported, got {depth}",
+                        at=ihdr_at + 8)
     if comp != 0 or filt != 0 or interlace != 0:
-        raise FormatError("unsupported PNG compression/filter/interlace settings")
+        raise png.error("IHDR", "unsupported compression/filter/interlace settings "
+                        f"{comp}/{filt}/{interlace}", at=ihdr_at + 10)
     if width == 0 or height == 0:
-        raise FormatError("zero PNG dimensions in IHDR")
-    if idat_pos is None:
-        raise FormatError(f"missing IDAT chunk in {path}")
+        raise png.error("IHDR", f"zero dimensions {width}x{height}", at=ihdr_at)
+    if idat_at is None:
+        raise png.error("IDAT", "missing before IEND", at=at)
     bpp = depth // 8
     # one filter byte per row plus the samples: all that IHDR allows, so a
     # small file cannot inflate without bound
     limit = height * (width * bpp + 1)
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(bytes(idat), min(limit + 1, sys.maxsize))
+        raw = inflater.decompress(idat, min(limit + 1, sys.maxsize))
     except zlib.error as exc:
-        raise FormatError(
-            f"corrupt PNG image data from byte {idat_pos} in {path}: {exc}"
-        ) from exc
+        raise png.error("IDAT", f"corrupt image data: {exc}", at=idat_at) from exc
     if len(raw) > limit:
-        raise FormatError(
-            f"PNG image data from byte {idat_pos} inflates past the {limit} bytes "
-            f"that IHDR implies"
-        )
+        raise png.error("IDAT", f"image data inflates past the {limit} bytes that IHDR "
+                        "implies", at=idat_at)
     if not inflater.eof:
-        raise FormatError(
-            f"corrupt PNG image data from byte {idat_pos} in {path}: truncated zlib stream"
-        )
-    samples = _png_unfilter(raw, height, width * bpp, bpp)
+        raise png.error("IDAT", "corrupt image data: truncated zlib stream", at=idat_at)
+    try:
+        samples = _png_unfilter(raw, height, width * bpp, bpp)
+    except FormatError as exc:
+        raise png.error("IDAT", f"inflated image data: {exc}", at=idat_at) from exc
     arr = samples.view(">u2") if depth == 16 else samples
     return RasterBand(arr.astype(np.float64) / float(2**depth - 1))

@@ -700,18 +700,31 @@ class TestParameterSet:
     def test_checkpoint_non_utf8_name(self, tmp_path):
         path = tmp_path / "name.pfck"
         path.write_bytes(self._one_entry(b"w\xff", payload=b"\x00" * 8))
-        with pytest.raises(FormatError, match=r"byte 10 is not UTF-8.*at byte 11"):
+        with pytest.raises(FormatError, match=r"name at byte 10: not UTF-8.*at byte 11"):
             ad.load_checkpoint(path)
 
     def test_checkpoint_name_past_end(self, tmp_path):
         path = tmp_path / "long.pfck"
         path.write_bytes(self._one_entry(b"abc", name_len=500)[:13])
-        with pytest.raises(FormatError, match=r"at byte 10: name of 500 bytes, 3 left"):
+        with pytest.raises(FormatError, match=r"name at byte 10: truncated, expected 500 bytes, 3 left"):
             ad.load_checkpoint(path)
+
+    def test_checkpoint_repeated_name(self, tmp_path):
+        entry = self._one_entry(b"a", payload=b"\x00" * 8)[8:]  # name length to payload
+        path = tmp_path / "twice.pfck"
+        path.write_bytes(ad.CHECKPOINT_MAGIC + struct.pack("<I", 2) + entry + entry)
+        with pytest.raises(FormatError, match=r"name at byte 22: repeats parameter 'a'"):
+            ad.load_checkpoint(path)
+
+    def test_every_checkpoint_prefix_names_its_offset(self, every_prefix_fails):
+        params = ParameterSet()
+        params.add("w", np.ones((2, 1)))
+        params.add("b", 0.5)
+        every_prefix_fails("cut.pfck", ad.checkpoint_bytes(params), ad.load_checkpoint)
 
     def test_checkpoint_dims_overflow_int64(self, tmp_path):
         # the product 2**64 wraps to 0 in int64 arithmetic
         path = tmp_path / "huge.pfck"
         path.write_bytes(self._one_entry(b"w", dims=(2**16,) * 4))
-        with pytest.raises(FormatError, match=r"payload at byte 28: expected 147573952589676412928"):
+        with pytest.raises(FormatError, match=r"payload at byte 28: truncated, expected 147573952589676412928"):
             ad.load_checkpoint(path)

@@ -412,6 +412,27 @@ class TestExitCodes:
         monkeypatch.setattr("panfuse.gan.train", explode)
         assert run(["train", "--out", str(out)]) == 3
 
+    @pytest.mark.parametrize("where", ["stage", "second-write"])
+    def test_out_of_memory_exits_2_without_outputs(self, tmp_path, capsys, monkeypatch, where):
+        def exhaust(*args):
+            raise MemoryError
+
+        write_one = panfuse.cli.save_raster
+
+        def write_once(image, path):
+            # the first output is written, the second finds no memory
+            monkeypatch.setattr("panfuse.cli.save_raster", exhaust)
+            write_one(image, path)
+
+        if where == "stage":
+            monkeypatch.setattr("panfuse.cli.cmd_synth", exhaust)
+        else:
+            monkeypatch.setattr("panfuse.cli.save_raster", write_once)
+        out = tmp_path / "run"
+        assert run(synth_args(out, size=16, ratio=2)) == 2
+        assert capsys.readouterr().err == "panfuse: out of memory in synth\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_saturated_critic_exits_3_and_names_it(self, tmp_path, capsys, monkeypatch):
         # a huge critic step drives its sigmoid to exactly 0 or 1 in the first iteration
         out = tmp_path / "run"
@@ -597,7 +618,18 @@ class TestMalformedInputs:
             assert run(argv) == 2
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
-        assert err == "panfuse: payload contains non-finite samples (from byte 16)\n"
+        assert err == (f"panfuse: {bad}: payload at byte 16: non-finite samples, the first in "
+                       "band 0, row 0, column 0\n")
+
+    def test_fuse_with_truncated_pan_names_it(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run(synth_args(out, size=16, ratio=2, bands=2))
+        pan = out / "pan.pfr"
+        pan.write_bytes(pan.read_bytes()[:-1])
+        capsys.readouterr()
+        assert run(["fuse", "--method", "exp", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"panfuse: {pan}: ") and len(err.splitlines()) == 1
 
 
     def test_fused_beyond_float32_range_exits_3_without_output(self, tmp_path, capsys):

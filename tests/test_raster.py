@@ -470,7 +470,7 @@ class TestIO:
         path = tmp_path / "trunc.pfr"
         header = struct.pack("<4sIII", b"PFR1", 4, 4, 1)
         path.write_bytes(header + b"\x00" * 8)  # payload should be 64 bytes
-        with pytest.raises(FormatError, match=r"expected 80 bytes, got 24"):
+        with pytest.raises(FormatError, match=r"payload at byte 16: truncated, expected 64 bytes, 8 left"):
             load_raster(path)
 
     def test_pfr_signalling_nan_is_a_format_error(self, tmp_path):
@@ -479,6 +479,20 @@ class TestIO:
         path.write_bytes(struct.pack("<4sIII2I", b"PFR1", 2, 1, 1, 0x7F800001, 0x3F800000))
         with pytest.raises(FormatError, match="non-finite samples"):
             load_raster(path)
+
+    def test_pfr_non_finite_sample_names_its_offset(self, tmp_path):
+        data = np.zeros((2, 3, 4), dtype="<f4")
+        data[1, 2, 1] = data[1, 2, 3] = np.nan  # samples 21 and 23
+        path = tmp_path / "nan.pfr"
+        path.write_bytes(struct.pack("<4sIII", b"PFR1", 4, 3, 2) + data.tobytes())
+        match = r"payload at byte 100: non-finite samples, the first in band 1, row 2, column 1"
+        with pytest.raises(FormatError, match=match):
+            load_raster(path)
+
+    def test_every_pfr_prefix_names_its_offset(self, tmp_path, every_prefix_fails):
+        path = tmp_path / "whole.pfr"
+        save_raster(MultispectralImage(np.linspace(0.0, 1.0, 12).reshape(2, 2, 3)), path)
+        every_prefix_fails("cut.pfr", path.read_bytes(), load_raster)
 
     @pytest.mark.parametrize("value", [1e39, -1e39])
     def test_pfr_sample_beyond_float32_range_writes_nothing(self, tmp_path, value):
@@ -528,8 +542,13 @@ class TestIO:
         blob = b"\x89PNG\r\n\x1a\n" + png_chunk(b"IHDR", ihdr) + png_chunk(b"IEND", b"")
         path = tmp_path / "short_ihdr.png"
         path.write_bytes(blob)
-        with pytest.raises(FormatError, match="IHDR at byte 8 has 12 bytes, expected 13"):
+        with pytest.raises(FormatError, match="IHDR at byte 8: has 12 bytes, expected 13"):
             load_raster(path)
+
+    @pytest.mark.parametrize("depth", [8, 16])
+    def test_every_png_prefix_names_its_offset(self, every_prefix_fails, depth):
+        arr = np.arange(6).reshape(2, 3) * 40
+        every_prefix_fails("cut.png", make_gray_png(arr, depth), load_raster)
 
     @settings(max_examples=200, deadline=None)
     @given(depth=st.sampled_from([8, 16]), width=st.integers(1, 9), data=st.data())
@@ -567,7 +586,7 @@ class TestIO:
         )
         path = tmp_path / "bomb.png"
         path.write_bytes(blob)
-        with pytest.raises(FormatError, match="from byte 33 inflates past the 6 bytes"):
+        with pytest.raises(FormatError, match="IDAT at byte 33: image data inflates past the 6 bytes"):
             load_raster(path)
 
 

@@ -85,6 +85,21 @@ def test_only_raster_sizes_blocks():
     assert not sizes, f"block sizes outside raster: {sizes}"
 
 
+def test_only_the_reader_unpacks():
+    # raster.ByteReader parses every binary field: it checks each length before
+    # it slices, and a failure names the file, the byte offset and the field
+    unpackers = sorted({
+        f"{path.name}:{getattr(node, 'name', '<module>')}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if getattr(node, "name", None) != "ByteReader"
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr in ("unpack", "unpack_from")
+        and isinstance(sub.value, ast.Name) and sub.value.id == "struct"
+    })
+    assert not unpackers, f"struct.unpack outside raster.ByteReader: {unpackers}"
+
+
 COMMON_FLAGS = ["--config", "--seed", "--ratio", "--out"]
 STAGE_FLAGS = {
     "synth": COMMON_FLAGS + ["--size", "--bands"],
