@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -477,6 +477,77 @@ class TestQ4Properties:
         f, m, window, stride, near = case
         cfg = self.cfg_of(window, stride, near, f, m)
         assert abs(q4(ms_of(f), ms_of(m), cfg) - oracles.naive_q4(f, m, window, stride)) < 1e-10
+
+
+def plateau(rng, shape, level=0.9):
+    """Calm water or saturation in 16-bit imagery: noise of sigma 1.5e-4 about
+    ``level``, about 10 DN, quantised to 1/65535."""
+    return np.round((level + 1.5e-4 * rng.normal(size=shape)) * 65535.0) / 65535.0
+
+
+@st.composite
+def plateau_inputs(draw, k, max_side=12):
+    """(image (k, h, w), window, stride) over windowed_inputs, where drawn with
+    a plateau over a rectangle of every band."""
+    seed, h, w, window, stride, levels, block = draw(windowed_inputs(max_side))
+    rng = np.random.default_rng(seed)
+    a = blocky(rng, (k, h, w), levels, block)
+    if draw(st.booleans()):
+        y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        y1, x1 = draw(st.integers(y0 + 1, h)), draw(st.integers(x0 + 1, w))
+        a[:, y0:y1, x0:x1] = plateau(rng, (k, y1 - y0, x1 - x0))
+    return a, window, stride
+
+
+class TestMetricInvariants:
+    """SAM, CC, ERGAS and the inter-band UIQI of D_lambda under the maps that
+    must not move them, plateaus among the inputs."""
+
+    EPS = np.finfo(float).eps
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=plateau_inputs(k=6), seed=st.integers(0, 2**32 - 1))
+    def test_sam_ignores_a_positive_scale_per_pixel(self, case, seed):
+        a, _, _ = case
+        f, m = a[:3], a[3:]
+        s = np.random.default_rng(seed).uniform(0.125, 8.0, size=f.shape[1:])
+        # scaling moves cos by a few ulps; near an angle of 0, arccos turns
+        # an error d of cos into sqrt(2 d) radians: 8 eps gives 2.4e-6 degrees
+        bound = np.degrees(np.sqrt(2 * 8 * self.EPS))
+        assert abs(sam_global(ms_of(f * s), ms_of(m)) - sam_global(ms_of(f), ms_of(m))) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=plateau_inputs(k=6), seed=st.integers(0, 2**32 - 1))
+    def test_cc_ignores_a_positive_affine_map_per_band(self, case, seed):
+        a, _, _ = case
+        f, m = a[:3], a[3:]
+        rng = np.random.default_rng(seed)
+        gain, offset = rng.uniform(0.25, 4.0, size=(3, 1, 1)), rng.uniform(-1.0, 1.0, size=(3, 1, 1))
+        g = gain * f + offset
+        assume(all(np.ptp(x) > 0 for x in (*f, *m)))  # CC of a constant band is undefined
+        # CC is the cosine of the centred bands, so moving band b by e moves
+        # its CC by at most |e| / |b - mean b|: the map rounds each sample by
+        # eps |g|, and the sums add a few eps more
+        spread = min(np.linalg.norm(x - x.mean()) for x in f) * gain.min()
+        bound = 4 * self.EPS * np.sqrt(f[0].size) * np.abs(g).max() / spread + 1e-14
+        assert abs(cc(ms_of(g), ms_of(m)) - cc(ms_of(f), ms_of(m))) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=plateau_inputs(k=3))
+    def test_ergas_of_an_image_with_itself_is_zero(self, case):
+        a, _, _ = case
+        a += 0.05  # every band has a positive mean
+        assert ergas(ms_of(a), ms_of(a)) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=plateau_inputs(k=4))
+    def test_the_inter_band_uiqi_is_symmetric(self, case):
+        # _band_pairs scores each unordered pair once for both orders
+        a, window, stride = case
+        m = metrics._moments(ms_of(a), window, stride)
+        pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+        q = dict(zip(pairs, metrics._uiqi_means(m, m, pairs)))
+        assert all(q[i, j] == q[j, i] for i, j in pairs)
 
 
 class TestErgas:
