@@ -3,40 +3,38 @@
 Reduced-resolution (full-reference) metrics: SAM, CC, UIQI, Q4, ERGAS.
 Full-resolution (no-reference) metrics: D_lambda, D_s and their QNR product.
 
-The windowed indices (UIQI, Q4, D_lambda, D_s) score every window at once.
-Each band is centred on its image mean.  The window sums of it, its square
-and of band products come from one kernel, run down the rows of the plane and
-then down the rows of its transposed result: rows are summed in blocks of
-g = gcd(window, stride), runs of 1, 2, 4, ... blocks are built by doubling,
-and each window combines one run per set bit of its length in blocks, whether
-windows overlap, tile or leave gaps.  The first step reads the image in the
-row bands of whole blocks of ``raster.row_bands``: ``raster._BAND_ELEMENTS``
-elements, the one budget of every blocked loop, or one block each.  Every
-plane the statistics need (band - centre, its square, the band itself for
-the max and the min, each band product) is formed for one band in a reused
-buffer and reduced at once, while it is in cache, into a g-times-smaller
-table of block sums, so no full-size temporary plane is formed.  Each window
-sum adds the same values in the same order as a whole-plane pass would.  CC
-and ERGAS sum dot products over the same row bands, and SAM forms its angles
-in bands whose four work arrays share one band's budget.
+The windowed indices (UIQI, Q4, D_lambda, D_s) score every window at once,
+and every window takes one path (``_window_tables``).  A window is whole
+blocks of gy x gx pixels, g = gcd(window, stride) on each axis, or the window
+on an axis with one window.  The planes are read in tiles of whole blocks,
+about ``raster._BAND_ELEMENTS`` elements a pair of buffers, the one budget of
+every blocked loop.  In a tile each band is shifted by the first pixel of
+each block, its pivot, and the block sums of the shifted band and of the
+products of shifted bands are formed while it is in cache; each block keeps
+its pivot, the offset of its mean from it and its sums about its mean.
+Blocks are merged into runs of 1, 2, 4, ... blocks by doubling, and a window
+merges one run per set bit of its length in blocks, down the rows and then
+across the columns, by the pairwise update of Chan, Golub and LeVeque
+(1983).  The update moves the offsets, never the pivots, so its rounding
+error grows with a window's spread, not with its distance from zero: a
+plateau of 16-bit calm water or saturation, or a window one float32 step
+from flat, needs no second pass.  A block's statistics do not depend on the
+tile it was read in, so the budget moves no bit of any window statistic.
+CC and ERGAS sum dot products over row bands, and SAM forms its angles in
+bands whose four work arrays share one band's budget.
 
-Per-window covariances come from window sums of products of centred bands.
 UIQI reads the covariance of each band of one image with the same band of the
 other, D_lambda that of each pair of bands within one image and D_s that of
 each band with PAN.  Q4 reads the four covariances UIQI reads, whose sum is
 Hamilton part 0 of (f - mu_f) conj(m - mu_m), and one window table for each
-of parts 1-3 (Alparone et al. 2004): the eight bands are centred once per row
-band, each part is formed per pixel as the signed sum of its four band
-products, and its window sums are corrected by the same signed sum of the
-products of the window sums of the factors.  A window is flat when its max,
-from the same kernel, equals its min, so the degenerate-window conventions
-are exact.  A window whose one-pass variance is within rounding of zero (a
-small spread far from the image mean) has its mean and variance, and every
-covariance or part it enters, recomputed from its tiles in two passes.  The
-high-resolution side of D_lambda / D_s multiplies window and stride by the
-resolution ratio, so window statistics are invariant under pixel
-replication.  What D_lambda and D_s read of the MS image and of PAN at both
-scales is built once per call (``_full_refs``), so that
+of parts 1-3 (Alparone et al. 2004), each the signed sum of four band
+products, per pixel and in every merge, each term next to its transpose: so
+Q(a, a) is exactly 1.  A window is flat when its max, from the same blocks
+and doubling, equals its min, so the degenerate-window conventions are
+exact.  The high-resolution side of D_lambda / D_s multiplies window and
+stride by the resolution ratio, so window statistics are invariant under
+pixel replication.  What D_lambda and D_s read of the MS image and of PAN at
+both scales is built once per call (``_full_refs``), so that
 :func:`harness.run_experiment` can score every method against one build, as
 it does against one set of window statistics of the ground truth.
 """
@@ -238,12 +236,15 @@ def _block_rows(starts: np.ndarray, window: int) -> int:
     return math.gcd(window, int(starts[1] - starts[0]) if starts.size > 1 else window)
 
 
-def _window_runs(run: np.ndarray, starts: np.ndarray, window: int, ufunc) -> np.ndarray:
-    """``ufunc`` over rows s .. s + window - 1, for each s in ``starts``, from
-    ``run``, the reductions of consecutive g-row blocks, which it overwrites.
+def _window_runs(run: np.ndarray, starts: np.ndarray, window: int, size: int,
+                 merge) -> np.ndarray:
+    """The statistics of blocks s .. s + window - 1 along axis 1, for each s in
+    ``starts``, from ``run``, those of consecutive g-long blocks of ``size``
+    pixels each, which it overwrites.
 
     Runs of 1, 2, 4, ... blocks are built by doubling, and each window combines
-    one run per set bit of k = window / g.
+    one run per set bit of k = window / g.  ``merge(a, b, n_a, n_b)`` puts in
+    a the statistics of runs a and b, of n_a and n_b pixels, joined.
     """
     g = _block_rows(starts, window)
     k, s = window // g, int(starts[1] - starts[0]) // g if starts.size > 1 else 1
@@ -251,61 +252,152 @@ def _window_runs(run: np.ndarray, starts: np.ndarray, window: int, ufunc) -> np.
     out, offset, length = None, 0, 1
     while True:
         if k & length:
-            part = run[offset : offset + last + 1 : s]
+            part = run[:, offset : offset + last + 1 : s]
+            if out is None:
+                out = part.copy()
+            else:
+                merge(out, part, offset * size, length * size)
             offset += length
             if offset == k:
-                return part if out is None else ufunc(out, part, out=out)
-            out = part.copy() if out is None else ufunc(out, part, out=out)
+                return out
         # in place: numpy gives overlapping operands copy semantics, and with
         # the output ahead of the input it needs no temporary copy for that
-        run = ufunc(run[:-length], run[length:], out=run[:-length])
+        merge(run[:, :-length], run[:, length:], length * size, length * size)
         length *= 2
 
 
-def _window_rows(a: np.ndarray, starts: np.ndarray, window: int, ufunc) -> np.ndarray:
-    """``ufunc`` over rows s .. s + window - 1 of ``a``, for each s in ``starts``."""
-    g = _block_rows(starts, window)
-    n = (int(starts[-1]) + window) // g
-    blocks = ufunc.reduce(a[: n * g].reshape(n, g, *a.shape[1:]), axis=1)
-    return _window_runs(blocks, starts, window, ufunc)
-
-
-def _window_tables(grid: _WindowGrid, width: int, jobs, plane, buffers: int = 1):
-    """``ufunc`` over every window of the plane of each (ufunc, key) job:
-    (len(jobs), ny, nx).
-
-    The row pass reads the image one band of whole g-row blocks at a time.
-    ``plane(rows, key, work)`` gives rows ``rows`` of the plane of ``key``,
-    read from an image or formed in the ``buffers`` (rows, width) arrays of
-    ``work``, which are the same arrays on every call, so a plane may use what
-    the last one left there; it is reduced into its table of g-row blocks
-    before the next is formed.  The doubling and the column pass then run on
-    these tables, g times smaller than a plane.  The jobs share a pass in
-    groups whose tables hold at most a quarter of a plane or, if more, about
-    two bands of ``raster._BAND_ELEMENTS``: for g < 8 on a large image they go
-    one at a time, each with one table, as a whole-plane pass had.
+def _chan_merge(count: int, sums):
+    """The merge of _window_runs for ``count`` planes and the centred sums of
+    ``sums`` (Chan, Golub and LeVeque 1983).  The statistics are, for each
+    plane, the pivot (the run's first pixel) and the offset of the mean from
+    it, then the sums.  With n = n_a + n_b and d = mu_b - mu_a, the offset
+    takes d n_b / n, and a sum adds the same signed sum of products of the d
+    of its factors, in order, times n_a n_b / n.  The run keeps the pivot of
+    a; the offsets, and so d, are about the spread of a run, not its level,
+    and so is the rounding error.
     """
-    g = _block_rows(grid.ys, grid.window)
-    n = (int(grid.ys[-1]) + grid.window) // g
-    # each pair of buffers gets about _BAND_ELEMENTS elements of a band
-    bands = raster.row_bands(n * g, width * max(1, buffers // 2), g)
-    size = max(1, min(len(jobs), max(g // 4, 2 * raster._BAND_ELEMENTS // (n * width))))
-    # the result outlives the tables and buffers, so it is allocated first:
-    # freed last-in, they leave no hole under it in the heap
-    out = np.empty((len(jobs), grid.ys.size, grid.xs.size))
-    tables = np.empty((size, n, width))
-    work = np.empty((buffers, bands[0].stop, width))
-    for lo in range(0, len(jobs), size):
-        group = jobs[lo : lo + size]
-        for rows in bands:
-            blocks = slice(rows.start // g, rows.stop // g)
-            for table, (ufunc, key) in zip(tables, group):
-                formed = plane(rows, key, work[:, : rows.stop - rows.start])
-                ufunc.reduce(formed.reshape(-1, g, width), axis=1, out=table[blocks])
-        for t, (table, (ufunc, _)) in enumerate(zip(tables, group), lo):
-            runs = np.ascontiguousarray(_window_runs(table, grid.ys, grid.window, ufunc).T)
-            out[t] = _window_rows(runs, grid.xs, grid.window, ufunc).T
-    return out
+    def merge(a, b, n_a, n_b):
+        d = np.subtract(b[:count], a[:count])
+        d += np.subtract(b[count : 2 * count], a[count : 2 * count])
+        np.add(a[2 * count :], b[2 * count :], out=a[2 * count :])
+        between, tmp = np.empty_like(a[2 * count :]), np.empty_like(d[0])
+        for sum_, terms in zip(between, sums):
+            _signed_products(terms, d, d, sum_, tmp)
+        between *= n_a * n_b / (n_a + n_b)
+        a[2 * count :] += between
+        d *= n_b / (n_a + n_b)
+        a[count : 2 * count] += d
+    return merge
+
+
+def _extremes_merge(a, b, n_a, n_b):
+    """The merge of _window_runs for the maxima of k planes followed by their minima."""
+    k = len(a) // 2
+    np.maximum(a[:k], b[:k], out=a[:k])
+    np.minimum(a[k:], b[k:], out=a[k:])
+
+
+def _block_columns(rows: np.ndarray, gx: int, ufunc, buffer, out) -> None:
+    """``ufunc`` over each gx columns of every (r, c) table of ``rows`` into
+    ``out``, in their order, through ``buffer``.  numpy keeps that order only
+    beside a longer axis, so a table is at least two blocks wide, or one block
+    as wide as the plane; so is a table of rows reduced the same way."""
+    k, r, c = rows.shape
+    cols = buffer[: rows.size].reshape(k, r, gx, c // gx)
+    np.copyto(cols, rows.reshape(k, r, c // gx, gx).swapaxes(2, 3))
+    ufunc.reduce(cols, axis=2, out=out)
+
+
+def _window_tables(grid: _WindowGrid, planes, sums, offsets=None, extremes: bool = False):
+    """Window statistics of ``planes`` and of the signed products in ``sums``,
+    a list of (s, i, j) terms for s (planes[i] - mean) (planes[j] - mean).
+
+    Returns (tables, offsets, bounds).  ``tables`` (2 len(planes) + len(sums),
+    ny, nx) holds the first pixel of each window of each plane, then the
+    window mean of each plane, then the window sum of each centred product.  ``offsets`` (len(planes), nby, nbx) holds the mean of
+    each block of each plane less its first pixel, its pivot; pass it back to
+    skip forming it again.  With ``extremes``, ``bounds`` holds the window max
+    and then the window min of each plane.
+
+    A window is whole blocks of gy x gx pixels, g = _block_rows on each axis.
+    The planes are read in tiles of whole blocks, at least two of them wide
+    (see _block_columns), whose buffers hold about ``raster._BAND_ELEMENTS``
+    elements a pair.  Each plane is shifted by the pivot of each block in a
+    buffer, and the block sums of it and of the products of the shifted planes
+    are formed while the tile is in cache; a sum less the block size times the
+    product of the offsets is the sum about the block means.  The blocks are
+    merged into windows down the rows and then across the columns
+    (_chan_merge).  Every window takes this one path, and no statistic
+    depends on the tiles.
+    """
+    gy, gx = (_block_rows(starts, grid.window) for starts in (grid.ys, grid.xs))
+    nby, nbx = ((int(s[-1]) + grid.window) // g for s, g in ((grid.ys, gy), (grid.xs, gx)))
+    count, size = len(planes), gy * gx
+    # a shifted plane each, the product and, for a sum of several, one more
+    buffers = count + min(2, max(map(len, sums), default=1))
+    pairs = (buffers + 1) // 2
+    tiles = []
+    for cols in raster.row_bands(nbx * gx, gy * pairs, 2 * gx):
+        # a last strip of one block takes in the block before it
+        cols = slice(max(0, min(cols.start, cols.stop - 2 * gx)), cols.stop)
+        c = cols.stop - cols.start
+        tiles += [(rows, cols) for rows in raster.row_bands(nby * gy, c * pairs, gy)]
+    largest = max((rows.stop - rows.start) * (cols.stop - cols.start) for rows, cols in tiles)
+    # pivots, offsets and sums; the offsets formed here are block sums until the tiles end
+    moments = np.empty((2 * count + len(sums), nby, nbx))
+    pivots = moments[:count]
+    for pivot, plane in zip(pivots, planes):
+        pivot[...] = plane[: nby * gy : gy, : nbx * gx : gx]
+    first = count if offsets is None else 2 * count  # the first statistic summed in the tiles
+    if offsets is not None:
+        moments[count : 2 * count] = offsets
+    bounds = np.empty((2 * count, nby, nbx)) if extremes else None
+    summed, bounded = len(moments) - first, 2 * count if extremes else 0
+    work = np.empty((buffers, largest))
+    # the block rows of each statistic of a tile, g times smaller than it, and
+    # the pivot under each pixel of a block row
+    block_rows = np.empty((summed + bounded + 1, largest // gy))
+    buffer = np.empty(max(summed, bounded) * (largest // gy))
+    for rows, cols in tiles:
+        r, c = rows.stop - rows.start, cols.stop - cols.start
+        by, bx = slice(rows.start // gy, rows.stop // gy), slice(cols.start // gx, cols.stop // gx)
+        shifted = work[:, : r * c].reshape(-1, r, c)
+        tile_rows = block_rows[:, : r // gy * c].reshape(-1, r // gy, c)
+        under = tile_rows[-1].reshape(r // gy, 1, c)
+        for v, plane in enumerate(planes):
+            x = plane[rows, cols].reshape(r // gy, gy, c)
+            np.copyto(under.reshape(r // gy, -1, gx), pivots[v, by, bx, None])
+            np.subtract(x, under, out=shifted[v].reshape(r // gy, gy, c))
+            if offsets is None:
+                np.add.reduce(shifted[v].reshape(r // gy, gy, c), axis=1, out=tile_rows[v])
+            if extremes:
+                np.maximum.reduce(x, axis=1, out=tile_rows[summed + v])
+                np.minimum.reduce(x, axis=1, out=tile_rows[summed + count + v])
+        for t, terms in enumerate(sums, summed - len(sums)):
+            product = _signed_products(terms, shifted, shifted, shifted[count], shifted[-1])
+            np.add.reduce(product.reshape(r // gy, gy, c), axis=1, out=tile_rows[t])
+        _block_columns(tile_rows[:summed], gx, np.add, buffer, moments[first:, by, bx])
+        if extremes:
+            _block_columns(tile_rows[summed : summed + count], gx, np.maximum, buffer,
+                           bounds[:count, by, bx])
+            _block_columns(tile_rows[summed + count : -1], gx, np.minimum, buffer,
+                           bounds[count:, by, bx])
+    if offsets is None:
+        moments[count : 2 * count] /= size
+        offsets = moments[count : 2 * count].copy()
+    # the sums about the block means
+    for t, terms in enumerate(sums, 2 * count):
+        moments[t] -= size * _signed_products(terms, offsets, offsets)
+    tables = []
+    for table, merge in ((moments, _chan_merge(count, sums)), (bounds, _extremes_merge)):
+        if table is not None:
+            runs = _window_runs(table, grid.ys, grid.window, size, merge)
+            runs = _window_runs(np.ascontiguousarray(runs.transpose(0, 2, 1)), grid.xs,
+                                grid.window, grid.window * gx, merge)
+            tables.append(np.ascontiguousarray(runs.transpose(0, 2, 1)))
+    # the pivot of a window is its first pixel, and its mean the pivot plus the offset
+    tables[0][count : 2 * count] += tables[0][:count]
+    return tables[0], offsets, tables[1] if extremes else None
 
 
 @dataclass(frozen=True)
@@ -314,120 +406,42 @@ class _Moments:
 
     grid: _WindowGrid
     bands: np.ndarray  # (k, H, W)
-    centre: list  # the image mean of each band
-    dsum: np.ndarray  # window sums of band - centre
-    mean: np.ndarray  # centre + dsum / n, or the tile's mean where redo
+    offsets: np.ndarray  # of the blocks (see _window_tables), (k, nby, nbx)
+    mean: np.ndarray
     var: np.ndarray  # ddof = 1
     flat: np.ndarray  # the window holds one value
     level: np.ndarray  # the window's first pixel, the value of a flat window
-    redo: np.ndarray  # mean and var were recomputed from the tile in two passes
-
-
-def _tile(a: np.ndarray, grid: _WindowGrid, iy: int, ix: int) -> np.ndarray:
-    """The pixels of window (iy, ix) of a 2-D array."""
-    y, x = grid.ys[iy], grid.xs[ix]
-    return a[y : y + grid.window, x : x + grid.window]
-
-
-def _covariance(cross, dsum_product, n: int) -> np.ndarray:
-    """ddof = 1 covariance from the window sum of the centred product and the
-    product of the window sums of its centred factors."""
-    return (cross - dsum_product / n) / (n - 1)
 
 
 def _moments(image, window: int, stride: int) -> _Moments:
     """Window statistics of a RasterBand or of every band of an MS image."""
     bands = image.data if isinstance(image, MultispectralImage) else image.data[None]
     grid = _window_origins(*bands[0].shape, window, stride)
-    n = window * window
-    centre = [x.mean() for x in bands]
-
-    held = None  # (first row, band) of the centred rows in work[0]
-
-    # key (b, p): band b centred and raised to the power p, or as it is for p = 0
-    def plane(rows, key, work):
-        nonlocal held
-        b, p = key
-        x = bands[b, rows]
-        if p == 0:
-            return x
-        if held != (rows.start, b):
-            np.subtract(x, centre[b], out=work[0])
-        # the square comes after the first power of its band, so in place
-        held = (rows.start, b) if p == 1 else None
-        return work[0] if p == 1 else np.multiply(work[0], work[0], out=work[0])
-
-    jobs = [job for b in range(len(bands))
-            for job in ((np.add, (b, 1)), (np.add, (b, 2)), (np.maximum, (b, 0)),
-                        (np.minimum, (b, 0)))]
-    stats = _window_tables(grid, bands.shape[2], jobs, plane)
-    stats = stats.reshape(len(bands), 4, *stats.shape[1:])
-    # a copy, so that the other three statistics are freed when this returns
-    dsum, square = stats[:, 0].copy(), stats[:, 1]
-    mean = np.asarray(centre)[:, None, None] + dsum / n
-    var = _covariance(square, dsum * dsum, n)
+    k = len(bands)
+    stats, offsets, bounds = _window_tables(grid, bands, [((1, b, b),) for b in range(k)],
+                                            extremes=True)
+    stats[2 * k :] /= window * window - 1
     # a window is flat when its max equals its min
-    flat = stats[:, 2] == stats[:, 3]
-    # One pass forms (n - 1) var = S2 - dsum^2 / n, where S2 is the window sum
-    # of (x - c)^2, with a rounding error below 2 n eps S2 (Chan, Golub and
-    # LeVeque 1983).  A window whose (n - 1) var is under 2^20 times that bound
-    # may keep fewer than 20 correct bits, and its Q can leave [-1, 1]; it is
-    # recomputed from its tile in two passes, and so are its covariances with
-    # every band (see _cross).
-    redo = ~flat & ((n - 1) * var <= 2.0**21 * n * np.finfo(float).eps * square)
-    for b, y, x in np.argwhere(redo):
-        tile = _tile(bands[b], grid, y, x)
-        mean[b, y, x] = tile.mean()
-        var[b, y, x] = np.square(tile - mean[b, y, x]).sum() / (n - 1)
-    return _Moments(grid, bands, centre, dsum, mean, var, flat,
-                    np.stack([x[np.ix_(grid.ys, grid.xs)] for x in bands]), redo)
+    return _Moments(grid, bands, offsets, stats[k : 2 * k], stats[2 * k :],
+                    bounds[:k] == bounds[k:], stats[:k])
 
 
-def _centred_tile(x: _Moments, b: int, iy: int, ix: int) -> np.ndarray:
-    tile = _tile(x.bands[b], x.grid, iy, ix)
-    return tile - tile.mean()
-
-
-def _signed_cross(a: _Moments, b: _Moments, sums, plane, buffers: int) -> np.ndarray:
-    """Per-window covariance of each signed sum of products in ``sums``, a list
-    of (s, i, j) terms for s (band i of a - mean) (band j of b - mean):
-    (len(sums), ny, nx).
-
-    ``plane`` forms the centred sum of a row band in ``buffers`` work arrays
-    (see _window_tables).  A window that either image recomputed in two passes
-    in any band of the sum takes the sum from its tiles in two passes too.
-    """
-    table = _window_tables(a.grid, a.bands.shape[2], [(np.add, t) for t in sums], plane, buffers)
-    n = a.grid.window ** 2
-    for cov, terms in zip(table, sums):
-        cov[...] = _covariance(cov, _signed_products(terms, a.dsum, b.dsum), n)
-        redo = np.logical_or.reduce([a.redo[i] | b.redo[j] for _, i, j in terms])
-        for y, x in np.argwhere(redo):
-            ta = {i: _centred_tile(a, i, y, x) for _, i, _ in terms}
-            tb = {j: _centred_tile(b, j, y, x) for _, _, j in terms}
-            cov[y, x] = np.sum(_signed_products(terms, ta, tb)) / (n - 1)
-    return table
+def _covariances(sides, sums) -> np.ndarray:
+    """Per-window covariance (ddof = 1) of each signed sum of products in
+    ``sums``, whose (s, i, j) terms index the bands of the _Moments of
+    ``sides`` in turn: (len(sums), ny, nx)."""
+    planes = [x for side in sides for x in side.bands]
+    offsets = np.concatenate([side.offsets for side in sides])
+    stats, _, _ = _window_tables(sides[0].grid, planes, sums, offsets)
+    return stats[2 * len(planes):] / (sides[0].grid.window ** 2 - 1)
 
 
 def _cross(a: _Moments, b: _Moments, pairs) -> np.ndarray:
     """Per-window covariance of band i of a with band j of b, for each (i, j) in
-    ``pairs``: (len(pairs), ny, nx).
-
-    Band i of a is centred again only when i or the rows change from one
-    pair to the next.
-    """
-    held = None  # (first row, band i) of the centred rows in work[0]
-
-    def plane(rows, terms, work):
-        nonlocal held
-        ((_, i, j),) = terms
-        if held != (rows.start, i):
-            np.subtract(a.bands[i, rows], a.centre[i], out=work[0])
-            held = (rows.start, i)
-        np.subtract(b.bands[j, rows], b.centre[j], out=work[1])
-        return np.multiply(work[0], work[1], out=work[1])
-
-    return _signed_cross(a, b, [((1, i, j),) for i, j in pairs], plane, 2)
+    ``pairs``: (len(pairs), ny, nx)."""
+    sides = (a,) if b is a else (a, b)
+    j0 = 0 if b is a else len(a.bands)
+    return _covariances(sides, [((1, i, j0 + j),) for i, j in pairs])
 
 
 def _q_map(mu_a, mu_b, var_a, var_b, cov, flat_a, flat_b, same) -> np.ndarray:
@@ -449,36 +463,21 @@ def _uiqi_means(a: _Moments, b: _Moments, pairs) -> list:
     return [_uiqi_map(a, i, b, j, cov).mean() for (i, j), cov in zip(pairs, _cross(a, b, pairs))]
 
 
-# (sign, f band, m band) terms of the four parts of (f - mu_f) conj(m - mu_m),
+# (sign, f band, 4 + m band) terms of the four parts of (f - mu_f) conj(m - mu_m),
 # each term next to its transpose, so that the parts of an image with itself
 # cancel exactly
-_HAMILTON = (((1, 0, 0), (1, 1, 1), (1, 2, 2), (1, 3, 3)),
-             ((1, 1, 0), (-1, 0, 1), (1, 3, 2), (-1, 2, 3)),
-             ((1, 1, 3), (-1, 3, 1), (1, 2, 0), (-1, 0, 2)),
-             ((1, 2, 1), (-1, 1, 2), (1, 3, 0), (-1, 0, 3)))
+_HAMILTON = (((1, 0, 4), (1, 1, 5), (1, 2, 6), (1, 3, 7)),
+             ((1, 1, 4), (-1, 0, 5), (1, 3, 6), (-1, 2, 7)),
+             ((1, 1, 7), (-1, 3, 5), (1, 2, 4), (-1, 0, 6)),
+             ((1, 2, 5), (-1, 1, 6), (1, 3, 4), (-1, 0, 7)))
 
 
 def _q4_tables(f: _Moments, m: _Moments) -> np.ndarray:
     """Per-window covariances (7, ny, nx): of band b of f with band b of m, for
-    b = 0..3, then Hamilton parts 1-3; part 0 is the sum of the first four.
-
-    Band b of f is centred into work[b] and band b of m into work[4 + b] once
-    per row band and group of tables, and each part is formed as one plane.
-    """
+    b = 0..3, then Hamilton parts 1-3; part 0 is the sum of the first four."""
     if len(f.bands) != 4:
         raise InvalidInputError(f"Q4 requires exactly 4 bands, got {len(f.bands)}")
-    bands, centres = (*f.bands, *m.bands), (*f.centre, *m.centre)
-    held = [None] * 8  # first row of the centred band in each of work[0:8]
-
-    def plane(rows, terms, work):
-        for k in {i for _, i, _ in terms} | {4 + j for _, _, j in terms}:
-            if held[k] != rows.start:
-                np.subtract(bands[k][rows], centres[k], out=work[k])
-                held[k] = rows.start
-        return _signed_products(terms, work[:4], work[4:8], work[8], work[9])
-
-    sums = [(term,) for term in _HAMILTON[0]] + list(_HAMILTON[1:])
-    return _signed_cross(f, m, sums, plane, 10)
+    return _covariances((f, m), [(term,) for term in _HAMILTON[0]] + list(_HAMILTON[1:]))
 
 
 def _q4_value(f: _Moments, m: _Moments, covs: np.ndarray) -> float:

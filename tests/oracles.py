@@ -29,6 +29,23 @@ def naive_window_reduce(a, window, stride, fn):
     return np.array([[fn(a[y : y + window, x : x + window]) for x in xs] for y in ys])
 
 
+def naive_window_moments(a, b, window, stride):
+    """Two-pass window statistics of the 2-D arrays a and b: (mean_a, var_a,
+    mean_b, var_b, cov), each (ny, nx), ddof 1, every sum correctly rounded."""
+    stats = []
+    for y, x in window_origins(a.shape[0], a.shape[1], window, stride):
+        ta = [float(v) for v in a[y : y + window, x : x + window].ravel()]
+        tb = [float(v) for v in b[y : y + window, x : x + window].ravel()]
+        n = len(ta)
+        mu_a, mu_b = math.fsum(ta) / n, math.fsum(tb) / n
+        da, db = [v - mu_a for v in ta], [v - mu_b for v in tb]
+        stats.append((mu_a, math.fsum(d * d for d in da) / (n - 1),
+                      mu_b, math.fsum(d * d for d in db) / (n - 1),
+                      math.fsum(u * v for u, v in zip(da, db)) / (n - 1)))
+    ny = len(range(0, a.shape[0] - window + 1, stride))
+    return tuple(np.array(s).reshape(ny, -1) for s in zip(*stats))
+
+
 def q_tile(a, b):
     """Wang-Bovik index on one tile, direct three-factor evaluation, ddof 1."""
     a = np.asarray(a, dtype=float).ravel()

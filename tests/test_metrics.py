@@ -249,10 +249,12 @@ def tile_kinds(a, b, window, stride):
     return kinds
 
 
-def window_reduce(a, grid, ufunc=np.add):
-    """``ufunc`` over every window of a 2-D array, by the banded window kernel."""
-    return metrics._window_tables(grid, a.shape[1], [(ufunc, None)],
-                                  lambda rows, key, work: a[rows])[0]
+def window_statistics(a, grid):
+    """Window sum, sum of squares about the window mean, max and min of a 2-D
+    array, by the window kernel."""
+    (_, mean, square), _, (top, bottom) = metrics._window_tables(grid, a[None], [((1, 0, 0),)],
+                                                                 extremes=True)
+    return mean * grid.window**2, square, top, bottom
 
 
 class TestWindowKernel:
@@ -261,12 +263,15 @@ class TestWindowKernel:
     @staticmethod
     def check(a, window, stride):
         grid = metrics._window_origins(*a.shape, window, stride)
+        total, square, top, bottom = window_statistics(a, grid)
         np.testing.assert_allclose(
-            window_reduce(a, grid),
-            oracles.naive_window_reduce(a, window, stride, np.sum), rtol=0, atol=1e-12)
-        for ufunc, fn in ((np.maximum, np.max), (np.minimum, np.min)):
-            np.testing.assert_array_equal(window_reduce(a, grid, ufunc),
-                                          oracles.naive_window_reduce(a, window, stride, fn))
+            total, oracles.naive_window_reduce(a, window, stride, np.sum), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            square, oracles.naive_window_reduce(a, window, stride, lambda t: np.sum(
+                np.square(t - t.mean()))), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(top, oracles.naive_window_reduce(a, window, stride, np.max))
+        np.testing.assert_array_equal(bottom,
+                                      oracles.naive_window_reduce(a, window, stride, np.min))
         np.testing.assert_array_equal(
             metrics._moments(RasterBand(a), window, stride).flat[0],
             oracles.naive_window_reduce(a, window, stride, lambda t: np.ptp(t) == 0))
@@ -374,8 +379,8 @@ def near_flat(seed, shape, level, pixel):
 
 
 class TestNearlyFlatWindows:
-    """A window far from the image mean with a spread of one float32 step: its
-    one-pass variance cancels, and it must be recomputed from the tile."""
+    """A window far from the image mean with a spread of one float32 step:
+    one-pass sums about the image mean would cancel in it."""
 
     @pytest.mark.parametrize("level", [1.0, 0.9, 0.7])
     def test_reduced_indices_match_the_oracles(self, level):
@@ -417,12 +422,68 @@ class TestNearlyFlatWindows:
         assert -1.0 <= fast <= 1.0
 
 
+def half_plateau(seed, shape):
+    """(fused, reference): the left half of every band of the reference a
+    16-bit plateau at 0.9, the right half 0.1 +- 0.05, and the fused image the
+    reference with noise of sigma 5e-5, quantised again."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.05, 0.15, size=shape)
+    m[..., : shape[-1] // 2] = plateau(rng, (*shape[:-1], shape[-1] // 2))
+    return np.round((m + 5e-5 * rng.normal(size=shape)) * 65535.0) / 65535.0, m
+
+
+class TestPlateaus:
+    """Half of each band a plateau, as calm water or saturation give: most of
+    its windows have a spread about 6,000 times smaller than their mean."""
+
+    # a stride coprime to the window (blocks of one pixel), g = 4, and window = stride
+    CONFIGS = [(16, 3), (16, 4), (16, 16)]
+
+    @pytest.mark.parametrize("window, stride", CONFIGS)
+    def test_window_moments_match_the_two_pass_oracle(self, window, stride):
+        f, m = half_plateau(1, (2, 48, 48))
+        oracle = oracles.naive_window_moments(f[0], m[0], window, stride)
+        a, b = (metrics._moments(ms_of(x), window, stride) for x in (f, m))
+        got = (a.mean[0], a.var[0], b.mean[0], b.var[0], metrics._cross(a, b, [(0, 0)])[0])
+        # Chan et al. (1983): the merged sums lose about log2(n) eps kappa,
+        # kappa = |mean| / sd, about 6,000 on the plateau; the means a few eps
+        eps, spread = np.finfo(float).eps, np.sqrt(oracle[1] * oracle[3])
+        kappa = np.maximum(np.abs(oracle[0]) / np.sqrt(oracle[1]),
+                           np.abs(oracle[2]) / np.sqrt(oracle[3]))
+        bounds = (8 * eps * np.abs(oracle[0]), 64 * eps * kappa * oracle[1],
+                  8 * eps * np.abs(oracle[2]), 64 * eps * kappa * oracle[3],
+                  64 * eps * kappa * spread)
+        for want, have, bound in zip(oracle, got, bounds, strict=True):
+            assert (np.abs(have - want) <= bound).all()
+
+    @pytest.mark.parametrize("window, stride", CONFIGS)
+    def test_reduced_indices_match_the_oracles(self, window, stride):
+        f, m = half_plateau(2, (4, 48, 48))
+        cfg = MetricConfig(window=window, stride=stride)
+        for a, b in zip(f, m):
+            fast = uiqi(RasterBand(a), RasterBand(b), cfg)
+            assert abs(fast - oracles.naive_uiqi(a, b, window, stride)) < 1e-10
+        fast = q4(ms_of(f), ms_of(m), cfg)
+        assert abs(fast - oracles.naive_q4(f, m, window, stride)) < 1e-10
+
+    @pytest.mark.parametrize("window, stride", [(8, 3), (8, 4), (8, 8)])
+    def test_distortions_match_the_oracles(self, window, stride):
+        # at MS scale; the fused side, at twice the size, has twice the window and stride
+        f, _ = half_plateau(3, (4, 48, 48))
+        _, m = half_plateau(4, (4, 24, 24))
+        pan_low, pan = half_plateau(5, (24, 24))[1], half_plateau(6, (48, 48))[1]
+        cfg = MetricConfig(window=window, stride=stride)
+        fast = d_lambda(ms_of(m), ms_of(f), cfg)
+        assert abs(fast - oracles.naive_d_lambda(m, f, window, stride, 1, 2)) < 1e-10
+        fast = d_s(ms_of(m), ms_of(f), RasterBand(pan), RasterBand(pan_low), cfg)
+        assert abs(fast - oracles.naive_d_s(m, f, pan, pan_low, window, stride, 1, 2)) < 1e-10
+
+
 @st.composite
 def q4_pairs(draw):
     """(f, m, window, stride, near) of 4-band images over windowed_inputs.
     Where ``near``, the window at the origin is nearly flat in every band of
-    both: one float32 step of spread at a level far from the image mean, a
-    window whose statistics are recomputed from its tile in two passes."""
+    both: one float32 step of spread at a level far from the image mean."""
     seed, h, w, window, stride, levels, block = draw(windowed_inputs(max_side=12))
     rng = np.random.default_rng(seed)
     f, m = (blocky(rng, (4, h, w), levels, block) for _ in range(2))
@@ -444,9 +505,10 @@ class TestQ4Properties:
     @staticmethod
     def cfg_of(window, stride, near, *images):
         cfg = MetricConfig(window=window, stride=stride)
-        if near:  # the case takes the two-pass path it was built for
+        if near:  # the case holds the nearly flat window it was built for
             for x in images:
-                assert metrics._moments(ms_of(x), window, stride).redo[:, 0, 0].all()
+                spread = np.ptp(x[:, :window, :window], axis=(1, 2))
+                assert ((0.0 < spread) & (spread <= 2.0**-24)).all()
         return cfg
 
     @settings(max_examples=60, deadline=None)
@@ -718,7 +780,7 @@ class TestRowBands:
     def statistics(a, b, window, stride):
         ma, mb = (metrics._moments(ms_of(x), window, stride) for x in (a, b))
         pairs = [(i, j) for i in range(len(a)) for j in range(len(b))]
-        fields = ("dsum", "mean", "var", "flat", "level", "redo")
+        fields = ("offsets", "mean", "var", "flat", "level")
         return [getattr(x, name) for x in (ma, mb) for name in fields] + [
             metrics._cross(ma, mb, pairs)]
 
@@ -758,7 +820,11 @@ class TestRowBands:
         f = near_flat(5, (4, 64, 64), 1.0, (3, 37))
         m = near_flat(6, (4, 64, 64), 0.7, (20, 50))
         default = self.statistics(f, m, 32, 32)
-        assert default[5].any() and default[11].any()  # windows recomputed in two passes
+        # the nearly flat window (0, 1) of band 0 agrees with the two-pass oracle
+        want = oracles.naive_window_moments(f[0], m[0], 32, 32)
+        got = (default[1][0], default[2][0], default[6][0], default[7][0], default[10][0])
+        for w, g in zip(want, got, strict=True):
+            assert abs(g[0, 1] - w[0, 1]) <= 1e-12 * abs(w[0, 1])
         monkeypatch.setattr(raster, "_BAND_ELEMENTS", 1)
         for want, got in zip(default, self.statistics(f, m, 32, 32), strict=True):
             assert got.tobytes() == want.tobytes()

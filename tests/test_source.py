@@ -100,6 +100,19 @@ def test_only_the_reader_unpacks():
     assert not unpackers, f"struct.unpack outside raster.ByteReader: {unpackers}"
 
 
+def test_metrics_has_no_per_window_loop():
+    # every window takes the one path of metrics._window_tables; a loop over
+    # the windows that numpy finds (argwhere, nonzero, ndindex) is a second path
+    tree = ast.parse((PACKAGE / "metrics.py").read_text(encoding="utf-8"))
+    calls = sorted({
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))
+        and (node.attr if isinstance(node, ast.Attribute) else node.id)
+        in ("argwhere", "nonzero", "ndindex")
+    })
+    assert not calls, f"metrics.py calls {calls}"
+
+
 COMMON_FLAGS = ["--config", "--seed", "--ratio", "--out"]
 STAGE_FLAGS = {
     "synth": COMMON_FLAGS + ["--size", "--bands"],
