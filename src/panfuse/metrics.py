@@ -29,14 +29,19 @@ each band with PAN.  Q4 reads the four covariances UIQI reads, whose sum is
 Hamilton part 0 of (f - mu_f) conj(m - mu_m), and one window table for each
 of parts 1-3 (Alparone et al. 2004), each the signed sum of four band
 products, per pixel and in every merge, each term next to its transpose: so
-Q(a, a) is exactly 1.  A window is flat when its max, from the same blocks
-and doubling, equals its min, so the degenerate-window conventions are
-exact.  The high-resolution side of D_lambda / D_s multiplies window and
-stride by the resolution ratio, so window statistics are invariant under
-pixel replication.  What D_lambda and D_s read of the MS image and of PAN at
-both scales is built once per call (``_full_refs``), so that
-:func:`harness.run_experiment` can score every method against one build, as
-it does against one set of window statistics of the ground truth.
+Q(a, a) is exactly 1.  A window is flat when its sum of squares about its
+mean is zero.  A block's sum is its sum about its pivot, one of its own
+pixels, less the block size times its squared offset: positive unless every
+pixel equals the pivot.  Each merge adds two such sums and a non-negative
+term.  So the sum is zero exactly when the window holds one value, and the
+degenerate-window conventions are exact, unless squared differences
+underflow: that needs pixels within about 1e-162 of each other, finer than
+any float32 or 16-bit input.  The high-resolution side of D_lambda / D_s
+multiplies window and stride by the resolution ratio, so window statistics
+are invariant under pixel replication.  What D_lambda and D_s read of the
+MS image and of PAN at both scales is built once per call (``_full_refs``),
+so that :func:`harness.run_experiment` can score every method against one
+build, as it does against one set of window statistics of the ground truth.
 """
 
 from __future__ import annotations
@@ -86,13 +91,6 @@ def _as_band(image) -> RasterBand:
     if isinstance(image, RasterBand):
         return image
     raise InvalidInputError(f"expected a single band, got {type(image).__name__}")
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    """Sum of u * v over two 1-D arrays by numpy's own loop: np.dot's BLAS may
-    split a long sum across threads, and its last bits then depend on their
-    number."""
-    return float(np.einsum("i,i->", u, v))
 
 
 def _signed_products(terms, a, b, out=None, tmp=None) -> np.ndarray:
@@ -188,9 +186,9 @@ def _cc_band(f: np.ndarray, m: np.ndarray) -> float:
     for rows in bands:
         a = np.subtract(f[rows], mu_f, out=fc[: rows.stop - rows.start]).ravel()
         b = np.subtract(m[rows], mu_m, out=mc[: rows.stop - rows.start]).ravel()
-        ff += _dot(a, a)
-        mm += _dot(b, b)
-        fm += _dot(a, b)
+        ff += raster.dot(a, a)
+        mm += raster.dot(b, b)
+        fm += raster.dot(a, b)
     den = math.sqrt(ff * mm)
     if den == 0.0:
         raise DegenerateInputError("correlation undefined for a constant image")
@@ -290,34 +288,26 @@ def _chan_merge(count: int, sums):
     return merge
 
 
-def _extremes_merge(a, b, n_a, n_b):
-    """The merge of _window_runs for the maxima of k planes followed by their minima."""
-    k = len(a) // 2
-    np.maximum(a[:k], b[:k], out=a[:k])
-    np.minimum(a[k:], b[k:], out=a[k:])
-
-
-def _block_columns(rows: np.ndarray, gx: int, ufunc, buffer, out) -> None:
-    """``ufunc`` over each gx columns of every (r, c) table of ``rows`` into
-    ``out``, in their order, through ``buffer``.  numpy keeps that order only
-    beside a longer axis, so a table is at least two blocks wide, or one block
-    as wide as the plane; so is a table of rows reduced the same way."""
+def _block_columns(rows: np.ndarray, gx: int, buffer, out) -> None:
+    """The sums of each gx columns of every (r, c) table of ``rows`` into
+    ``out``, added in their order, through ``buffer``.  numpy keeps that order
+    only beside a longer axis, so a table is at least two blocks wide, or one
+    block as wide as the plane; so is a table of rows summed the same way."""
     k, r, c = rows.shape
     cols = buffer[: rows.size].reshape(k, r, gx, c // gx)
     np.copyto(cols, rows.reshape(k, r, c // gx, gx).swapaxes(2, 3))
-    ufunc.reduce(cols, axis=2, out=out)
+    np.add.reduce(cols, axis=2, out=out)
 
 
-def _window_tables(grid: _WindowGrid, planes, sums, offsets=None, extremes: bool = False):
+def _window_tables(grid: _WindowGrid, planes, sums, offsets=None):
     """Window statistics of ``planes`` and of the signed products in ``sums``,
     a list of (s, i, j) terms for s (planes[i] - mean) (planes[j] - mean).
 
-    Returns (tables, offsets, bounds).  ``tables`` (2 len(planes) + len(sums),
-    ny, nx) holds the first pixel of each window of each plane, then the
-    window mean of each plane, then the window sum of each centred product.  ``offsets`` (len(planes), nby, nbx) holds the mean of
-    each block of each plane less its first pixel, its pivot; pass it back to
-    skip forming it again.  With ``extremes``, ``bounds`` holds the window max
-    and then the window min of each plane.
+    Returns (tables, offsets).  ``tables`` (2 len(planes) + len(sums), ny, nx)
+    holds the first pixel of each window of each plane, then the window mean
+    of each plane, then the window sum of each centred product.  ``offsets``
+    (len(planes), nby, nbx) holds the mean of each block of each plane less
+    its first pixel, its pivot; pass it back to skip forming it again.
 
     A window is whole blocks of gy x gx pixels, g = _block_rows on each axis.
     The planes are read in tiles of whole blocks, at least two of them wide
@@ -351,13 +341,12 @@ def _window_tables(grid: _WindowGrid, planes, sums, offsets=None, extremes: bool
     first = count if offsets is None else 2 * count  # the first statistic summed in the tiles
     if offsets is not None:
         moments[count : 2 * count] = offsets
-    bounds = np.empty((2 * count, nby, nbx)) if extremes else None
-    summed, bounded = len(moments) - first, 2 * count if extremes else 0
+    summed = len(moments) - first
     work = np.empty((buffers, largest))
     # the block rows of each statistic of a tile, g times smaller than it, and
     # the pivot under each pixel of a block row
-    block_rows = np.empty((summed + bounded + 1, largest // gy))
-    buffer = np.empty(max(summed, bounded) * (largest // gy))
+    block_rows = np.empty((summed + 1, largest // gy))
+    buffer = np.empty(summed * (largest // gy))
     for rows, cols in tiles:
         r, c = rows.stop - rows.start, cols.stop - cols.start
         by, bx = slice(rows.start // gy, rows.stop // gy), slice(cols.start // gx, cols.stop // gx)
@@ -370,34 +359,24 @@ def _window_tables(grid: _WindowGrid, planes, sums, offsets=None, extremes: bool
             np.subtract(x, under, out=shifted[v].reshape(r // gy, gy, c))
             if offsets is None:
                 np.add.reduce(shifted[v].reshape(r // gy, gy, c), axis=1, out=tile_rows[v])
-            if extremes:
-                np.maximum.reduce(x, axis=1, out=tile_rows[summed + v])
-                np.minimum.reduce(x, axis=1, out=tile_rows[summed + count + v])
         for t, terms in enumerate(sums, summed - len(sums)):
             product = _signed_products(terms, shifted, shifted, shifted[count], shifted[-1])
             np.add.reduce(product.reshape(r // gy, gy, c), axis=1, out=tile_rows[t])
-        _block_columns(tile_rows[:summed], gx, np.add, buffer, moments[first:, by, bx])
-        if extremes:
-            _block_columns(tile_rows[summed : summed + count], gx, np.maximum, buffer,
-                           bounds[:count, by, bx])
-            _block_columns(tile_rows[summed + count : -1], gx, np.minimum, buffer,
-                           bounds[count:, by, bx])
+        _block_columns(tile_rows[:summed], gx, buffer, moments[first:, by, bx])
     if offsets is None:
         moments[count : 2 * count] /= size
         offsets = moments[count : 2 * count].copy()
     # the sums about the block means
     for t, terms in enumerate(sums, 2 * count):
         moments[t] -= size * _signed_products(terms, offsets, offsets)
-    tables = []
-    for table, merge in ((moments, _chan_merge(count, sums)), (bounds, _extremes_merge)):
-        if table is not None:
-            runs = _window_runs(table, grid.ys, grid.window, size, merge)
-            runs = _window_runs(np.ascontiguousarray(runs.transpose(0, 2, 1)), grid.xs,
-                                grid.window, grid.window * gx, merge)
-            tables.append(np.ascontiguousarray(runs.transpose(0, 2, 1)))
+    merge = _chan_merge(count, sums)
+    runs = _window_runs(moments, grid.ys, grid.window, size, merge)
+    runs = _window_runs(np.ascontiguousarray(runs.transpose(0, 2, 1)), grid.xs, grid.window,
+                        grid.window * gx, merge)
+    tables = np.ascontiguousarray(runs.transpose(0, 2, 1))
     # the pivot of a window is its first pixel, and its mean the pivot plus the offset
-    tables[0][count : 2 * count] += tables[0][:count]
-    return tables[0], offsets, tables[1] if extremes else None
+    tables[count : 2 * count] += tables[:count]
+    return tables, offsets
 
 
 @dataclass(frozen=True)
@@ -409,7 +388,7 @@ class _Moments:
     offsets: np.ndarray  # of the blocks (see _window_tables), (k, nby, nbx)
     mean: np.ndarray
     var: np.ndarray  # ddof = 1
-    flat: np.ndarray  # the window holds one value
+    flat: np.ndarray  # the window holds one value: its sum of squares about its mean is 0
     level: np.ndarray  # the window's first pixel, the value of a flat window
 
 
@@ -418,12 +397,11 @@ def _moments(image, window: int, stride: int) -> _Moments:
     bands = image.data if isinstance(image, MultispectralImage) else image.data[None]
     grid = _window_origins(*bands[0].shape, window, stride)
     k = len(bands)
-    stats, offsets, bounds = _window_tables(grid, bands, [((1, b, b),) for b in range(k)],
-                                            extremes=True)
+    stats, offsets = _window_tables(grid, bands, [((1, b, b),) for b in range(k)])
+    # before the division, which could take a subnormal sum to 0
+    flat = stats[2 * k :] == 0.0
     stats[2 * k :] /= window * window - 1
-    # a window is flat when its max equals its min
-    return _Moments(grid, bands, offsets, stats[k : 2 * k], stats[2 * k :],
-                    bounds[:k] == bounds[k:], stats[:k])
+    return _Moments(grid, bands, offsets, stats[k : 2 * k], stats[2 * k :], flat, stats[:k])
 
 
 def _covariances(sides, sums) -> np.ndarray:
@@ -432,7 +410,7 @@ def _covariances(sides, sums) -> np.ndarray:
     ``sides`` in turn: (len(sums), ny, nx)."""
     planes = [x for side in sides for x in side.bands]
     offsets = np.concatenate([side.offsets for side in sides])
-    stats, _, _ = _window_tables(sides[0].grid, planes, sums, offsets)
+    stats, _ = _window_tables(sides[0].grid, planes, sums, offsets)
     return stats[2 * len(planes):] / (sides[0].grid.window ** 2 - 1)
 
 
@@ -524,7 +502,7 @@ def ergas(F, M, cfg: MetricConfig | None = None) -> float:
         sq = 0.0
         for rows in bands:
             d = np.subtract(f[rows], m[rows], out=diff[: rows.stop - rows.start]).ravel()
-            sq += _dot(d, d)
+            sq += raster.dot(d, d)
         rmse = math.sqrt(sq / f.size)
         acc += (rmse / mu) ** 2
     return 100.0 * float(cfg.ratio) * math.sqrt(acc / fi.band_count)

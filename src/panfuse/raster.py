@@ -147,6 +147,13 @@ def row_bands(height: int, width: int, unit: int = 1) -> list:
     return [slice(top, min(top + step, height)) for top in range(0, height, step)]
 
 
+def dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Sum of u * v over two 1-D arrays by numpy's own loop: np.dot's BLAS may
+    split a long sum across threads, and its last bits then depend on their
+    number."""
+    return float(np.einsum("i,i->", u, v))
+
+
 # ---------------------------------------------------------------------------
 # resampling
 
@@ -351,13 +358,13 @@ def estimate_gains(ms_up: MultispectralImage, low: RasterBand) -> InjectionGains
     if n < 2:
         raise DegenerateInputError("need at least two pixels to estimate gains")
     ic = i - i.mean()
-    var_i = float(ic @ ic) / (n - 1)
+    var_i = dot(ic, ic) / (n - 1)
     if var_i == 0.0:
         raise DegenerateInputError("low-resolution pan has zero variance")
     gains = np.empty(ms_up.band_count, dtype=np.float64)
     for j, band in enumerate(ms_up.data):
         b = band.ravel()
-        gains[j] = (float((b - b.mean()) @ ic) / (n - 1)) / var_i
+        gains[j] = (dot(b - b.mean(), ic) / (n - 1)) / var_i
     return InjectionGains(gains)
 
 

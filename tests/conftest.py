@@ -36,3 +36,27 @@ def every_prefix_fails(tmp_path):
             assert int(offset.group(1)) <= cut, message
 
     return check
+
+
+@pytest.fixture(scope="session")
+def flip_loads_or_fails(tmp_path_factory):
+    """``check(name, blob, load, at, mask)``: the valid file ``blob`` with byte
+    ``at`` xor ``mask``, written as ``name``, either loads or makes ``load``
+    raise a FormatError whose message starts with the file's path and names a
+    byte offset inside the file.  Session-scoped, so Hypothesis tests can take it."""
+    folder = tmp_path_factory.mktemp("flips")
+
+    def check(name, blob, load, at, mask):
+        path = folder / name
+        flipped = bytearray(blob)
+        flipped[at] ^= mask
+        path.write_bytes(flipped)
+        try:
+            load(path)
+        except FormatError as exc:
+            message = str(exc)
+            offset = re.search(r"at byte (\d+)", message)
+            assert message.startswith(f"{path}: ") and offset, message
+            assert int(offset.group(1)) <= len(blob), message
+
+    return check

@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 import warnings
@@ -721,6 +722,21 @@ class TestParameterSet:
         params.add("w", np.ones((2, 1)))
         params.add("b", 0.5)
         every_prefix_fails("cut.pfck", ad.checkpoint_bytes(params), ad.load_checkpoint)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shapes=st.lists(st.lists(st.integers(1, 3), max_size=2), min_size=1, max_size=3),
+           data=st.data())
+    def test_every_checkpoint_byte_flip_loads_or_names_its_offset(self, flip_loads_or_fails,
+                                                                  shapes, data):
+        # a flip that makes a parameter non-finite loads: fuse rejects the
+        # non-finite values it produces
+        params = ParameterSet()
+        for i, shape in enumerate(shapes):
+            params.add(f"p{i}", np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape))
+        blob = ad.checkpoint_bytes(params)
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        flip_loads_or_fails("flip.pfck", blob, ad.load_checkpoint, at,
+                            data.draw(st.integers(1, 255)))
 
     def test_checkpoint_dims_overflow_int64(self, tmp_path):
         # the product 2**64 wraps to 0 in int64 arithmetic

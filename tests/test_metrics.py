@@ -250,11 +250,10 @@ def tile_kinds(a, b, window, stride):
 
 
 def window_statistics(a, grid):
-    """Window sum, sum of squares about the window mean, max and min of a 2-D
-    array, by the window kernel."""
-    (_, mean, square), _, (top, bottom) = metrics._window_tables(grid, a[None], [((1, 0, 0),)],
-                                                                 extremes=True)
-    return mean * grid.window**2, square, top, bottom
+    """Window sum and sum of squares about the window mean of a 2-D array, by
+    the window kernel."""
+    (_, mean, square), _ = metrics._window_tables(grid, a[None], [((1, 0, 0),)])
+    return mean * grid.window**2, square
 
 
 class TestWindowKernel:
@@ -263,15 +262,12 @@ class TestWindowKernel:
     @staticmethod
     def check(a, window, stride):
         grid = metrics._window_origins(*a.shape, window, stride)
-        total, square, top, bottom = window_statistics(a, grid)
+        total, square = window_statistics(a, grid)
         np.testing.assert_allclose(
             total, oracles.naive_window_reduce(a, window, stride, np.sum), rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             square, oracles.naive_window_reduce(a, window, stride, lambda t: np.sum(
                 np.square(t - t.mean()))), rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(top, oracles.naive_window_reduce(a, window, stride, np.max))
-        np.testing.assert_array_equal(bottom,
-                                      oracles.naive_window_reduce(a, window, stride, np.min))
         np.testing.assert_array_equal(
             metrics._moments(RasterBand(a), window, stride).flat[0],
             oracles.naive_window_reduce(a, window, stride, lambda t: np.ptp(t) == 0))
@@ -301,6 +297,35 @@ class TestWindowKernel:
         a[1:4:2, ::3] = -0.0
         self.check(a, 4, 2)
         assert metrics._moments(RasterBand(a), 4, 2).flat[0, 0, 0]
+
+
+class TestFlatRule:
+    """A window is flat when its sum of squares about its mean is zero."""
+
+    @pytest.mark.parametrize("level", [0.9, 1.0])
+    @pytest.mark.parametrize("toward", [0.0, 2.0])
+    def test_one_float64_step_is_not_flat(self, level, toward):
+        a = np.full((8, 8), level)
+        a[3, 5] = np.nextafter(level, toward)
+        assert not metrics._moments(RasterBand(a), 8, 8).flat.any()
+
+    def test_a_float32_subnormal_step_from_zero_is_not_flat(self):
+        a = np.zeros((8, 8))
+        a[2, 2] = np.nextafter(np.float32(0.0), np.float32(1.0))  # 1.4e-45
+        flat = metrics._moments(RasterBand(a), 4, 2).flat[0]
+        np.testing.assert_array_equal(
+            flat, oracles.naive_window_reduce(a, 4, 2, lambda t: np.ptp(t) == 0))
+        assert not flat[0, 0]
+
+    def test_a_step_whose_square_underflows_is_flat(self):
+        # (1e-170)^2 is below the smallest float64, so the window's sum of
+        # squares is 0 and it counts as flat at level 0
+        a = np.zeros((16, 16))
+        a[3, 3] = 1e-170
+        assert metrics._moments(RasterBand(a), 8, 8).flat.all()
+        cfg = MetricConfig(window=8, stride=8)
+        assert uiqi(RasterBand(a), RasterBand(a), cfg) == 1.0
+        assert uiqi(RasterBand(a), RasterBand(np.zeros((16, 16))), cfg) == 1.0
 
 
 class TestWindowedOracles:

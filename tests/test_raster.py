@@ -1,6 +1,10 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +358,30 @@ class TestEstimation:
         with pytest.raises(DegenerateInputError):
             estimate_gains(ms, band(np.full((4, 4), 0.5)))
 
+    def test_gains_do_not_depend_on_blas_threads(self):
+        # a BLAS dot may split a long sum across its threads, which moves its
+        # last bits; on a single core it runs one thread, so there this passes
+        # whatever the sum
+        src = str(Path(raster.__file__).resolve().parent.parent)
+        script = (
+            "from panfuse import harness, raster as r\n"
+            "s = harness.synth_scene(7, 256, 256)\n"
+            "up = r.upsample(s.ms, s.ratio)\n"
+            "lows = (r.intensity_component(up, r.estimate_weights(up, s.pan)),\n"
+            "        r.upsample_band(r.mtf_degrade(s.pan, s.ratio), s.ratio))\n"
+            "print([float(g).hex() for low in lows for g in r.estimate_gains(up, low).gains])\n"
+        )
+        gains = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  env=env, timeout=120, check=True)
+            gains.append(proc.stdout)
+        assert gains[0].count("0x") == 8
+        assert gains[0] == gains[1]
+
 
 class TestDetailInject:
     def test_zero_gains_identity(self):
@@ -489,6 +517,19 @@ class TestIO:
         with pytest.raises(FormatError, match=match):
             load_raster(path)
 
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 3)] * 3), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_every_pfr_byte_flip_loads_or_names_its_offset(self, tmp_path_factory,
+                                                             flip_loads_or_fails, shape, seed,
+                                                             data):
+        path = tmp_path_factory.mktemp("pfr") / "valid.pfr"
+        arr = np.random.default_rng(seed).uniform(-2.0, 2.0, size=shape)
+        save_raster(MultispectralImage(arr) if shape[0] > 1 else RasterBand(arr[0]), path)
+        blob = path.read_bytes()
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        flip_loads_or_fails("flip.pfr", blob, load_raster, at, data.draw(st.integers(1, 255)))
+
     def test_every_pfr_prefix_names_its_offset(self, tmp_path, every_prefix_fails):
         path = tmp_path / "whole.pfr"
         save_raster(MultispectralImage(np.linspace(0.0, 1.0, 12).reshape(2, 2, 3)), path)
@@ -544,6 +585,16 @@ class TestIO:
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="IHDR at byte 8: has 12 bytes, expected 13"):
             load_raster(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(depth=st.sampled_from([8, 16]), shape=st.tuples(*[st.integers(1, 4)] * 2),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_every_png_byte_flip_loads_or_names_its_offset(self, flip_loads_or_fails, depth,
+                                                             shape, seed, data):
+        arr = np.random.default_rng(seed).integers(0, 2**depth, size=shape)
+        blob = make_gray_png(arr, depth)
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        flip_loads_or_fails("flip.png", blob, load_raster, at, data.draw(st.integers(1, 255)))
 
     @pytest.mark.parametrize("depth", [8, 16])
     def test_every_png_prefix_names_its_offset(self, every_prefix_fails, depth):

@@ -113,6 +113,20 @@ def test_metrics_has_no_per_window_loop():
     assert not calls, f"metrics.py calls {calls}"
 
 
+def test_metrics_has_one_flat_test():
+    # a window is flat when its sum of squares about its mean is zero; a max
+    # or min reduction in metrics.py would be a second flat path
+    tree = ast.parse((PACKAGE / "metrics.py").read_text(encoding="utf-8"))
+    extremes = ("maximum", "minimum", "ptp", "amax", "amin")
+    named = sorted({
+        f"{getattr(top, 'name', '<module>')}:{name}"
+        for top in tree.body for node in ast.walk(top)
+        for name in (getattr(node, "attr", None), getattr(node, "id", None))
+        if name in extremes
+    })
+    assert not named, f"metrics.py names {named}"
+
+
 COMMON_FLAGS = ["--config", "--seed", "--ratio", "--out"]
 STAGE_FLAGS = {
     "synth": COMMON_FLAGS + ["--size", "--bands"],
