@@ -23,6 +23,9 @@ tile it was read in, so the budget moves no bit of any window statistic.
 CC and ERGAS sum dot products over row bands, and SAM forms its angles in
 bands whose four work arrays share one band's budget.
 
+Each windowed index reads pairs of planes of one ``_Moments`` (``_join``
+chains two) in one covariance pass, and D_lambda and D_s share one per image:
+the fused bands with PAN, and the MS bands with PAN degraded to their scale.
 UIQI reads the covariance of each band of one image with the same band of the
 other, D_lambda that of each pair of bands within one image and D_s that of
 each band with PAN.  Q4 reads the four covariances UIQI reads, whose sum is
@@ -53,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import raster
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import ConfigError, DegenerateInputError, InvalidInputError
 from .raster import MultispectralImage, RasterBand, csv_format, kv_format, kv_parse, kv_value
 
 REDUCED_METRICS = ("SAM", "CC", "UIQI", "Q4", "ERGAS")
@@ -77,8 +80,8 @@ class MetricConfig:
             raise InvalidInputError(f"window must be >= 2, got {self.window}")
         if self.stride < 1:
             raise InvalidInputError(f"stride must be >= 1, got {self.stride}")
-        if float(self.ratio) <= 0:
-            raise InvalidInputError("pixel-size ratio must be positive")
+        if not 0 < self.ratio <= np.finfo(float).max:
+            raise InvalidInputError("pixel-size ratio must be positive and within the float range")
 
 
 def _as_ms(image) -> MultispectralImage:
@@ -381,10 +384,10 @@ def _window_tables(grid: _WindowGrid, planes, sums, offsets=None):
 
 @dataclass(frozen=True)
 class _Moments:
-    """Per-window statistics, each (k, ny, nx), of the k bands of an image."""
+    """Per-window statistics, each (k, ny, nx), of k planes on one window grid."""
 
     grid: _WindowGrid
-    bands: np.ndarray  # (k, H, W)
+    bands: tuple  # the k (H, W) planes
     offsets: np.ndarray  # of the blocks (see _window_tables), (k, nby, nbx)
     mean: np.ndarray
     var: np.ndarray  # ddof = 1
@@ -394,7 +397,7 @@ class _Moments:
 
 def _moments(image, window: int, stride: int) -> _Moments:
     """Window statistics of a RasterBand or of every band of an MS image."""
-    bands = image.data if isinstance(image, MultispectralImage) else image.data[None]
+    bands = tuple(image.data if isinstance(image, MultispectralImage) else image.data[None])
     grid = _window_origins(*bands[0].shape, window, stride)
     k = len(bands)
     stats, offsets = _window_tables(grid, bands, [((1, b, b),) for b in range(k)])
@@ -404,22 +407,18 @@ def _moments(image, window: int, stride: int) -> _Moments:
     return _Moments(grid, bands, offsets, stats[k : 2 * k], stats[2 * k :], flat, stats[:k])
 
 
-def _covariances(sides, sums) -> np.ndarray:
+def _join(a: _Moments, b: _Moments) -> _Moments:
+    """The planes of a, then those of b, on the grid of a, which b must share."""
+    return _Moments(a.grid, a.bands + b.bands,
+                    *(np.concatenate((getattr(a, name), getattr(b, name)))
+                      for name in ("offsets", "mean", "var", "flat", "level")))
+
+
+def _covariances(s: _Moments, sums) -> np.ndarray:
     """Per-window covariance (ddof = 1) of each signed sum of products in
-    ``sums``, whose (s, i, j) terms index the bands of the _Moments of
-    ``sides`` in turn: (len(sums), ny, nx)."""
-    planes = [x for side in sides for x in side.bands]
-    offsets = np.concatenate([side.offsets for side in sides])
-    stats, _ = _window_tables(sides[0].grid, planes, sums, offsets)
-    return stats[2 * len(planes):] / (sides[0].grid.window ** 2 - 1)
-
-
-def _cross(a: _Moments, b: _Moments, pairs) -> np.ndarray:
-    """Per-window covariance of band i of a with band j of b, for each (i, j) in
-    ``pairs``: (len(pairs), ny, nx)."""
-    sides = (a,) if b is a else (a, b)
-    j0 = 0 if b is a else len(a.bands)
-    return _covariances(sides, [((1, i, j0 + j),) for i, j in pairs])
+    ``sums``, whose (s, i, j) terms index the planes of s: (len(sums), ny, nx)."""
+    stats, _ = _window_tables(s.grid, s.bands, sums, s.offsets)
+    return stats[2 * len(s.bands):] / (s.grid.window ** 2 - 1)
 
 
 def _q_map(mu_a, mu_b, var_a, var_b, cov, flat_a, flat_b, same) -> np.ndarray:
@@ -431,14 +430,15 @@ def _q_map(mu_a, mu_b, var_a, var_b, cov, flat_a, flat_b, same) -> np.ndarray:
     return np.where(flat_a & flat_b, same, np.where(flat_a | flat_b, 0.0, q))
 
 
-def _uiqi_map(a: _Moments, i: int, b: _Moments, j: int, cov: np.ndarray) -> np.ndarray:
-    return _q_map(a.mean[i], b.mean[j], a.var[i], b.var[j], cov,
-                  a.flat[i], b.flat[j], a.level[i] == b.level[j])
+def _uiqi_map(s: _Moments, i: int, j: int, cov: np.ndarray) -> np.ndarray:
+    return _q_map(s.mean[i], s.mean[j], s.var[i], s.var[j], cov,
+                  s.flat[i], s.flat[j], s.level[i] == s.level[j])
 
 
-def _uiqi_means(a: _Moments, b: _Moments, pairs) -> list:
-    """Window-mean UIQI of band i of a with band j of b, for each (i, j) in ``pairs``."""
-    return [_uiqi_map(a, i, b, j, cov).mean() for (i, j), cov in zip(pairs, _cross(a, b, pairs))]
+def _uiqi_means(s: _Moments, pairs) -> list:
+    """Window-mean UIQI of plane i of s with plane j, for each (i, j) in ``pairs``."""
+    covs = _covariances(s, [((1, i, j),) for i, j in pairs])
+    return [_uiqi_map(s, i, j, cov).mean() for (i, j), cov in zip(pairs, covs)]
 
 
 # (sign, f band, 4 + m band) terms of the four parts of (f - mu_f) conj(m - mu_m),
@@ -455,7 +455,7 @@ def _q4_tables(f: _Moments, m: _Moments) -> np.ndarray:
     b = 0..3, then Hamilton parts 1-3; part 0 is the sum of the first four."""
     if len(f.bands) != 4:
         raise InvalidInputError(f"Q4 requires exactly 4 bands, got {len(f.bands)}")
-    return _covariances((f, m), [(term,) for term in _HAMILTON[0]] + list(_HAMILTON[1:]))
+    return _covariances(_join(f, m), [(term,) for term in _HAMILTON[0]] + list(_HAMILTON[1:]))
 
 
 def _q4_value(f: _Moments, m: _Moments, covs: np.ndarray) -> float:
@@ -474,7 +474,7 @@ def uiqi(A: RasterBand, B: RasterBand, cfg: MetricConfig | None = None) -> float
     if a.data.shape != b.data.shape:
         raise InvalidInputError(f"dimensions differ: {a.data.shape} vs {b.data.shape}")
     ma, mb = (_moments(x, cfg.window, cfg.stride) for x in (a, b))
-    return float(_uiqi_means(ma, mb, [(0, 0)])[0])
+    return float(_uiqi_means(_join(ma, mb), [(0, 1)])[0])
 
 
 def q4(F, M, cfg: MetricConfig | None = None) -> float:
@@ -529,11 +529,6 @@ def _ratio(M, F) -> int:
     return r_h
 
 
-def _scaled_moments(image, r: int, cfg: MetricConfig) -> _Moments:
-    """Window statistics at PAN scale: window and stride times the ratio r."""
-    return _moments(image, cfg.window * r, cfg.stride * r)
-
-
 def _band_pairs(k: int) -> list:
     # Q is symmetric, so each unordered pair stands for both orders
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -542,34 +537,36 @@ def _band_pairs(k: int) -> list:
 def _full_refs(M, P: RasterBand, P_L: RasterBand, r: int, cfg: MetricConfig) -> tuple:
     """What D_lambda and D_s read of the MS image M, of PAN P at r times its
     scale and of P_L, PAN degraded to the scale of M, the same for every fused
-    image: the window statistics of P on windows and strides scaled by r, the
-    UIQI of each _band_pairs pair of bands of M, and that of each band of M
-    with P_L."""
+    image: the window statistics of P on windows and strides times r, and the
+    UIQI of each _band_pairs pair of the k bands of M and P_L, as plane k, from
+    one pass.  A pair (i, k) is D_s's, and any other D_lambda's."""
     m = _moments(M, cfg.window, cfg.stride)
-    k, h, w = m.bands.shape
+    k, (h, w) = len(m.bands), m.bands[0].shape
     if P.data.shape != (h * r, w * r):
         raise InvalidInputError("PAN and fused dimensions differ")
     if P_L.data.shape != (h, w):
         raise InvalidInputError("degraded PAN and MS dimensions differ")
-    low = _moments(P_L, cfg.window, cfg.stride)
-    return (_scaled_moments(P, r, cfg), _uiqi_means(m, m, _band_pairs(k)),
-            _uiqi_means(m, low, [(b, 0) for b in range(k)]))
+    joint = _join(m, _moments(P_L, cfg.window, cfg.stride))
+    return _moments(P, cfg.window * r, cfg.stride * r), _uiqi_means(joint, _band_pairs(k + 1))
 
 
-def _distortion(reference: list, fused: list) -> float:
-    """Mean absolute gap between matching UIQI values."""
-    return sum(abs(a - b) for a, b in zip(reference, fused)) / len(reference)
+def _gaps(F, refs: tuple, r: int, cfg: MetricConfig) -> tuple:
+    """|UIQI of F - reference| of each pair, F at r times the scale of ``refs``, the
+    scene's _full_refs, from one pass: D_lambda's, then D_s's, in _band_pairs order."""
+    high, reference = refs
+    f = _moments(F, cfg.window * r, cfg.stride * r)
+    k = len(f.bands)
+    pairs = _band_pairs(k + 1)
+    gaps = [abs(a - b) for a, b in zip(reference, _uiqi_means(_join(f, high), pairs))]
+    return ([gap for (_, j), gap in zip(pairs, gaps) if j < k],
+            [gap for (_, j), gap in zip(pairs, gaps) if j == k])
 
 
-def _d_lambda(f: _Moments, q_bands: list) -> float:
-    if not q_bands:
+def _distortion(gaps: list) -> float:
+    """Mean gap between matching UIQI values; only D_lambda's can be none."""
+    if not gaps:
         raise InvalidInputError("spectral distortion needs at least two bands")
-    return _distortion(q_bands, _uiqi_means(f, f, _band_pairs(len(f.bands))))
-
-
-def _d_s(f: _Moments, high: _Moments, q_low: list) -> float:
-    pairs = [(b, 0) for b in range(len(f.bands))]
-    return _distortion(q_low, _uiqi_means(f, high, pairs))
+    return sum(gaps) / len(gaps)
 
 
 def d_lambda(M, F, cfg: MetricConfig | None = None) -> float:
@@ -581,9 +578,9 @@ def d_lambda(M, F, cfg: MetricConfig | None = None) -> float:
     """
     cfg = cfg or MetricConfig()
     r = _ratio(M, F)
-    m = _moments(M, cfg.window, cfg.stride)
-    f = _scaled_moments(F, r, cfg)
-    return _d_lambda(f, _uiqi_means(m, m, _band_pairs(len(m.bands))))
+    m, f = _moments(M, cfg.window, cfg.stride), _moments(F, cfg.window * r, cfg.stride * r)
+    pairs = _band_pairs(len(m.bands))
+    return _distortion([abs(a - b) for a, b in zip(_uiqi_means(m, pairs), _uiqi_means(f, pairs))])
 
 
 def d_s(M, F, P: RasterBand, P_L: RasterBand, cfg: MetricConfig | None = None) -> float:
@@ -591,8 +588,7 @@ def d_s(M, F, P: RasterBand, P_L: RasterBand, cfg: MetricConfig | None = None) -
     over bands."""
     cfg = cfg or MetricConfig()
     r = _ratio(M, F)
-    high, _, q_low = _full_refs(M, P, P_L, r, cfg)
-    return _d_s(_scaled_moments(F, r, cfg), high, q_low)
+    return _distortion(_gaps(F, _full_refs(M, P, P_L, r, cfg), r, cfg)[1])
 
 
 def qnr(dl: float, ds: float) -> float:
@@ -624,8 +620,9 @@ class QualityReport:
             raise InvalidInputError(
                 f"{self.mode} report needs exactly {wanted}, got {tuple(self.entries)}"
             )
-        if not all(math.isfinite(v) for v in entries.values()):
-            raise InvalidInputError("report contains non-finite metric values")
+        for name, value in entries.items():
+            if not math.isfinite(value):
+                raise InvalidInputError(f"metric {name!r} is not finite: {value}")
         object.__setattr__(self, "entries", entries)
 
     def metric_names(self) -> tuple:
@@ -650,11 +647,13 @@ class QualityReport:
         def get(key, convert):
             return kv_value(fields, key, convert, source)
 
-        cfg = MetricConfig(window=get("window", int), stride=get("stride", int),
-                           ratio=get("ratio", Fraction))
-        known = REDUCED_METRICS + FULL_METRICS
-        entries = {k: get(k, float) for k in fields if k in known}
-        return QualityReport(mode=get("mode", str), entries=entries, config=cfg)
+        window, stride, ratio = get("window", int), get("stride", int), get("ratio", Fraction)
+        entries = {k: get(k, float) for k in fields if k in REDUCED_METRICS + FULL_METRICS}
+        mode = get("mode", str)
+        try:
+            return QualityReport(mode, entries, MetricConfig(window, stride, ratio))
+        except InvalidInputError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
 
 
 def _reduced(fi: MultispectralImage, gi: MultispectralImage, g: _Moments,
@@ -664,9 +663,8 @@ def _reduced(fi: MultispectralImage, gi: MultispectralImage, g: _Moments,
     entries = {"SAM": sam_global(fi, gi), "CC": cc(fi, gi)}
     f = _moments(fi, cfg.window, cfg.stride)
     # UIQI reads the first four of Q4's covariance tables
-    covs = _q4_tables(f, g)
-    entries["UIQI"] = float(np.mean([_uiqi_map(f, b, g, b, covs[b]).mean()
-                                     for b in range(fi.band_count)]))
+    covs, s, k = _q4_tables(f, g), _join(f, g), fi.band_count
+    entries["UIQI"] = float(np.mean([_uiqi_map(s, b, k + b, covs[b]).mean() for b in range(k)]))
     entries["Q4"] = _q4_value(f, g, covs)
     entries["ERGAS"] = ergas(fi, gi, cfg)
     return QualityReport(mode="reduced", entries=entries, config=cfg)
@@ -682,10 +680,7 @@ def evaluate_reduced(F, GT, cfg: MetricConfig | None = None) -> QualityReport:
 def _full(F, refs: tuple, r: int, cfg: MetricConfig) -> QualityReport:
     """No-reference scoring of F, at r times the scale of the MS image of
     ``refs``, the _full_refs of the scene."""
-    high, q_bands, q_low = refs
-    f = _scaled_moments(F, r, cfg)
-    dl = _d_lambda(f, q_bands)
-    ds = _d_s(f, high, q_low)
+    dl, ds = map(_distortion, _gaps(F, refs, r, cfg))
     entries = {"D_lambda": dl, "D_s": ds, "QNR": qnr(dl, ds)}
     return QualityReport(mode="full", entries=entries, config=cfg)
 
@@ -694,7 +689,7 @@ def evaluate_full(F, M, P: RasterBand, P_L: RasterBand,
                   cfg: MetricConfig | None = None) -> QualityReport:
     """No-reference scoring of a fused image against its MS/PAN inputs.
 
-    D_lambda and D_s share the window statistics of F.
+    D_lambda and D_s share the window statistics of F and one covariance pass.
     """
     cfg = cfg or MetricConfig()
     r = _ratio(M, F)

@@ -398,7 +398,8 @@ def kv_parse(data, source: str) -> dict:
     """`key = value` lines (UTF-8 bytes or text) as a dict of stripped strings.
 
     ``#`` starts a comment and a repeated key keeps its last value.  A line
-    without ``=`` or a key raises ConfigError naming ``source`` and the line.
+    without ``=`` or a key, or one that holds a NUL, which no path or name may
+    hold, raises ConfigError naming ``source`` and the line.
     """
     if isinstance(data, bytes):
         try:
@@ -409,6 +410,8 @@ def kv_parse(data, source: str) -> dict:
     for lineno, raw in enumerate(data.splitlines(), start=1):
         key, sep, value = raw.split("#", 1)[0].partition("=")
         key = key.strip()
+        if "\x00" in raw:
+            raise ConfigError(f"{source}:{lineno}: a NUL character in {raw!r}")
         if not sep and not key:
             continue
         if not sep or not key:
@@ -428,7 +431,7 @@ def kv_value(values: dict, key: str, convert, source: str):
 
 
 def _kv_safe(text: str) -> bool:
-    return "#" not in text and text == text.strip() and len(text.splitlines()) <= 1
+    return not {"#", "\x00"} & set(text) and text == text.strip() and len(text.splitlines()) <= 1
 
 
 def kv_format(pairs) -> str:

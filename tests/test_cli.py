@@ -92,10 +92,10 @@ class TestConfigFile:
             parse_kv_file(path)
 
 
-# a key or value kv_parse reads back unchanged: no `#`, no line break, no
-# surrounding whitespace; keys are non-empty and hold no `=`
+# a key or value kv_parse reads back unchanged: no `#`, no NUL, no line break,
+# no surrounding whitespace; keys are non-empty and hold no `=`
 _KV_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12).filter(
-    lambda t: "#" not in t and t == t.strip() and len(t.splitlines()) <= 1
+    lambda t: not {"#", "\x00"} & set(t) and t == t.strip() and len(t.splitlines()) <= 1
 )
 
 
@@ -107,7 +107,8 @@ class TestKeyValueFormat:
         assert list(kv_parse(text, "t").items()) == list(pairs.items())
         assert kv_parse(text.encode("utf-8"), "t") == pairs
 
-    @pytest.mark.parametrize("key,value", [("a=b", 1), ("", 1), ("a", "x # y"), ("a", "x\ny"), ("a", " x")])
+    @pytest.mark.parametrize("key,value", [("a=b", 1), ("", 1), ("a", "x # y"), ("a", "x\ny"), ("a", " x"),
+                                           ("a", "x\x00y")])
     def test_writer_rejects_what_would_not_read_back(self, key, value):
         with pytest.raises(ConfigError):
             kv_format([(key, value)])
@@ -559,6 +560,39 @@ class TestMalformedText:
         assert err.startswith("panfuse: ") and len(err.splitlines()) == 1
         assert f"unknown config key {key!r}" in err and "Traceback" not in err
         assert not (out / "checkpoint.pfck").exists()
+
+    @pytest.mark.parametrize(
+        "case", [("SAM = 0.0", "SAM = nan", "'SAM'"), ("mode = reduced", "mode = bogus", "mode"),
+                 ("window = 32", "window = 1", "window"),
+                 ("mode = reduced", "mode = full", "full report"),
+                 ("ratio = 1/4", "ratio = 1e400", "ratio")],
+        ids=["nan", "bogus_mode", "window_1", "wrong_mode", "ratio_beyond_float"],
+    )
+    def test_report_names_the_eval_kv_of_a_bad_value(self, tmp_path, capsys, case):
+        old, new, named = case
+        (tmp_path / "eval_reduced_exp.kv").write_text(_REDUCED_KV.replace(old, new))
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"panfuse: {tmp_path / 'eval_reduced_exp.kv'}: ")
+        assert named in err and len(err.splitlines()) == 1 and "Traceback" not in err
+
+    # each key names a path or a file name part, which can hold no NUL
+    @pytest.mark.parametrize("key, stage", [
+        ("out", ["synth"]), ("ms", ["degrade"]), ("pan", ["degrade"]),
+        ("fused", ["eval", "--mode", "reduced"]), ("checkpoint", ["fuse", "--method", "gan"]),
+        ("label", ["eval", "--mode", "reduced"]),
+    ])
+    def test_nul_in_a_config_value_exits_2_naming_the_line(self, tmp_path, capsys, key, stage):
+        out = tmp_path / "run"
+        run(synth_args(out, size=16, ratio=2, bands=2))
+        run(["fuse", "--method", "exp", "--out", str(out)])
+        cfg = tmp_path / "nul.cfg"
+        cfg.write_bytes(b"window = 4\nstride = 4\n" + key.encode() + b" = w\x00x\n")
+        capsys.readouterr()
+        assert run([*stage, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"panfuse: {cfg}:3: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_synth_with_non_utf8_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

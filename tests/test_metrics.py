@@ -469,7 +469,8 @@ class TestPlateaus:
         f, m = half_plateau(1, (2, 48, 48))
         oracle = oracles.naive_window_moments(f[0], m[0], window, stride)
         a, b = (metrics._moments(ms_of(x), window, stride) for x in (f, m))
-        got = (a.mean[0], a.var[0], b.mean[0], b.var[0], metrics._cross(a, b, [(0, 0)])[0])
+        cov = metrics._covariances(metrics._join(a, b), [((1, 0, len(a.bands)),)])[0]
+        got = (a.mean[0], a.var[0], b.mean[0], b.var[0], cov)
         # Chan et al. (1983): the merged sums lose about log2(n) eps kappa,
         # kappa = |mean| / sd, about 6,000 on the plateau; the means a few eps
         eps, spread = np.finfo(float).eps, np.sqrt(oracle[1] * oracle[3])
@@ -633,7 +634,7 @@ class TestMetricInvariants:
         a, window, stride = case
         m = metrics._moments(ms_of(a), window, stride)
         pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
-        q = dict(zip(pairs, metrics._uiqi_means(m, m, pairs)))
+        q = dict(zip(pairs, metrics._uiqi_means(m, pairs)))
         assert all(q[i, j] == q[j, i] for i, j in pairs)
 
 
@@ -710,6 +711,39 @@ class TestDistortions:
         cfg = MetricConfig(window=8, stride=8)
         fast = d_s(ms_of(m), ms_of(f), RasterBand(pan), RasterBand(pan_low), cfg)
         assert abs(fast - oracles.naive_d_s(m, f, pan, pan_low, 8, 8, 1, 4)) < 1e-10
+
+    @staticmethod
+    def passes(monkeypatch):
+        """A list that grows by one for each _window_tables pass."""
+        calls, kernel = [], metrics._window_tables
+        monkeypatch.setattr(metrics, "_window_tables", lambda *a: calls.append(0) or kernel(*a))
+        return calls
+
+    def test_d_lambda_and_d_s_share_one_pass_per_image(self, monkeypatch):
+        # MS, P_L and PAN statistics and one joint covariance pass build the
+        # references; F's statistics and one joint pass score a product
+        rng = np.random.default_rng(29)
+        m, f = ms_of(rng.uniform(size=(4, 16, 16))), ms_of(rng.uniform(size=(4, 64, 64)))
+        pan, pan_low = RasterBand(rng.uniform(size=(64, 64))), RasterBand(rng.uniform(size=(16, 16)))
+        cfg = MetricConfig(window=8, stride=4)
+        calls = self.passes(monkeypatch)
+        refs = metrics._full_refs(m, pan, pan_low, 4, cfg)
+        assert len(calls) == 4
+        report = metrics._full(f, refs, 4, cfg)
+        assert len(calls) == 6
+        assert report.entries["D_lambda"] == d_lambda(m, f, cfg)
+        assert report.entries["D_s"] == d_s(m, f, pan, pan_low, cfg)
+
+    def test_full_evaluation_of_one_band_names_two_bands(self):
+        rng = np.random.default_rng(30)
+        m, f = ms_of(rng.uniform(size=(1, 16, 16))), ms_of(rng.uniform(size=(1, 64, 64)))
+        pan, pan_low = RasterBand(rng.uniform(size=(64, 64))), RasterBand(rng.uniform(size=(16, 16)))
+        with pytest.raises(InvalidInputError, match="two bands"):
+            evaluate_full(f, m, pan, pan_low, MetricConfig(window=8, stride=8))
+        # D_s alone reads no pair of bands, so one band scores
+        fast = d_s(m, f, pan, pan_low, MetricConfig(window=8, stride=8))
+        assert abs(fast - oracles.naive_d_s(m.data, f.data, pan.data, pan_low.data,
+                                            8, 8, 1, 4)) < 1e-10
 
     def test_blur_increases_d_s(self, fixture_scene):
         from panfuse.harness import baseline_fuse
@@ -807,7 +841,7 @@ class TestRowBands:
         pairs = [(i, j) for i in range(len(a)) for j in range(len(b))]
         fields = ("offsets", "mean", "var", "flat", "level")
         return [getattr(x, name) for x in (ma, mb) for name in fields] + [
-            metrics._cross(ma, mb, pairs)]
+            metrics._covariances(metrics._join(ma, mb), [((1, i, len(a) + j),) for i, j in pairs])]
 
     @settings(max_examples=40, deadline=None)
     @given(case=windowed_inputs(max_side=40))
