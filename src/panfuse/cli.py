@@ -169,7 +169,7 @@ def cmd_synth(cfg: RunConfig):
     meta = kv_format([
         ("seed", scene.seed), ("ratio", scene.ratio), ("bands", gt.band_count),
         ("width", gt.width), ("height", gt.height), ("nyquist_gain", NYQUIST_GAIN),
-        ("pan_weights", ",".join(repr(w) for w in scene.pan_weights)),
+        ("pan_weights", ",".join(repr(float(w)) for w in scene.pan_weights)),
     ])
     outputs = {"gt.pfr": gt, "ms.pfr": scene.ms, "pan.pfr": scene.pan, "scene.meta": meta}
     return outputs, f"wrote scene (seed={scene.seed}) to {cfg.out}\n"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -56,7 +55,7 @@ IDEAL_ROW = {
 
 
 def worker_threads() -> int:
-    """Worker cap of :func:`run_experiment`'s pool: every core this process may run on."""
+    """The count of cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -240,8 +239,9 @@ def run_experiment(
 
     What every method starts from or is scored against (the upsampled MS
     image, the degraded PAN, the window statistics of the ground truth and
-    the no-reference side of MS and PAN) is built once, by the first tasks of
-    the pool; a method that reads a build that failed fails with its error.
+    the no-reference side of MS and PAN) is built once, before the first
+    method; if a build fails, every row fails with its error.  A row's
+    ``wall_time`` is its method's fusion and scoring, not these builds.
     """
     cfg = replace(cfg or MetricConfig(), ratio=Fraction(1, scene.ratio))
     names = sorted(set(methods))
@@ -249,35 +249,27 @@ def run_experiment(
         if name not in BASELINE_METHODS:
             raise InvalidInputError(f"unknown fusion method {name!r}")
     r = scene.ratio
-    with ThreadPoolExecutor(max_workers=max(1, min(worker_threads(), len(names)))) as pool:
-        # a task waits only on tasks submitted before it, which the pool has
-        # started by then, so no wait can deadlock
-        pan_low = pool.submit(mtf_degrade, scene.pan, r)
-        ms_up = pool.submit(upsample, scene.ms, r)
-        gt_moments = pool.submit(_moments, scene.gt_hrms, cfg.window, cfg.stride)
-        refs = pool.submit(lambda: _full_refs(scene.ms, scene.pan, pan_low.result(), r, cfg))
-
-        def run_one(name: str) -> list:
-            start = time.perf_counter()
-            try:
-                product = _fuse(name, ms_up.result(), scene.pan, pan_low.result(), r)
-                reduced = _reduced(product, scene.gt_hrms, gt_moments.result(), cfg)
-                full = _full(product, refs.result(), r, cfg)
-            except PanfuseError as exc:
-                elapsed = time.perf_counter() - start
-                return [
-                    ExperimentResult(name, mode, None, elapsed, error=str(exc))
-                    for mode in ("reduced", "full")
-                ]
-            elapsed = time.perf_counter() - start
-            return [
-                ExperimentResult(name, "reduced", reduced, elapsed),
-                ExperimentResult(name, "full", full, elapsed),
-            ]
-
-        chunks = list(pool.map(run_one, names))
-    results = [res for chunk in chunks for res in chunk]
-    results.sort(key=lambda res: (res.method, res.mode))
+    try:
+        ms_up = upsample(scene.ms, r)
+        pan_low = mtf_degrade(scene.pan, r)
+        gt_moments = _moments(scene.gt_hrms, cfg.window, cfg.stride)
+        refs = _full_refs(scene.ms, scene.pan, pan_low, r, cfg)
+    except PanfuseError as exc:
+        return [ExperimentResult(name, mode, None, 0.0, error=str(exc))
+                for name in names for mode in ("full", "reduced")]
+    results = []
+    for name in names:
+        start = time.perf_counter()
+        reports, error = {}, None
+        try:
+            product = _fuse(name, ms_up, scene.pan, pan_low, r)
+            reports["reduced"] = _reduced(product, scene.gt_hrms, gt_moments, cfg)
+            reports["full"] = _full(product, refs, r, cfg)
+        except PanfuseError as exc:
+            reports, error = {}, str(exc)
+        elapsed = time.perf_counter() - start
+        results += [ExperimentResult(name, mode, reports.get(mode), elapsed, error)
+                    for mode in ("full", "reduced")]
     return results
 
 

@@ -430,13 +430,25 @@ def kv_value(values: dict, key: str, convert, source: str):
         raise ConfigError(f"{source}: bad value for key {key!r}: {values[key]!r}") from exc
 
 
+def _utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8.  A lone surrogate does not: Python
+    decodes each invalid byte of a command-line argument to one."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _kv_safe(text: str) -> bool:
-    return not {"#", "\x00"} & set(text) and text == text.strip() and len(text.splitlines()) <= 1
+    return (not {"#", "\x00"} & set(text) and text == text.strip()
+            and len(text.splitlines()) <= 1 and _utf8(text))
 
 
 def kv_format(pairs) -> str:
-    """``(key, value)`` pairs as `key = value` lines, values through ``str``;
-    a pair that :func:`kv_parse` would not read back unchanged raises ConfigError."""
+    """``(key, value)`` pairs as `key = value` lines, values through ``str``; a
+    pair that :func:`kv_parse` would not read back unchanged, or that UTF-8
+    cannot encode, raises ConfigError."""
     lines = []
     for key, value in pairs:
         text = str(value)
@@ -448,12 +460,13 @@ def kv_format(pairs) -> str:
 
 def csv_format(header, rows) -> str:
     """``header`` and ``rows`` of string cells as comma-separated lines; a cell
-    that :func:`parse_csv_table` would not read back raises InvalidInputError."""
+    that :func:`parse_csv_table` would not read back, or that UTF-8 cannot
+    encode, raises InvalidInputError."""
     lines = []
     for cells in (header, *rows):
         for cell in cells:
             # a line break is any boundary of str.splitlines, which the reader splits at
-            if "," in cell or len((cell + "x").splitlines()) > 1:
+            if "," in cell or len((cell + "x").splitlines()) > 1 or not _utf8(cell):
                 raise InvalidInputError(f"cannot write cell {cell!r} in a CSV line")
         lines.append(",".join(cells) + "\n")
     return "".join(lines)
@@ -465,8 +478,10 @@ def parse_csv_table(text: str, header: tuple, what: str, text_columns: int = 0) 
     A wrong header, cell count or number raises InvalidInputError naming the line.
     """
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or tuple(lines[0][1].split(",")) != tuple(header):
-        raise InvalidInputError(f"unrecognized {what} header: {lines[0][1] if lines else ''!r}")
+    if not lines:
+        raise InvalidInputError(f"{what}: no header line")
+    if tuple(lines[0][1].split(",")) != tuple(header):
+        raise InvalidInputError(f"{what} line {lines[0][0]}: unrecognized header {lines[0][1]!r}")
     rows = []
     for lineno, ln in lines[1:]:
         cells = ln.split(",")

@@ -19,7 +19,7 @@ from panfuse.autodiff import ParameterSet, save_checkpoint
 from panfuse.cli import CONFIG_DEFAULTS, main, parse_kv_file
 from panfuse.errors import ConfigError
 from panfuse.gan import GeneratorSpec
-from panfuse.harness import parse_results_table
+from panfuse.harness import parse_results_table, synth_scene
 from panfuse.metrics import QualityReport
 from panfuse.raster import (
     MultispectralImage,
@@ -142,6 +142,13 @@ class TestPipeline:
         assert report.entries["CC"] < 1.0
         csv_text = (out / "eval_reduced_exp.csv").read_text()
         assert csv_text.splitlines()[0] == "SAM,CC,UIQI,Q4,ERGAS"
+
+    def test_scene_meta_pan_weights_are_numbers(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(synth_args(out, size=16, ratio=2, bands=3)) == 0
+        meta = kv_parse((out / "scene.meta").read_bytes(), "scene.meta")
+        weights = [float(w) for w in meta["pan_weights"].split(",")]
+        assert weights == synth_scene(7, 16, 16, 3, 2).pan_weights.tolist()
 
     def test_eval_self_is_ideal(self, tmp_path):
         out = tmp_path / "run"
@@ -601,6 +608,37 @@ class TestMalformedText:
         err = capsys.readouterr().err
         assert err.startswith("panfuse: ") and "bad.cfg" in err and "UTF-8" in err
         assert not (tmp_path / "o").exists()
+
+
+    # a command-line byte that is not UTF-8 decodes to a lone surrogate, which
+    # no text output can encode; eval echoes --label and --out as config.*
+    @pytest.mark.parametrize("flag", ["label", "out"])
+    def test_eval_with_a_non_utf8_argument_exits_2(self, tmp_path, capsys, flag):
+        scene = tmp_path / "run"
+        run(synth_args(scene, size=16, ratio=2))
+        run(["fuse", "--method", "exp", "--out", str(scene)])
+        bad = "a" + os.fsdecode(b"\xff") + "b"
+        out = tmp_path / bad if flag == "out" else scene
+        argv = ["eval", "--mode", "reduced", "--config", str(_window_cfg(tmp_path, 8)),
+                "--ratio", "2", "--fused", str(scene / "fused_exp.pfr"),
+                "--gt", str(scene / "gt.pfr"), "--out", str(out), "--label", "exp"]
+        if flag == "label":
+            argv[-1] = bad
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+    def test_report_over_a_non_utf8_label_exits_2(self, tmp_path, capsys):
+        (tmp_path / ("eval_reduced_a" + os.fsdecode(b"\xff") + "b.kv")).write_text(_REDUCED_KV)
+        before = sorted(os.listdir(tmp_path))
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panfuse: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and sorted(os.listdir(tmp_path)) == before
 
 
 def _png(ihdr: bytes, idat: bytes) -> bytes:

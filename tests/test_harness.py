@@ -214,8 +214,7 @@ class TestRunExperiment:
         assert all(r.report is None and "broken" in r.error for r in bad)
 
     @pytest.mark.parametrize("window, stride", [(8, 8), (16, 4)])
-    def test_any_worker_count_scores_as_the_public_functions(self, small_scene, monkeypatch,
-                                                              window, stride):
+    def test_scores_as_the_public_functions(self, small_scene, window, stride):
         scene = small_scene
         cfg = MetricConfig(window=window, stride=stride, ratio=Fraction(1, scene.ratio))
         pan_low = mtf_degrade(scene.pan, scene.ratio)
@@ -224,14 +223,25 @@ class TestRunExperiment:
             product = baseline_fuse(method, scene.ms, scene.pan, scene.ratio)
             expected[method, "reduced"] = evaluate_reduced(product, scene.gt_hrms, cfg)
             expected[method, "full"] = evaluate_full(product, scene.ms, scene.pan, pan_low, cfg)
-        for workers in (1, 3):
-            monkeypatch.setattr(harness, "worker_threads", lambda: workers)
-            results = run_experiment(scene, harness.BASELINE_METHODS, cfg)
-            assert len(results) == len(expected)
-            for res in results:
-                want = expected[res.method, res.mode].entries
-                assert {k: v.hex() for k, v in res.report.entries.items()} == {
-                    k: v.hex() for k, v in want.items()}, (workers, res.method, res.mode)
+        results = run_experiment(scene, harness.BASELINE_METHODS, cfg)
+        assert len(results) == len(expected)
+        for res in results:
+            want = expected[res.method, res.mode].entries
+            assert {k: v.hex() for k, v in res.report.entries.items()} == {
+                k: v.hex() for k, v in want.items()}, (res.method, res.mode)
+
+    def test_references_are_built_once(self, small_scene, monkeypatch):
+        calls = dict.fromkeys(("upsample", "mtf_degrade", "_moments", "_full_refs"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(harness, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        results = run_experiment(small_scene, harness.BASELINE_METHODS,
+                                 MetricConfig(window=8, stride=8))
+        assert all(res.report is not None for res in results)
+        assert calls == dict.fromkeys(calls, 1)
 
     @pytest.mark.parametrize("window", [128, 32])
     def test_a_failing_reference_fails_every_row(self, small_scene, window):

@@ -1,15 +1,19 @@
-"""Byte mutations of small valid text files of every kind panfuse reads.
+"""Byte mutations of small valid text files of every kind panfuse reads, and
+the labels ``eval`` writes into file names and report tables.
 
 Each mutation either parses or raises a PanfuseError whose message names the
 file (for a CSV table, the kind of table) and a line, a key or a byte offset.
 """
 
 import argparse
+import os
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from panfuse import cli
@@ -17,6 +21,7 @@ from panfuse.errors import PanfuseError
 from panfuse.gan import TrainingLog
 from panfuse.harness import ExperimentResult, parse_results_table, results_table_csv
 from panfuse.metrics import FULL_METRICS, REDUCED_METRICS, MetricConfig, QualityReport
+from panfuse.raster import parse_csv_table
 
 # the bytes the formats give a meaning, NEL (U+0085, a line break to
 # str.splitlines) and its lone second byte, which is not UTF-8, or any byte
@@ -101,12 +106,14 @@ def test_eval_kv(data):
 
 
 # the CSV readers take text; a byte that is not UTF-8 reads as U+FFFD.  A table's
-# header is its first line, and a message about it names it
+# header is its first non-blank line, and a message about it names that line, or
+# says that the text has none
 @FUZZ
 @given(data=mutations(_LOG))
 def test_training_log(data):
     text = data.decode("utf-8", "replace")
-    parses_or_names_a_place(lambda: TrainingLog.parse_csv(text), "training-log", ("header",))
+    parses_or_names_a_place(lambda: TrainingLog.parse_csv(text), "training-log",
+                            ("no header line",))
 
 
 @FUZZ
@@ -114,7 +121,47 @@ def test_training_log(data):
 def test_results_table(data):
     text = data.decode("utf-8", "replace")
     parses_or_names_a_place(lambda: parse_results_table(text, "reduced"), "reduced table",
-                            ("header",))
+                            ("no header line",))
+
+
+@pytest.fixture(scope="module")
+def fused_scene(tmp_path_factory):
+    """A 16 x 16 scene under a directory of its own, fused by ``exp``, and the
+    config and flags that ``eval`` reads it with."""
+    scene = tmp_path_factory.mktemp("scene")
+    assert cli.main(["synth", "--size", "16", "--ratio", "2", "--bands", "4",
+                     "--out", str(scene)]) == 0
+    assert cli.main(["fuse", "--method", "exp", "--out", str(scene)]) == 0
+    (scene / "win.cfg").write_text("window = 8\nstride = 8\n")
+    return ["--mode", "reduced", "--config", str(scene / "win.cfg"), "--ratio", "2",
+            "--fused", str(scene / "fused_exp.pfr"), "--gt", str(scene / "gt.pfr")]
+
+
+# the separators of the file name, the `key = value` echo and the report table,
+# line breaks, NUL, a lone surrogate (a command-line byte that is not UTF-8
+# decodes to one), any character, and a name longer than a file name may be.  An
+# empty --label is no label: eval takes the fused file's stem instead
+_LABELS = st.text(st.sampled_from([",", "/", "#", "=", "_", " ", "\r", "\n", "\x85",
+                                   "\x00", "\udcff"]) | st.characters(),
+                  min_size=1, max_size=8) | st.just("l" * 300)
+
+
+@FUZZ
+@given(label=_LABELS)
+@example(label="a=b_c d").via("a label that reaches the report")
+def test_eval_label(tmp_path, capsys, fused_scene, label):
+    out = tempfile.mkdtemp(dir=tmp_path)
+    capsys.readouterr()
+    code = cli.main(["eval", *fused_scene, "--out", out, "--label", label])
+    if code == 0:
+        assert cli.main(["report", "--out", out]) == 0
+        table = Path(out, "report_reduced.csv").read_text(encoding="utf-8")
+        rows = parse_csv_table(table, ("method", *REDUCED_METRICS), "table", text_columns=1)
+        assert [row[0] for row in rows] == [label, "Ideal"]
+    else:
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (2, 1) and err.startswith("panfuse: "), err
+        assert "Traceback" not in err and os.listdir(out) == []
 
 
 def test_the_seeds_parse(tmp_path, scene_meta):
