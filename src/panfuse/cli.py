@@ -7,14 +7,16 @@ with byte-identical files.  A stage only computes and returns its outputs;
 :func:`main` then writes all of them or none, a guarantee that covers a failed
 or killed process but not a power loss (see :func:`_write_outputs`).  Exit
 codes: 0 success, 2 validation error or out of memory, 3 numerical or training
-error.
+error, 130 interrupted (SIGINT), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -374,8 +376,19 @@ def _write_outputs(out: str, outputs: dict) -> None:
         raise
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where the main thread runs, as KeyboardInterrupt is for SIGINT."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a signal handler can only be set from the main thread
+    in_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if in_main else None
     try:
         cfg = RunConfig(args)
         outputs, text = args.handler(cfg)
@@ -389,6 +402,13 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"panfuse: out of memory in {args.command}", file=sys.stderr)
         return 2
+    except (KeyboardInterrupt, _Terminated) as exc:
+        print(f"panfuse: interrupted in {args.command}", file=sys.stderr)
+        return 130 if isinstance(exc, KeyboardInterrupt) else 143
+    finally:
+        if in_main:
+            # None: a handler set outside Python, which cannot be set again from here
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
     sys.stdout.write(text)
     return 0
 

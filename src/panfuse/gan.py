@@ -32,7 +32,9 @@ from .raster import (
     IntensityWeights,
     MultispectralImage,
     RasterBand,
+    _bicubic_taps,
     _bicubic_up,
+    _keep_freed_memory,
     check_pan_scale,
     csv_format,
     estimate_weights,
@@ -294,8 +296,10 @@ def train(
     spectral critic on (real MS, degraded fused); update the spatial critic on
     (real PAN, fused intensity); then update the generator on the combined
     loss.  Everything is derived from ``cfg.seed``, so runs are reproducible
-    bit for bit.
+    bit for bit.  The process keeps the memory each iteration frees for the
+    next (raster._keep_freed_memory).
     """
+    _keep_freed_memory()
     r = cfg.ratio
     check_pan_scale(ms, pan, r)
     k = ms.band_count
@@ -394,7 +398,8 @@ def fuse(
     halo of ``_FUSE_HALO`` rows, cut at the image border, so every kept pixel
     reads the same inputs as in the whole-image pass: inside, the halo holds
     every row it reads; at the border, conv2d pads with the same zeros.  Each
-    band's bicubic input is upsampled from the MS directly.  The layers run
+    band's bicubic input is upsampled from the MS directly, by tap tables
+    built once for the whole grid.  The layers run
     in float32, as in training, and the residual is added to the float64
     upsample.  A band keeps the whole width, so every GEMM of conv2d sums
     each pixel's taps as the whole-image pass does, and the output is bitwise
@@ -415,9 +420,10 @@ def fuse(
     frozen = _frozen(params)
     h, w = pan.height, pan.width
     out = np.empty((k, h, w))
+    taps = _bicubic_taps(ms.data.shape, r)
     for band in row_bands(h, w):
         rows = slice(max(band.start - _FUSE_HALO, 0), min(band.stop + _FUSE_HALO, h))
-        ms_up = _bicubic_up(ms.data, r, rows)
+        ms_up = _bicubic_up(ms.data, taps, rows)
         try:
             part = gen.forward(frozen, Tensor(ms_up), Tensor(pan.data[None, rows]))
         except NumericalError as exc:

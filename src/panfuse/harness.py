@@ -33,6 +33,7 @@ from .metrics import (
 from .raster import (
     MultispectralImage,
     RasterBand,
+    _keep_freed_memory,
     check_pan_scale,
     csv_format,
     detail_inject,
@@ -241,8 +242,11 @@ def run_experiment(
     image, the degraded PAN, the window statistics of the ground truth and
     the no-reference side of MS and PAN) is built once, before the first
     method; if a build fails, every row fails with its error.  A row's
-    ``wall_time`` is its method's fusion and scoring, not these builds.
+    ``wall_time`` is its method's fusion and scoring, not these builds.  The
+    process keeps the memory each method frees for the next
+    (raster._keep_freed_memory).
     """
+    _keep_freed_memory()
     cfg = replace(cfg or MetricConfig(), ratio=Fraction(1, scene.ratio))
     names = sorted(set(methods))
     for name in names:

@@ -534,12 +534,14 @@ def _band_pairs(k: int) -> list:
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
-def _full_refs(M, P: RasterBand, P_L: RasterBand, r: int, cfg: MetricConfig) -> tuple:
+def _full_refs(M, P: RasterBand, P_L: RasterBand, r: int, cfg: MetricConfig,
+               spatial_only: bool = False) -> tuple:
     """What D_lambda and D_s read of the MS image M, of PAN P at r times its
     scale and of P_L, PAN degraded to the scale of M, the same for every fused
-    image: the window statistics of P on windows and strides times r, and the
-    UIQI of each _band_pairs pair of the k bands of M and P_L, as plane k, from
-    one pass.  A pair (i, k) is D_s's, and any other D_lambda's."""
+    image: the window statistics of P on windows and strides times r, the
+    pairs of the k bands of M and P_L, as plane k, in _band_pairs order, and
+    the UIQI of each pair, from one pass.  A pair (i, k) is D_s's, and any
+    other D_lambda's; ``spatial_only`` takes D_s's pairs alone."""
     m = _moments(M, cfg.window, cfg.stride)
     k, (h, w) = len(m.bands), m.bands[0].shape
     if P.data.shape != (h * r, w * r):
@@ -547,16 +549,16 @@ def _full_refs(M, P: RasterBand, P_L: RasterBand, r: int, cfg: MetricConfig) -> 
     if P_L.data.shape != (h, w):
         raise InvalidInputError("degraded PAN and MS dimensions differ")
     joint = _join(m, _moments(P_L, cfg.window, cfg.stride))
-    return _moments(P, cfg.window * r, cfg.stride * r), _uiqi_means(joint, _band_pairs(k + 1))
+    pairs = [(i, k) for i in range(k)] if spatial_only else _band_pairs(k + 1)
+    return _moments(P, cfg.window * r, cfg.stride * r), pairs, _uiqi_means(joint, pairs)
 
 
 def _gaps(F, refs: tuple, r: int, cfg: MetricConfig) -> tuple:
-    """|UIQI of F - reference| of each pair, F at r times the scale of ``refs``, the
-    scene's _full_refs, from one pass: D_lambda's, then D_s's, in _band_pairs order."""
-    high, reference = refs
+    """|UIQI of F - reference| of each pair of ``refs``, the scene's _full_refs,
+    F at r times their scale, from one pass: D_lambda's, then D_s's."""
+    high, pairs, reference = refs
     f = _moments(F, cfg.window * r, cfg.stride * r)
     k = len(f.bands)
-    pairs = _band_pairs(k + 1)
     gaps = [abs(a - b) for a, b in zip(reference, _uiqi_means(_join(f, high), pairs))]
     return ([gap for (_, j), gap in zip(pairs, gaps) if j < k],
             [gap for (_, j), gap in zip(pairs, gaps) if j == k])
@@ -588,7 +590,8 @@ def d_s(M, F, P: RasterBand, P_L: RasterBand, cfg: MetricConfig | None = None) -
     over bands."""
     cfg = cfg or MetricConfig()
     r = _ratio(M, F)
-    return _distortion(_gaps(F, _full_refs(M, P, P_L, r, cfg), r, cfg)[1])
+    refs = _full_refs(M, P, P_L, r, cfg, spatial_only=True)
+    return _distortion(_gaps(F, refs, r, cfg)[1])
 
 
 def qnr(dl: float, ds: float) -> float:

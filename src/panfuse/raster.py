@@ -7,7 +7,9 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import struct
 import sys
 import zlib
@@ -155,6 +157,36 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the allocator of the loops
+
+# mallopt's parameters in glibc's malloc.h, and the largest value it takes
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _INT_MAX = -1, -3, 2**31 - 1
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep what this process frees for its own reuse, from now on: once per
+    process, and only on glibc, raise the mmap and then the trim threshold to
+    INT_MAX.  The loops of gan.train and harness.run_experiment then reuse the
+    working set each pass frees, where glibc would hand it back to the kernel
+    and the kernel zero fresh pages for the next pass.  The trim threshold
+    alone would fix the mmap threshold at 128 KiB and fault more, so it is set
+    only once the mmap threshold took.  Nothing undoes it."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    import ctypes  # loaded only by the loops that call this
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _INT_MAX) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _INT_MAX)
+
+
+# ---------------------------------------------------------------------------
 # resampling
 
 
@@ -182,17 +214,23 @@ def _bicubic_axis_taps(n_in: int, r: int):
     return idx, w
 
 
-def _bicubic_up(a: np.ndarray, r: int, rows: slice = slice(None)) -> np.ndarray:
-    """Bicubic upsample of the ``(..., H, W)`` stack ``a`` by ``r``, or the
-    ``rows`` window of the output grid.
+def _bicubic_taps(shape: tuple, r: int) -> tuple:
+    """The row and the column tap tables of the bicubic upsample by ``r`` of a
+    ``(..., H, W)`` stack of ``shape``."""
+    return _bicubic_axis_taps(shape[-2], r), _bicubic_axis_taps(shape[-1], r)
+
+
+def _bicubic_up(a: np.ndarray, taps: tuple, rows: slice = slice(None)) -> np.ndarray:
+    """Bicubic upsample of the ``(..., H, W)`` stack ``a`` by the
+    :func:`_bicubic_taps` of its shape, or the ``rows`` window of the output grid.
 
     A window slices the row tap table of the whole output and reads only the
     source rows it names, so it is bitwise the same crop of the whole result.
     The row pass runs on the whole stack, 1/r of the output; the column pass
     adds its four taps into the output band by band, through one band of scratch.
     """
-    idx, w = (t[:, rows] for t in _bicubic_axis_taps(a.shape[-2], r))
-    cidx, cw = _bicubic_axis_taps(a.shape[-1], r)
+    (idx, w), (cidx, cw) = taps
+    idx, w = idx[:, rows], w[:, rows]
     a = sum(a[..., idx[k], :] * w[k][:, None] for k in range(4))
     out = np.zeros(a.shape[:-1] + cw.shape[1:])  # from +0.0, as sum() starts: -0.0 taps sum to +0.0
     tap = np.empty(out.shape[-2:])
@@ -218,7 +256,7 @@ def upsample(ms: MultispectralImage, r: int) -> MultispectralImage:
         raise InvalidInputError(f"upsample ratio must be >= 1, got {r}")
     if r == 1:
         return ms
-    return MultispectralImage(_bicubic_up(ms.data, r))
+    return MultispectralImage(_bicubic_up(ms.data, _bicubic_taps(ms.data.shape, r)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 import zlib
 from pathlib import Path
@@ -505,6 +507,71 @@ _REDUCED_KV = QualityReport(
 def _edit_meta(out, old, new):
     meta = out / "scene.meta"
     meta.write_bytes(meta.read_bytes().replace(old, new))
+
+
+class TestInterrupts:
+    """SIGINT and SIGTERM end a stage with one line, 130 and 143, and no output moves."""
+
+    def test_interrupt_exits_130_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("panfuse.cli.cmd_synth", interrupted)
+        out = tmp_path / "run"
+        assert run(synth_args(out, size=16, ratio=2)) == 130
+        assert capsys.readouterr().err == "panfuse: interrupted in synth\n"
+        assert not out.exists()
+
+    def test_interrupt_between_two_writes_keeps_every_output(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert run(synth_args(out, size=16, ratio=2)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write_one = panfuse.cli.save_raster
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        def write_once(image, path):
+            # the first output is written, the second is interrupted
+            monkeypatch.setattr("panfuse.cli.save_raster", interrupt)
+            write_one(image, path)
+
+        monkeypatch.setattr("panfuse.cli.save_raster", write_once)
+        capsys.readouterr()
+        # another seed, whose outputs would differ from every old byte
+        assert run(synth_args(out, size=16, ratio=2, seed=8)) == 130
+        assert capsys.readouterr().err == "panfuse: interrupted in synth\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_sigterm_exits_143_and_restores_the_handler(self, tmp_path, capsys, monkeypatch):
+        def terminated(cfg):
+            os.kill(os.getpid(), signal.SIGTERM)
+            raise AssertionError("SIGTERM did not end the stage")
+
+        def callers_handler(signum, frame):
+            raise AssertionError("the handler of main's caller ran")
+
+        previous = signal.signal(signal.SIGTERM, callers_handler)
+        try:
+            monkeypatch.setattr("panfuse.cli.cmd_synth", terminated)
+            out = tmp_path / "run"
+            assert run(synth_args(out, size=16, ratio=2)) == 143
+            assert capsys.readouterr().err == "panfuse: interrupted in synth\n"
+            assert not out.exists()
+            assert signal.getsignal(signal.SIGTERM) is callers_handler
+            monkeypatch.undo()
+            assert run(synth_args(out, size=16, ratio=2)) == 0
+            assert signal.getsignal(signal.SIGTERM) is callers_handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_a_stage_runs_outside_the_main_thread(self, tmp_path):
+        # only the main thread may set a signal handler; elsewhere main sets none
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(run(synth_args(tmp_path, size=16))))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and codes == [0]
 
 
 class TestMalformedText:

@@ -537,6 +537,17 @@ class TestFuseTiles:
         # a band keeps the whole width, so each GEMM sums as the whole image's
         np.testing.assert_array_equal(got, want)
 
+    def test_tap_tables_are_built_once_a_call(self, monkeypatch):
+        # one row and one column table, not one of each for each band
+        scene = synth_scene(seed=21, width=256, height=256, bands=4, ratio=4)
+        _, params = random_head_checkpoint(4, 22)
+        monkeypatch.setattr(raster, "_BAND_ELEMENTS", 40 * 256)
+        built, build = [], raster._bicubic_axis_taps
+        monkeypatch.setattr(raster, "_bicubic_axis_taps",
+                            lambda *args: built.append(args) or build(*args))
+        gan.fuse(params, scene.ms, scene.pan, 4)
+        assert built == [(64, 4), (64, 4)]
+
     @pytest.mark.parametrize("size", [256, 1024])
     def test_memory_is_set_by_the_tile(self, monkeypatch, size):
         # bands of 64 * 64 PAN pixels, 4 rows at 1024 wide: a 16-channel

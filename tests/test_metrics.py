@@ -734,6 +734,24 @@ class TestDistortions:
         assert report.entries["D_lambda"] == d_lambda(m, f, cfg)
         assert report.entries["D_s"] == d_s(m, f, pan, pan_low, cfg)
 
+    def test_d_s_forms_only_its_own_pairs(self, fixture_scene, monkeypatch):
+        # the k pairs (band i, PAN) at each scale, and the D_s of the whole
+        # no-reference evaluation, bit for bit, for each baseline of the seed-7 scene
+        from panfuse.harness import baseline_fuse
+
+        scene, cfg = fixture_scene, MetricConfig()
+        pan_low = mtf_degrade(scene.pan, scene.ratio)
+        formed, means = [], metrics._uiqi_means
+        monkeypatch.setattr(metrics, "_uiqi_means",
+                            lambda s, pairs: formed.append(list(pairs)) or means(s, pairs))
+        for method in ("exp", "cs", "glp"):
+            product = baseline_fuse(method, scene.ms, scene.pan, scene.ratio)
+            formed.clear()
+            value = d_s(scene.ms, product, scene.pan, pan_low, cfg)
+            assert formed == [[(0, 4), (1, 4), (2, 4), (3, 4)]] * 2
+            full = evaluate_full(product, scene.ms, scene.pan, pan_low, cfg)
+            assert value == full.entries["D_s"], method
+
     def test_full_evaluation_of_one_band_names_two_bands(self):
         rng = np.random.default_rng(30)
         m, f = ms_of(rng.uniform(size=(1, 16, 16))), ms_of(rng.uniform(size=(1, 64, 64)))

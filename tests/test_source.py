@@ -85,6 +85,31 @@ def test_only_raster_sizes_blocks():
     assert not sizes, f"block sizes outside raster: {sizes}"
 
 
+def module_and_attribute_names(tree: ast.Module):
+    """Each module an import names, and each name and attribute the code reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_only_raster_sets_the_allocator():
+    # raster._keep_freed_memory is the one allocator policy of the process; no
+    # other module loads ctypes or names mallopt
+    named = sorted({
+        f"{path.name}:{name}"
+        for path in PACKAGE.glob("*.py") if path.name != "raster.py"
+        for name in module_and_attribute_names(ast.parse(path.read_text(encoding="utf-8")))
+        if name.split(".")[0] in ("ctypes", "mallopt")
+    })
+    assert not named, f"allocator calls outside raster: {named}"
+
+
 def test_only_the_reader_unpacks():
     # raster.ByteReader parses every binary field: it checks each length before
     # it slices, and a failure names the file, the byte offset and the field
